@@ -7,6 +7,17 @@ how much disturbance it causes (probability of a mismatch in the receiver's
 channel check), for arbitrary Kraus channels and for the builtin damping
 family.
 
+A string's likelihood ratio between the two message values depends only on
+its net vote per basis, s_i = #(sigma_i, c=0) - #(sigma_i, c=1), so the
+string carries exactly as much information as the pair (s1, s3).  One
+evaluator serves every channel: it walks string lengths upward on the
+(s1, s3) lattice, convolving with the single-announcement distribution at
+each step, and reads off the per-length information at the lengths the
+binomial weighting keeps.  A basis whose two symbols are equally likely
+carries no information, and its axis collapses: the damping family walks a
+line, unital channels a single cell.  Memory is O(k^2) at length k (O(k)
+on a line).
+
 All logarithms are base 2, so information is in bits and the one-bit
 message bounds every result by 1.  0 * log 0 is 0 throughout.
 """
@@ -15,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +42,6 @@ from sealsim.qubit import (
 )
 
 _DISTRIBUTION_TOL = 1e-12
-# Probabilities below this are flushed to zero before logs are taken.
-_PROB_FLOOR = 1e-300
 _DEFAULT_TAIL_TOL = 1e-12
 
 
@@ -122,27 +131,6 @@ def _log_factorials(n: int) -> np.ndarray:
     return table
 
 
-def _safe_log(values: np.ndarray) -> np.ndarray:
-    out = np.full_like(values, -np.inf)
-    mask = values > _PROB_FLOOR
-    out[mask] = np.log(values[mask])
-    return out
-
-
-def _jsd_bits(p0: np.ndarray, p1: np.ndarray) -> float:
-    """Sum of 0.5*[p0 log2(p0/m) + p1 log2(p1/m)], m the midpoint.
-
-    This is the mutual information contributed by outcome groups with
-    conditional masses p0 and p1 under a uniform binary prior.
-    """
-    mid = 0.5 * (p0 + p1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t0 = np.where(p0 > 0.0, p0 * np.log2(np.where(p0 > 0.0, p0 / mid, 1.0)), 0.0)
-        t1 = np.where(p1 > 0.0, p1 * np.log2(np.where(p1 > 0.0, p1 / mid, 1.0)), 0.0)
-    total = 0.5 * float(t0.sum() + t1.sum())
-    return max(total, 0.0)
-
-
 def bit_announcement_probs(eve: KrausChannel) -> AnnouncementDistribution:
     """Single-announcement probabilities induced by the channel.
 
@@ -164,41 +152,77 @@ def bit_announcement_probs(eve: KrausChannel) -> AnnouncementDistribution:
     return AnnouncementDistribution((given_0, given_1))
 
 
+def _lattice_mi(p0: np.ndarray) -> float:
+    """I(s : message) in bits from the net-vote distribution given b = 0.
+
+    Flipping the message negates every net vote, so p1(s) = p0(-s), and the
+    information is 1 - H(message | s) with
+    H = sum_s p0(s) log2((p0(s) + p0(-s)) / p0(s)).  The ratio inside the log
+    never has an underflowed divisor, and each term is non-negative, so the
+    result never exceeds 1.  (Writing 1 as sum_s p0(s) gives the
+    Jensen-Shannon form sum_s p0(s) log2(2 p0(s) / (p0(s) + p0(-s))); using
+    the exact 1 keeps the lattice's rounded mass out of the result.)
+    """
+    seen = p0 > 0.0
+    p = p0[seen]
+    q = p0[::-1, ::-1][seen]
+    return 1.0 + float(np.sum(p * np.log2(p / (p + q))))
+
+
+def _mi_by_length(dist: AnnouncementDistribution, lengths: list[int]) -> list[float]:
+    """I(announcement string : message) in bits at each of the ascending ``lengths``.
+
+    Walks k = 0, 1, ... up to the largest length on the lattice of net votes
+    (s1, s3), convolving it at each step with the single-announcement
+    distribution.  Each of the four symbols moves the walk by a fixed offset
+    while the lattice grows by ``grow`` per step, and negating (s1, s3)
+    reverses both lattice axes.  A basis whose two symbols are equally likely
+    has a collapsed axis: it never grows, and its announcements are "stay"
+    steps.  When neither axis collapses, s1 + s3 has the parity of k, and the
+    lattice is kept in the coordinates u = (k + s1 + s3)/2, v = (k + s1 - s3)/2
+    so that no cell of the wrong parity is stored.
+    """
+    if lengths[0] < 0:
+        raise ValueError("string length must be non-negative")
+    probs = np.array(dist.probs_given_b[0]) / math.fsum(dist.probs_given_b[0])
+    moving1, moving3 = int(probs[0] != probs[1]), int(probs[2] != probs[3])
+    if moving1 and moving3:
+        grow, offsets = (1, 1), ((1, 1), (0, 0), (1, 0), (0, 1))
+    else:
+        # cell [i, j] is (s1, s3) = (i - k, j - k) on a moving axis, 0 on a collapsed one
+        grow = (2 * moving1, 2 * moving3)
+        offsets = ((2 * moving1, moving3), (0, moving3), (moving1, 2 * moving3), (moving1, 0))
+    moves: dict[tuple[int, int], float] = {}
+    for weight, offset in zip(probs, offsets):
+        if weight > 0.0:
+            moves[offset] = moves.get(offset, 0.0) + float(weight)
+
+    lattice = np.ones((1, 1))
+    out = []
+    k = 0
+    for target in lengths:
+        while k < target:
+            n1, n3 = lattice.shape
+            step = np.zeros((n1 + grow[0], n3 + grow[1]))
+            for (o1, o3), weight in moves.items():
+                step[o1 : o1 + n1, o3 : o3 + n3] += weight * lattice
+            lattice = step
+            k += 1
+        out.append(_lattice_mi(lattice))
+    return out
+
+
 def mutual_information_k(dist: AnnouncementDistribution, k: int) -> float:
     """I(announcement string : message) in bits for strings of length k.
 
-    Strings sharing a symbol-count profile (d1, d2, d3, d4) are grouped; the
-    group's total conditional mass is the multinomial coefficient times the
-    per-string product, accumulated in log space.
+    Evaluated on the net votes (s1, s3), which carry all of the string's
+    information about the message.
     """
-    if k < 0:
-        raise ValueError("string length must be non-negative")
-    if k == 0:
-        return 0.0
-    log_a0 = _safe_log(np.array(dist.probs_given_b[0]))
-    log_a1 = _safe_log(np.array(dist.probs_given_b[1]))
-    lf = _log_factorials(k)
-
-    idx = np.arange(k + 1)
-    d1, d2, d3 = np.meshgrid(idx, idx, idx, indexing="ij")
-    keep = d1 + d2 + d3 <= k
-    d1, d2, d3 = d1[keep], d2[keep], d3[keep]
-    d4 = k - d1 - d2 - d3
-
-    log_mult = lf[k] - lf[d1] - lf[d2] - lf[d3] - lf[d4]
-    counts = (d1, d2, d3, d4)
-    with np.errstate(invalid="ignore"):
-        lp0 = log_mult + sum(
-            np.where(d > 0, d * la, 0.0) for d, la in zip(counts, log_a0)
-        )
-        lp1 = log_mult + sum(
-            np.where(d > 0, d * la, 0.0) for d, la in zip(counts, log_a1)
-        )
-    return _jsd_bits(np.exp(lp0), np.exp(lp1))
+    return _mi_by_length(dist, [k])[0]
 
 
 def _binomial_pmf(n: int, p: float) -> np.ndarray:
-    """Exact-to-rounding binomial weights for k = 0..n via log factorials."""
+    """Binomial weights for k = 0..n via log factorials, normalised to sum to 1."""
     if p == 0.0:
         out = np.zeros(n + 1)
         out[0] = 1.0
@@ -210,11 +234,12 @@ def _binomial_pmf(n: int, p: float) -> np.ndarray:
     k = np.arange(n + 1.0)
     lf = _log_factorials(n)
     log_pmf = lf[n] - lf[: n + 1] - lf[::-1] + k * math.log(p) + (n - k) * math.log1p(-p)
-    return np.exp(log_pmf)
+    pmf = np.exp(log_pmf)
+    return pmf / math.fsum(pmf)
 
 
 def _expected_mi(
-    per_k: Callable[[int], float], n_shots: int, p_announce: float, tail_tol: float
+    dist: AnnouncementDistribution, n_shots: int, p_announce: float, tail_tol: float
 ) -> MIResult:
     if n_shots < 1:
         raise ValueError("need at least one shot")
@@ -226,19 +251,15 @@ def _expected_mi(
     pmf = _binomial_pmf(n_shots, p_announce)
     # keep the most likely string lengths until the omitted mass is negligible
     order = np.argsort(-pmf, kind="stable")
-    included: list[int] = []
-    mass = 0.0
-    for k in order:
-        included.append(int(k))
-        mass += pmf[k]
-        if 1.0 - mass < tail_tol:
-            break
+    mass = np.cumsum(pmf[order])
+    done = np.flatnonzero(1.0 - mass < tail_tol)
+    kept = int(done[0]) + 1 if done.size else mass.size
+    lengths = sorted(int(k) for k in order[:kept])
     # fixed ascending-k summation order for bitwise reproducibility
     mi = 0.0
-    for k in sorted(included):
-        if pmf[k] > 0.0 and k > 0:
-            mi += float(pmf[k]) * per_k(k)
-    return MIResult(mi, len(included), float(max(1.0 - mass, 0.0)))
+    for k, mi_k in zip(lengths, _mi_by_length(dist, lengths)):
+        mi += float(pmf[k]) * mi_k
+    return MIResult(mi, kept, float(max(1.0 - mass[kept - 1], 0.0)))
 
 
 def expected_mutual_information(
@@ -252,8 +273,17 @@ def expected_mutual_information(
     Returns sum_k Pr(k bit-announcements) * I(string of length k : message),
     summing string lengths in decreasing-probability order until the omitted
     binomial mass drops below ``tail_tol`` (recorded as ``truncation_mass``).
+    All kept lengths come from one walk up to the longest of them.
     """
-    return _expected_mi(lambda k: mutual_information_k(dist, k), n_shots, p_announce, tail_tol)
+    return _expected_mi(dist, n_shots, p_announce, tail_tol)
+
+
+def _damping_distribution(x: float) -> AnnouncementDistribution:
+    """Announcement distribution of the damping family: r1 = 0, r3 = x."""
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"damping strength must lie in [0, 1], got {x}")
+    given_0 = (0.25, 0.25, 0.25 * (1 + x), 0.25 * (1 - x))
+    return AnnouncementDistribution((given_0, (given_0[1], given_0[0], given_0[3], given_0[2])))
 
 
 def seal_class_masses(
@@ -261,7 +291,9 @@ def seal_class_masses(
 ) -> list[tuple[StringCountClass, float, float]]:
     """Class-total string probabilities for the damping family.
 
-    For each symbol-count class, returns the total probability of all its
+    The paper's explicit enumeration of symbol-count classes, kept as a
+    reference; the evaluators work on net votes and do not call it.  For
+    each symbol-count class, returns the total probability of all its
     strings conditioned on each message value: the class string count times
     (1/4)^k (1 +/- x)^d3 (1 -/+ x)^d4.  Summed over classes each column is 1.
     """
@@ -289,16 +321,12 @@ def seal_class_masses(
 
 
 def seal_mutual_information_k(x: float, k: int) -> float:
-    """Damping-family specialization of :func:`mutual_information_k`.
+    """:func:`mutual_information_k` for the damping family at strength x.
 
-    Works on sigma3-count classes only; the two sigma1 symbols are grouped,
-    which loses nothing because their likelihood ratio between the two
-    message values is exactly 1.
+    The sigma1 symbols are equally likely under both message values, so
+    the walk runs on the sigma3 net vote alone.
     """
-    masses = seal_class_masses(x, k)
-    p0 = np.array([m[1] for m in masses])
-    p1 = np.array([m[2] for m in masses])
-    return _jsd_bits(p0, p1)
+    return _mi_by_length(_damping_distribution(x), [k])[0]
 
 
 def seal_expected_mutual_information(
@@ -307,15 +335,8 @@ def seal_expected_mutual_information(
     p_announce: float,
     tail_tol: float = _DEFAULT_TAIL_TOL,
 ) -> MIResult:
-    """Expected mutual information for the damping family at strength x.
-
-    Same binomial weighting as :func:`expected_mutual_information` but with
-    the grouped-class per-length evaluator; the two must agree to well under
-    1e-9 bits.
-    """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"damping strength must lie in [0, 1], got {x}")
-    return _expected_mi(lambda k: seal_mutual_information_k(x, k), n_shots, p_announce, tail_tol)
+    """:func:`expected_mutual_information` for the damping family at strength x."""
+    return _expected_mi(_damping_distribution(x), n_shots, p_announce, tail_tol)
 
 
 _MISMATCH_EVENTS = (

@@ -2,8 +2,10 @@
 
 These deliberately avoid the code paths under test: the damping family is
 rebuilt from its system-plus-auxiliary unitary coupling and a partial trace,
-and string mutual information is computed by literal enumeration of every
-announcement string.
+string mutual information is computed by literal enumeration of every
+announcement string, and the damping family's mutual information is also
+summed over the paper's explicit symbol-count classes, which no evaluator
+in the package uses.
 """
 
 import itertools
@@ -11,6 +13,9 @@ import math
 
 import numpy as np
 from scipy.special import rel_entr
+from scipy.stats import binom
+
+from sealsim.analysis import seal_class_masses
 
 _LN2 = math.log(2.0)
 
@@ -116,3 +121,29 @@ def mi_bruteforce(probs_b0, probs_b1, k: int, block: int = 10) -> float:
         mid = 0.5 * (p0 + p1)
         total += 0.5 * float(rel_entr(p0, mid).sum() + rel_entr(p1, mid).sum())
     return total / _LN2
+
+
+def seal_mi_by_classes(x: float, k: int) -> float:
+    """I(string of length k : message) in bits for the damping family.
+
+    Sums the class-total masses of ``seal_class_masses`` (strings grouped by
+    their sigma3 symbol counts) with a Jensen-Shannon divergence of its own.
+    """
+    masses = seal_class_masses(x, k)
+    p0 = np.array([m[1] for m in masses])
+    p1 = np.array([m[2] for m in masses])
+    mid = 0.5 * (p0 + p1)
+    return 0.5 * float(rel_entr(p0, mid).sum() + rel_entr(p1, mid).sum()) / _LN2
+
+
+def seal_expected_mi_by_classes(x: float, n_shots: int, p_announce: float) -> float:
+    """Binomially weighted :func:`seal_mi_by_classes` over string lengths.
+
+    Lengths whose binomial weight is below 1e-18 are skipped; at most
+    n_shots + 1 of them, so the omitted mass is far below any tolerance this
+    oracle is used at.
+    """
+    weights = binom.pmf(np.arange(n_shots + 1), n_shots, p_announce)
+    return math.fsum(
+        float(w) * seal_mi_by_classes(x, k) for k, w in enumerate(weights) if k and w >= 1e-18
+    )

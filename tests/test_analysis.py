@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import binom
 
 from conftest import random_kraus_channel, rotated_channel
-from oracles import mi_bruteforce
+from oracles import mi_bruteforce, seal_expected_mi_by_classes, seal_mi_by_classes
 from sealsim.analysis import (
     AnnouncementDistribution,
     MIResult,
@@ -178,6 +178,22 @@ def test_binomial_weights_match_scipy():
         assert np.abs(ours - reference).max() <= 1e-13
 
 
+@pytest.mark.parametrize("n, p", [(2000, 0.5), (3000, 0.5)])
+def test_binomial_weights_are_normalised_at_large_n(n, p):
+    from sealsim.analysis import _binomial_pmf
+
+    assert abs(math.fsum(_binomial_pmf(n, p)) - 1.0) <= 1e-15
+    res = seal_expected_mutual_information(1.0, n, p)
+    assert res.truncation_mass < 1e-12
+    assert res.k_terms_used < n + 1
+    assert 0.0 <= res.mi_bits <= 1.0
+
+
+def test_kept_string_lengths_at_default_n():
+    assert seal_expected_mutual_information(0.5, N_DEFAULT, PA_DEFAULT).k_terms_used == 29
+    assert seal_expected_mutual_information(0.5, N_DEFAULT, 0.5).k_terms_used == 76
+
+
 def test_expected_mi_identity_is_exact_zero():
     dist = bit_announcement_probs(identity_channel())
     res = expected_mutual_information(dist, N_DEFAULT, PA_DEFAULT)
@@ -242,9 +258,11 @@ def test_expected_mi_single_shot_hand_formula():
 
 def test_grouped_matches_generic_at_large_k():
     # high announcement rate pushes the binomial mass to k ~ 30..60
+    oracle = seal_expected_mi_by_classes(0.6, 60, 0.5)
     grouped = seal_expected_mutual_information(0.6, 60, 0.5)
     generic = expected_mutual_information(bit_announcement_probs(seal_channel(0.6)), 60, 0.5)
-    assert abs(grouped.mi_bits - generic.mi_bits) <= 1e-9
+    assert abs(grouped.mi_bits - oracle) <= 1e-9
+    assert abs(generic.mi_bits - oracle) <= 1e-9
     assert grouped.k_terms_used == generic.k_terms_used
 
 
@@ -295,18 +313,27 @@ def test_grouped_matches_generic_per_k():
     for x in (0.0, 0.3, 0.7, 1.0):
         dist = bit_announcement_probs(seal_channel(x))
         for k in (1, 2, 5, 9):
-            a = seal_mutual_information_k(x, k)
-            b = mutual_information_k(dist, k)
-            assert abs(a - b) <= 1e-12
+            oracle = seal_mi_by_classes(x, k)
+            assert abs(seal_mutual_information_k(x, k) - oracle) <= 1e-12
+            assert abs(mutual_information_k(dist, k) - oracle) <= 1e-12
+
+
+def test_seal_mutual_information_long_string_stays_finite():
+    # most string probabilities at k = 800 lie below the smallest double
+    mi = seal_mutual_information_k(0.5, 800)
+    assert math.isfinite(mi)
+    assert 0.0 <= mi <= 1.0
 
 
 def test_grouped_matches_generic_expectation():
     for x in np.linspace(0.0, 1.0, 11):
+        oracle = seal_expected_mi_by_classes(float(x), N_DEFAULT, PA_DEFAULT)
         grouped = seal_expected_mutual_information(float(x), N_DEFAULT, PA_DEFAULT)
         generic = expected_mutual_information(
             bit_announcement_probs(seal_channel(float(x))), N_DEFAULT, PA_DEFAULT
         )
-        assert abs(grouped.mi_bits - generic.mi_bits) <= 1e-9
+        assert abs(grouped.mi_bits - oracle) <= 1e-9
+        assert abs(generic.mi_bits - oracle) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -378,3 +405,53 @@ def test_curves_start_at_zero_and_never_decrease():
     assert mi_values[0] == 0.0 and mm_values[0] == 0.0
     assert all(b >= a - 1e-12 for a, b in zip(mi_values, mi_values[1:]))
     assert all(b >= a - 1e-12 for a, b in zip(mm_values, mm_values[1:]))
+
+
+# ---------------------------------------------------------------------------
+# Whole input range
+# ---------------------------------------------------------------------------
+
+unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=2000), unit, unit, unit)
+def test_damping_mi_is_valid_and_monotone_in_x(n, pa, x_a, x_b):
+    low, high = (
+        seal_expected_mutual_information(x, n, pa).mi_bits for x in sorted((x_a, x_b))
+    )
+    for mi in (low, high):
+        assert math.isfinite(mi)
+        assert 0.0 <= mi <= 1.0
+    assert high >= low - 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=2000), unit)
+def test_damping_full_strength_anchor(n, pa):
+    anchor = 1.0 - (1.0 - pa / 2.0) ** n
+    assert abs(seal_expected_mutual_information(1.0, n, pa).mi_bits - anchor) <= 1e-9
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=2000), unit, unit)
+def test_unital_channels_leak_exactly_nothing(n, pa, p):
+    for ch in (identity_channel(), depolarizing_channel(p), dephasing_channel()):
+        assert expected_mutual_information(bit_announcement_probs(ch), n, pa).mi_bits == 0.0
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=150),
+    unit,
+    st.integers(min_value=0, max_value=2**31),
+)
+def test_general_channel_mi_is_valid(n, pa, seed):
+    rng = np.random.default_rng(seed)
+    for ch in (
+        rotated_channel(seal_channel(float(rng.random())), float(rng.uniform(0.1, 3.0))),
+        random_kraus_channel(rng, 3),
+    ):
+        mi = expected_mutual_information(bit_announcement_probs(ch), n, pa).mi_bits
+        assert math.isfinite(mi)
+        assert 0.0 <= mi <= 1.0

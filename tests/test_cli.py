@@ -60,6 +60,17 @@ def test_sweep_custom_step_and_pa(tmp_path):
     assert [r[0] for r in rows] == [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
+@pytest.mark.parametrize("n, pa", [(1000, 0.5), (800, 1.0)])
+def test_sweep_at_large_n(tmp_path, n, pa):
+    out = tmp_path / "large.csv"
+    argv = ["sweep", "--n", str(n), "--pa", str(pa), "--grid-step", "0.5", "--out", str(out)]
+    assert main(argv) == 0
+    _, _, rows = read_csv(out)
+    assert [r[0] for r in rows] == [0.0, 0.5, 1.0]
+    assert all(0.0 <= r[1] <= 1.0 for r in rows)
+    assert abs(rows[-1][1] - (1.0 - (1.0 - pa / 2.0) ** n)) <= 1e-9
+
+
 @pytest.mark.parametrize(
     "argv",
     [
