@@ -10,16 +10,13 @@ formulas.
 import argparse
 import math
 
-import numpy as np
-
 from sealsim.analysis import (
     bit_announcement_probs,
     expected_mutual_information,
     mismatch_probability,
 )
-from sealsim.protocol import BitAnnouncement, ProtocolParams, monte_carlo, run_protocol
+from sealsim.protocol import ProtocolParams, information_density, monte_carlo
 from sealsim.qubit import (
-    MeasurementBasis,
     dephasing_channel,
     depolarizing_channel,
     identity_channel,
@@ -31,32 +28,6 @@ def zscore(empirical, err, analytic):
     if err == 0:
         return 0.0 if empirical == analytic else float("inf")
     return (empirical - analytic) / err
-
-
-def empirical_information(channel, params, trials):
-    """Mean posterior log-likelihood ratio over simulated runs (bits).
-
-    Unbiased for the mutual information between the message and the
-    bit-announcement string, using the analytic per-announcement
-    probabilities as the decoder.
-    """
-    dist = bit_announcement_probs(channel)
-    log0 = [math.log2(p) if p > 0 else -math.inf for p in dist.probs_given_b[0]]
-    log1 = [math.log2(p) if p > 0 else -math.inf for p in dist.probs_given_b[1]]
-    values = np.empty(trials)
-    for t in range(trials):
-        run_params = ProtocolParams(params.n_shots, params.p_announce, t % 2, params.seed)
-        shots, _, _ = run_protocol(run_params, channel, stream=t)
-        ll0 = ll1 = 0.0
-        for rec in shots:
-            ann = rec.announcement
-            if type(ann) is BitAnnouncement:
-                idx = (2 if rec.basis is MeasurementBasis.SIGMA3 else 0) + ann.c
-                ll0 += log0[idx]
-                ll1 += log1[idx]
-        ll_true = ll0 if t % 2 == 0 else ll1
-        values[t] = ll_true - (np.logaddexp2(ll0, ll1) - 1.0)
-    return values.mean(), values.std(ddof=1) / math.sqrt(trials)
 
 
 def check_channel(channel, params, trials):
@@ -76,7 +47,9 @@ def check_channel(channel, params, trials):
         f"  {'mismatch_rate':<20} {stats.mismatch_rate:>10.5f} {mismatch:>10.5f}"
         f" {zscore(stats.mismatch_rate, stats.mismatch_rate_err, mismatch):>7.2f}"
     )
-    mi_emp, mi_se = empirical_information(channel, params, trials)
+    # mean posterior log-likelihood ratio: unbiased for the mutual information
+    density = information_density(params, channel, trials, dist.probs_given_b)
+    mi_emp, mi_se = density.mean(), density.std(ddof=1) / math.sqrt(trials)
     mi = expected_mutual_information(dist, params.n_shots, params.p_announce)
     print(
         f"  {'information_bits':<20} {mi_emp:>10.5f} {mi.mi_bits:>10.5f}"

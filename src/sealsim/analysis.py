@@ -35,9 +35,8 @@ from sealsim.qubit import (
     MeasurementBasis,
     MeasurementResult,
     ProtocolPureState,
-    apply_channel,
     measurement_prob,
-    state_density,
+    preparation_images,
     validate_channel,
 )
 
@@ -357,10 +356,10 @@ def mismatch_probability(eve: KrausChannel) -> MismatchProbability:
     this depends on the channel's action on each pure state separately, not
     just on its action on the maximally mixed state.
     """
+    images = preparation_images(eve)
     per_shot = 0.0
     for prep, basis, result in _MISMATCH_EVENTS:
-        evolved = apply_channel(eve, state_density(prep))
-        per_shot += 0.125 * measurement_prob(evolved, basis, result)
+        per_shot += 0.125 * measurement_prob(images[prep], basis, result)
     return MismatchProbability(per_shot, 2.0 * per_shot)
 
 

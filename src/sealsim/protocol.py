@@ -12,7 +12,22 @@ The module also provides the receiver's decoding and mismatch accounting and
 a seeded Monte Carlo harness.  Randomness contract: a run is a pure function
 of (params, channel, stream); Monte Carlo trial t uses stream t, derived from
 the root seed by a spawn key, so trials can run in any order or in parallel
-without changing anything.
+without changing anything.  A run draws its four variate columns from its
+stream in one fixed order: preparations, bases, result variates,
+announcement-type variates, N of each.
+
+The engine is columnar.  A shot becomes one small integer code (preparation,
+basis, announcement kind, announced value), and one tally turns a block of
+runs -- one row of codes per run -- into per-run counts of bit-announcements,
+votes, usable result-announcements and mismatches, with a histogram per row
+and a table of what each code contributes.  ``monte_carlo`` fills a reused
+block of about ``_BLOCK_CELLS`` codes with consecutive trials, each from its
+own stream, and tallies it; ``run_protocol`` tallies its one run and builds
+its ``ShotRecord`` list from a table of interned records; ``bob_decode`` and
+``tally_mismatches`` encode the records they are given and call the same
+tally; ``information_density`` tallies blocks like ``monte_carlo`` and keeps
+each run's bit-announcement counts.  Blocking only batches the tally, so
+counts do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -20,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,10 +44,8 @@ from sealsim.qubit import (
     MeasurementBasis,
     MeasurementResult,
     ProtocolPureState,
-    apply_channel,
     measurement_prob,
-    state_density,
-    validate_channel,
+    preparation_images,
 )
 
 # Fixed ordering of the four bit-announcement symbols used everywhere
@@ -42,6 +56,12 @@ BIT_ANNOUNCEMENT_ALPHABET: tuple[tuple[MeasurementBasis, int], ...] = (
     (MeasurementBasis.SIGMA3, 0),
     (MeasurementBasis.SIGMA3, 1),
 )
+
+# Shots per block of the Monte Carlo (rounded down to whole runs, and at least
+# one run).  A larger block adds memory without running faster: the tally's
+# array calls are already a small part of a trial's cost next to creating
+# its stream.
+_BLOCK_CELLS = 1 << 12
 
 _STATES = tuple(ProtocolPureState)
 _BASES = (MeasurementBasis.SIGMA1, MeasurementBasis.SIGMA3)
@@ -136,23 +156,123 @@ def predicted_result(prep: ProtocolPureState) -> MeasurementResult:
     return _PREDICTED_RESULT[prep]
 
 
+# A shot as the receiver tallies it: the indices of its preparation and basis
+# in _STATES and _BASES, whether it was a bit-announcement, and the announced
+# value (the coded bit c, or 1 for a raw result of -1), packed into one code.
+_CODES = 32
+
+
+def _code(prep_idx, basis_idx, is_bit, value):
+    return ((prep_idx * 2 + basis_idx) * 2 + is_bit) * 2 + value
+
+
+def _code_fields(code: int) -> tuple[int, int, int, int]:
+    return code >> 3, (code >> 2) & 1, (code >> 1) & 1, code & 1
+
+
+_STATE_INDEX = {s: i for i, s in enumerate(_STATES)}
+_BASIS_INDEX = {b: i for i, b in enumerate(_BASES)}
+
+
+def _interned_record(code: int, message_bit: int) -> ShotRecord:
+    prep_idx, basis_idx, is_bit, value = _code_fields(code)
+    # c = message bit xor (result is -1), so a coded bit fixes the result
+    minus = value ^ (is_bit & message_bit)
+    result = MeasurementResult.MINUS if minus else MeasurementResult.PLUS
+    announcement = BitAnnouncement(value) if is_bit else ResultAnnouncement(result)
+    return ShotRecord(_STATES[prep_idx], _BASES[basis_idx], result, announcement)
+
+
+# _RECORDS[message_bit][code]: every record a run can produce, built once.
+_RECORDS = tuple(tuple(_interned_record(code, b) for code in range(_CODES)) for b in (0, 1))
+
+
+def _record_code(rec: ShotRecord) -> int:
+    if isinstance(rec.announcement, BitAnnouncement):
+        is_bit, value = 1, rec.announcement.c
+    else:
+        is_bit, value = 0, int(rec.result is MeasurementResult.MINUS)
+    return _code(_STATE_INDEX[rec.prep], _BASIS_INDEX[rec.basis], is_bit, value)
+
+
+# Columns of a tally after the four bit-announcement counts.
+_MATCHED_RA, _MISMATCH, _VOTE, _VOTE_ONE = 4, 5, 6, 7
+
+
+def _tally_table() -> np.ndarray:
+    """What one shot of each code adds to each column of a tally."""
+    table = np.zeros((_CODES, 8), dtype=np.int64)
+    for code in range(_CODES):
+        prep_idx, basis_idx, is_bit, value = _code_fields(code)
+        prep = _STATES[prep_idx]
+        matched = matching_basis(prep, _BASES[basis_idx])
+        flip = int(predicted_result(prep) is MeasurementResult.MINUS)
+        if is_bit:
+            table[code, 2 * basis_idx + value] = 1
+            table[code, _VOTE] = matched
+            table[code, _VOTE_ONE] = matched and value ^ flip
+        else:
+            table[code, _MATCHED_RA] = matched
+            table[code, _MISMATCH] = matched and value != flip
+    return table
+
+
+_TALLY_TABLE = _tally_table()
+
+
+class _Tally(NamedTuple):
+    """Per-run counts of a block of runs; every field has one row per run."""
+
+    bit_announcements: np.ndarray  # (runs, 4), in BIT_ANNOUNCEMENT_ALPHABET order
+    matched_result_announcements: np.ndarray
+    mismatches: np.ndarray
+    votes: np.ndarray  # matched-basis bit-announcements
+    decoded: np.ndarray  # the majority bit, or -1 when the votes tie or there are none
+
+
+def _tally(codes: np.ndarray) -> _Tally:
+    """Tally a (runs, shots) block of shot codes, one row per run.
+
+    Each row's histogram of codes times the per-code contributions gives
+    that run's counts, so the whole block costs a handful of array calls.
+    """
+    runs = codes.shape[0]
+    offsets = np.arange(0, runs * _CODES, _CODES)[:, None]
+    hist = np.bincount((codes + offsets).ravel(), minlength=runs * _CODES)
+    counts = hist.reshape(runs, _CODES) @ _TALLY_TABLE
+    votes, ones = counts[:, _VOTE], counts[:, _VOTE_ONE]
+    decoded = np.where(2 * ones == votes, -1, 2 * ones > votes)
+    return _Tally(counts[:, :4], counts[:, _MATCHED_RA], counts[:, _MISMATCH], votes, decoded)
+
+
+def _tally_records(shots) -> _Tally:
+    codes = np.fromiter((_record_code(rec) for rec in shots), dtype=np.int64)
+    return _tally(codes.reshape(1, -1))
+
+
 class ShotSampler:
     """Per-channel sampler with the eight Born probabilities precomputed."""
 
     def __init__(self, eve: KrausChannel):
-        report = validate_channel(eve)
-        if not report.passes:
-            raise ValueError(
-                f"channel {eve.label!r} fails completeness (deviation {report.deviation:.3e})"
-            )
+        images = preparation_images(eve)
         self.channel = eve
-        self._p_plus = [
-            [
-                measurement_prob(apply_channel(eve, state_density(s)), b, MeasurementResult.PLUS)
-                for b in _BASES
-            ]
-            for s in _STATES
-        ]
+        # Pr(+1) indexed by (preparation, basis), in _STATES and _BASES order
+        self._p_plus = np.array(
+            [[measurement_prob(images[s], b, MeasurementResult.PLUS) for b in _BASES] for s in _STATES]
+        )
+
+    def _codes(self, p_announce, message_bit, preps, bases, u_result, u_announce):
+        """Shot codes from variate columns (arrays of one shape, or scalars).
+
+        A shot's result is +1 when its result variate falls below Pr(+1), and
+        it is a bit-announcement when its announcement variate falls below
+        ``p_announce``.  ``message_bit`` may be an array that broadcasts
+        against the columns.
+        """
+        cell = preps * 2 + bases
+        minus = u_result >= self._p_plus.ravel()[cell]
+        is_bit = u_announce < p_announce
+        return cell * 4 + is_bit * 2 + (minus ^ (is_bit & message_bit))
 
     def from_variates(
         self,
@@ -163,18 +283,8 @@ class ShotSampler:
         message_bit: int,
         p_announce: float,
     ) -> ShotRecord:
-        result = (
-            MeasurementResult.PLUS
-            if u_result < self._p_plus[prep_idx][basis_idx]
-            else MeasurementResult.MINUS
-        )
-        if u_announce < p_announce:
-            announcement: Announcement = BitAnnouncement(
-                message_bit ^ (result is MeasurementResult.MINUS)
-            )
-        else:
-            announcement = ResultAnnouncement(result)
-        return ShotRecord(_STATES[prep_idx], _BASES[basis_idx], result, announcement)
+        code = self._codes(p_announce, message_bit, prep_idx, basis_idx, u_result, u_announce)
+        return _RECORDS[message_bit][int(code)]
 
     def sample(self, rng: np.random.Generator, message_bit: int, p_announce: float) -> ShotRecord:
         return self.from_variates(
@@ -207,13 +317,8 @@ def run_shot(
     return ShotSampler(eve).sample(rng, message_bit, p_announce)
 
 
-def _decode_votes(shots) -> list[int]:
-    votes = []
-    for rec in shots:
-        if isinstance(rec.announcement, BitAnnouncement) and matching_basis(rec.prep, rec.basis):
-            flip = predicted_result(rec.prep) is MeasurementResult.MINUS
-            votes.append(rec.announcement.c ^ flip)
-    return votes
+def _decoded_bit(decoded) -> int | None:
+    return None if decoded < 0 else int(decoded)
 
 
 def bob_decode(shots) -> int | None:
@@ -223,12 +328,7 @@ def bob_decode(shots) -> int | None:
     preparation was |1> or |->.  Returns None when there are no votes or the
     vote ties.
     """
-    votes = _decode_votes(shots)
-    ones = sum(votes)
-    zeros = len(votes) - ones
-    if ones == zeros:
-        return None
-    return 1 if ones > zeros else 0
+    return _decoded_bit(_tally_records(shots).decoded[0])
 
 
 def tally_mismatches(shots) -> tuple[int, int]:
@@ -237,16 +337,8 @@ def tally_mismatches(shots) -> tuple[int, int]:
     Only result-announcements on a matched basis are usable for the noise
     check; a mismatch is one whose result contradicts the preparation.
     """
-    matched = 0
-    mismatches = 0
-    for rec in shots:
-        if isinstance(rec.announcement, ResultAnnouncement) and matching_basis(
-            rec.prep, rec.basis
-        ):
-            matched += 1
-            if rec.result is not predicted_result(rec.prep):
-                mismatches += 1
-    return mismatches, matched
+    tally = _tally_records(shots)
+    return int(tally.mismatches[0]), int(tally.matched_result_announcements[0])
 
 
 def public_transcript(shots) -> PublicTranscript:
@@ -255,6 +347,41 @@ def public_transcript(shots) -> PublicTranscript:
 
 def _stream_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
+
+
+def _draw(params: ProtocolParams, stream: int):
+    """The four variate columns of one run, drawn from its stream.
+
+    The order is the contract: preparations, bases, result variates,
+    announcement-type variates.  The integer columns keep numpy's default
+    int64: asking for another dtype would draw a different stream.
+    """
+    n = params.n_shots
+    rng = _stream_rng(params.seed, stream)
+    return rng.integers(0, 4, n), rng.integers(0, 2, n), rng.random(n), rng.random(n)
+
+
+def _variate_blocks(params: ProtocolParams, trials: int):
+    """Yield (first trial, columns) for consecutive blocks of trials.
+
+    Trial t's variates come from stream t and fill one row of each column;
+    the arrays are reused from block to block, and the last block may hold
+    fewer rows.
+    """
+    n = params.n_shots
+    rows = max(1, min(_BLOCK_CELLS // n, trials))
+    columns = (
+        np.empty((rows, n), dtype=np.int64),
+        np.empty((rows, n), dtype=np.int64),
+        np.empty((rows, n)),
+        np.empty((rows, n)),
+    )
+    preps, bases, u_result, u_announce = columns
+    for start in range(0, trials, rows):
+        stop = min(start + rows, trials)
+        for row, t in enumerate(range(start, stop)):
+            preps[row], bases[row], u_result[row], u_announce[row] = _draw(params, t)
+        yield start, [c[: stop - start] for c in columns]
 
 
 def run_protocol(
@@ -268,30 +395,16 @@ def run_protocol(
     substream of the root seed; Monte Carlo trial t uses stream t.
     """
     sampler = ShotSampler(eve)
-    return _run_with_sampler(params, sampler, stream)
-
-
-def _run_with_sampler(
-    params: ProtocolParams, sampler: ShotSampler, stream: int
-) -> tuple[list[ShotRecord], PublicTranscript, RunOutcome]:
-    n = params.n_shots
-    rng = _stream_rng(params.seed, stream)
-    preps = rng.integers(0, 4, n)
-    bases = rng.integers(0, 2, n)
-    u_result = rng.random(n)
-    u_announce = rng.random(n)
-    b = params.message_bit
-    pa = params.p_announce
-    shots = [
-        sampler.from_variates(preps[s], bases[s], u_result[s], u_announce[s], b, pa)
-        for s in range(n)
-    ]
-    mismatches, matched_ra = tally_mismatches(shots)
-    votes = _decode_votes(shots)
-    ones = sum(votes)
-    zeros = len(votes) - ones
-    decoded = None if ones == zeros else (1 if ones > zeros else 0)
-    outcome = RunOutcome(decoded, len(votes), matched_ra, mismatches)
+    codes = sampler._codes(params.p_announce, params.message_bit, *_draw(params, stream))
+    tally = _tally(codes.reshape(1, -1))
+    records = _RECORDS[params.message_bit]
+    shots = [records[code] for code in codes.tolist()]
+    outcome = RunOutcome(
+        _decoded_bit(tally.decoded[0]),
+        int(tally.votes[0]),
+        int(tally.matched_result_announcements[0]),
+        int(tally.mismatches[0]),
+    )
     return shots, public_transcript(shots), outcome
 
 
@@ -359,41 +472,61 @@ class SimStats:
         return _freq_and_se(self.decode_correct_count, self.decode_success_count)[1]
 
 
-def _announcement_index(basis: MeasurementBasis, c: int) -> int:
-    return (2 if basis is MeasurementBasis.SIGMA3 else 0) + c
-
-
 def monte_carlo(params: ProtocolParams, eve: KrausChannel, trials: int) -> SimStats:
     """Run ``trials`` independent runs and aggregate order-independent counts."""
     if trials < 1:
         raise ValueError("need at least one trial")
     sampler = ShotSampler(eve)
-    ba_counts = [0, 0, 0, 0]
-    matched_ra = 0
-    mismatches = 0
-    successes = 0
-    correct = 0
-    for t in range(trials):
-        shots, _, outcome = _run_with_sampler(params, sampler, t)
-        for rec in shots:
-            ann = rec.announcement
-            if type(ann) is BitAnnouncement:
-                ba_counts[_announcement_index(rec.basis, ann.c)] += 1
-        matched_ra += outcome.matched_result_announcements
-        mismatches += outcome.mismatch_count
-        if outcome.decoded_bit is not None:
-            successes += 1
-            if outcome.decoded_bit == params.message_bit:
-                correct += 1
+    ba_counts = np.zeros(4, dtype=np.int64)
+    matched_ra = mismatches = successes = correct = 0
+    for _, columns in _variate_blocks(params, trials):
+        tally = _tally(sampler._codes(params.p_announce, params.message_bit, *columns))
+        ba_counts += tally.bit_announcements.sum(axis=0)
+        matched_ra += int(tally.matched_result_announcements.sum())
+        mismatches += int(tally.mismatches.sum())
+        successes += int(np.count_nonzero(tally.decoded >= 0))
+        correct += int(np.count_nonzero(tally.decoded == params.message_bit))
     return SimStats(
         trials=trials,
         shots=trials * params.n_shots,
-        bit_announcement_counts=tuple(ba_counts),
+        bit_announcement_counts=tuple(int(c) for c in ba_counts),
         matched_result_announcements=matched_ra,
         mismatch_count=mismatches,
         decode_success_count=successes,
         decode_correct_count=correct,
     )
+
+
+def information_density(
+    params: ProtocolParams, eve: KrausChannel, trials: int, probs_given_b
+) -> np.ndarray:
+    """Per-trial log2 of Pr(string | sent bit) / Pr(string), in bits.
+
+    The string is a run's sequence of bit-announcements and ``probs_given_b``
+    gives a single bit-announcement's probabilities under message bit 0 and
+    1, in :data:`BIT_ANNOUNCEMENT_ALPHABET` order.  Trial t runs stream t and
+    sends message bit ``params.message_bit ^ (t % 2)``, so the two messages
+    are equally likely, and the mean over trials is an unbiased estimate of
+    the mutual information between the message and the string.
+    """
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    sampler = ShotSampler(eve)
+    with np.errstate(divide="ignore"):
+        log_probs = np.log2(np.asarray(probs_given_b, dtype=float))
+    values = np.empty(trials)
+    for start, columns in _variate_blocks(params, trials):
+        t = np.arange(start, start + len(columns[0]))
+        bits = params.message_bit ^ (t & 1)
+        tally = _tally(sampler._codes(params.p_announce, bits[:, None], *columns))
+        counts = tally.bit_announcements[:, None, :]
+        # log-likelihood of each run's string under either message; a symbol
+        # that never occurs adds nothing even where its probability is 0
+        terms = np.zeros((len(t), *log_probs.shape))
+        ll = np.multiply(counts, log_probs, out=terms, where=counts > 0).sum(axis=2)
+        ll_sent = ll[np.arange(len(t)), bits]
+        values[t] = ll_sent - (np.logaddexp2(ll[:, 0], ll[:, 1]) - 1.0)
+    return values
 
 
 _PREP_LABEL = {

@@ -251,21 +251,40 @@ def validate_channel(ch: KrausChannel) -> ChannelValidation:
     return ChannelValidation(deviation, True, bloch, bloch.lam <= COMPLETENESS_TOL)
 
 
+def _require_complete(ch: KrausChannel) -> None:
+    report = validate_channel(ch)
+    if not report.passes:
+        raise ValueError(
+            f"channel {ch.label!r} fails completeness (deviation {report.deviation:.3e})"
+        )
+
+
+def _map_state(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
+    """The operator sum, re-hermitized and trace-normalized; the caller validates."""
+    out = _apply_operators(ch.operators, rho.matrix)
+    out = 0.5 * (out + out.conj().T)
+    out /= out[0, 0].real + out[1, 1].real
+    return DensityMatrix(out)
+
+
 def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """Map rho through the channel: sum_i E_i rho E_i^dag.
 
     The result is re-hermitized and trace-normalized, which only moves
     entries at the scale of the channel's completeness deviation.
     """
-    report = validate_channel(ch)
-    if not report.passes:
-        raise ValueError(
-            f"channel {ch.label!r} fails completeness (deviation {report.deviation:.3e})"
-        )
-    out = _apply_operators(ch.operators, rho.matrix)
-    out = 0.5 * (out + out.conj().T)
-    out /= out[0, 0].real + out[1, 1].real
-    return DensityMatrix(out)
+    _require_complete(ch)
+    return _map_state(ch, rho)
+
+
+def preparation_images(ch: KrausChannel) -> dict[ProtocolPureState, DensityMatrix]:
+    """The channel's images of the four preparation states.
+
+    Equal to :func:`apply_channel` on each state, but the channel is
+    validated once for all four.
+    """
+    _require_complete(ch)
+    return {s: _map_state(ch, state_density(s)) for s in ProtocolPureState}
 
 
 def measurement_prob(

@@ -5,7 +5,8 @@ rebuilt from its system-plus-auxiliary unitary coupling and a partial trace,
 string mutual information is computed by literal enumeration of every
 announcement string, and the damping family's mutual information is also
 summed over the paper's explicit symbol-count classes, which no evaluator
-in the package uses.
+in the package uses.  A run's records are tallied by a literal loop, not by
+the package's code table.
 """
 
 import itertools
@@ -16,6 +17,8 @@ from scipy.special import rel_entr
 from scipy.stats import binom
 
 from sealsim.analysis import seal_class_masses
+from sealsim.protocol import BitAnnouncement
+from sealsim.qubit import MeasurementBasis, MeasurementResult, ProtocolPureState
 
 _LN2 = math.log(2.0)
 
@@ -147,3 +150,27 @@ def seal_expected_mi_by_classes(x: float, n_shots: int, p_announce: float) -> fl
     return math.fsum(
         float(w) * seal_mi_by_classes(x, k) for k, w in enumerate(weights) if k and w >= 1e-18
     )
+
+
+def tally_by_loop(shots):
+    """(decoded bit or None, votes, mismatches, matched result-announcements).
+
+    A literal walk over one run's records with the receiver's rules written
+    out: sigma3 matches |0> and |1>, sigma1 matches |+> and |->, and an
+    undisturbed particle gives -1 exactly for |1> and |->.
+    """
+    sigma3_states = (ProtocolPureState.ZERO, ProtocolPureState.ONE)
+    minus_states = (ProtocolPureState.ONE, ProtocolPureState.MINUS)
+    ones = votes = mismatches = matched = 0
+    for rec in shots:
+        if (rec.basis is MeasurementBasis.SIGMA3) != (rec.prep in sigma3_states):
+            continue
+        expected_minus = rec.prep in minus_states
+        if isinstance(rec.announcement, BitAnnouncement):
+            votes += 1
+            ones += rec.announcement.c ^ expected_minus
+        else:
+            matched += 1
+            mismatches += (rec.result is MeasurementResult.MINUS) != expected_minus
+    decoded = None if 2 * ones == votes else int(2 * ones > votes)
+    return decoded, votes, mismatches, matched

@@ -8,6 +8,7 @@ from scipy.stats import binom
 
 from conftest import random_kraus_channel, rotated_channel
 from oracles import mi_bruteforce, seal_expected_mi_by_classes, seal_mi_by_classes
+from sealsim import qubit
 from sealsim.analysis import (
     AnnouncementDistribution,
     MIResult,
@@ -363,6 +364,18 @@ def test_mismatch_dephasing():
 def test_mismatch_depolarizing(p):
     res = mismatch_probability(depolarizing_channel(p))
     assert abs(res.matched_basis_conditional - p / 2.0) <= 1e-12
+
+
+def test_mismatch_validates_the_channel_once(monkeypatch):
+    calls = []
+    validate = qubit.validate_channel
+    monkeypatch.setattr(qubit, "validate_channel", lambda ch: calls.append(ch) or validate(ch))
+    channel = random_kraus_channel(np.random.default_rng(6), 3)
+    mismatch_probability(channel)
+    assert calls == [channel]
+    half = KrausChannel((np.diag([1.0, 0.5]),), label="half")
+    with pytest.raises(ValueError, match=r"channel 'half' fails completeness \(deviation 7.500e-01\)"):
+        mismatch_probability(half)
 
 
 @settings(max_examples=40)

@@ -5,7 +5,7 @@ import pytest
 
 from sealsim.channel_file import save_channel
 from sealsim.cli import SweepConfig, main
-from sealsim.qubit import seal_channel
+from sealsim.qubit import depolarizing_channel, seal_channel
 
 
 def read_csv(path):
@@ -283,6 +283,23 @@ def test_validate_channel_honors_n_and_pa_flags(tmp_path, capsys):
 
     want = expected_mutual_information(bit_announcement_probs(seal_channel(0.5)), 50, 0.1)
     assert abs(float(mi_line.split()[2]) - want.mi_bits) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "channel, want",
+    [(seal_channel(1.0), 1.0 - 0.75**2000), (depolarizing_channel(0.3), 0.0)],
+    ids=["seal10", "depolarizing"],
+)
+def test_validate_channel_at_large_n(tmp_path, capsys, channel, want):
+    path = tmp_path / "channel.json"
+    save_channel(channel, path)
+    assert main(["validate-channel", str(path), "--n", "2000", "--pa", "0.5"]) == 0
+    out = capsys.readouterr().out
+    mi = float(next(l for l in out.splitlines() if l.startswith("expected_mi_bits")).split()[2])
+    if want == 0.0:
+        assert mi == 0.0  # a unital channel leaks nothing at any N
+    else:
+        assert abs(mi - want) <= 1e-9  # the x=1 anchor 1-(1-pa/2)^N
 
 
 def test_validate_channel_incomplete_exit_1(tmp_path, capsys):

@@ -10,43 +10,22 @@ the string-length weighting against each other in one shot.
 
 import math
 
-import numpy as np
 import pytest
 
 from sealsim.analysis import bit_announcement_probs, expected_mutual_information
-from sealsim.protocol import BitAnnouncement, ProtocolParams, run_protocol
-from sealsim.qubit import MeasurementBasis, seal_channel
+from sealsim.protocol import ProtocolParams, information_density
+from sealsim.qubit import seal_channel
 
 N, PA = 119, 0.05
-
-
-def information_density_samples(channel, trials, seed):
-    dist = bit_announcement_probs(channel)
-    log0 = [math.log2(p) if p > 0 else -math.inf for p in dist.probs_given_b[0]]
-    log1 = [math.log2(p) if p > 0 else -math.inf for p in dist.probs_given_b[1]]
-    values = np.empty(trials)
-    for t in range(trials):
-        b = t % 2  # uniform prior over the message
-        params = ProtocolParams(N, PA, b, seed)
-        shots, _, _ = run_protocol(params, channel, stream=t)
-        ll0 = ll1 = 0.0
-        for rec in shots:
-            ann = rec.announcement
-            if type(ann) is BitAnnouncement:
-                idx = (2 if rec.basis is MeasurementBasis.SIGMA3 else 0) + ann.c
-                ll0 += log0[idx]
-                ll1 += log1[idx]
-        ll_true = ll0 if b == 0 else ll1
-        ll_marginal = np.logaddexp2(ll0, ll1) - 1.0
-        values[t] = ll_true - ll_marginal
-    return values
 
 
 @pytest.mark.parametrize("x,trials", [(0.5, 6000), (1.0, 5000)], ids=["seal05", "seal10"])
 def test_transcript_information_matches_expected_mi(x, trials):
     channel = seal_channel(x)
-    values = information_density_samples(channel, trials, seed=2718)
+    dist = bit_announcement_probs(channel)
+    # message bit t % 2 on stream t: a uniform prior over the message
+    values = information_density(ProtocolParams(N, PA, 0, 2718), channel, trials, dist.probs_given_b)
     mean = values.mean()
     se = values.std(ddof=1) / math.sqrt(trials)
-    analytic = expected_mutual_information(bit_announcement_probs(channel), N, PA).mi_bits
+    analytic = expected_mutual_information(dist, N, PA).mi_bits
     assert abs(mean - analytic) <= 5 * se

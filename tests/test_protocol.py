@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_kraus_channel, rotated_channel
+from oracles import tally_by_loop
+from sealsim import qubit
 from sealsim.analysis import bit_announcement_probs, mismatch_probability
 from sealsim.protocol import (
     BIT_ANNOUNCEMENT_ALPHABET,
@@ -13,6 +16,7 @@ from sealsim.protocol import (
     ProtocolParams,
     PublicTranscript,
     ResultAnnouncement,
+    RunOutcome,
     ShotRecord,
     ShotSampler,
     bob_decode,
@@ -26,6 +30,7 @@ from sealsim.protocol import (
     transcript_lines,
 )
 from sealsim.qubit import (
+    KrausChannel,
     MeasurementBasis,
     MeasurementResult,
     ProtocolPureState,
@@ -83,6 +88,18 @@ def test_sampler_born_table_seal():
     # |1> measured in sigma3 flips to +1 with probability exactly x
     assert sampler.from_variates(1, 1, x - 1e-9, 0.9, 0, 0.05).result is UP
     assert sampler.from_variates(1, 1, x + 1e-9, 0.9, 0, 0.05).result is DOWN
+
+
+def test_sampler_validates_the_channel_once(monkeypatch):
+    calls = []
+    validate = qubit.validate_channel
+    monkeypatch.setattr(qubit, "validate_channel", lambda ch: calls.append(ch) or validate(ch))
+    channel = random_kraus_channel(np.random.default_rng(4), 3)
+    ShotSampler(channel)
+    assert calls == [channel]
+    half = KrausChannel((np.diag([1.0, 0.5]),), label="half")
+    with pytest.raises(ValueError, match=r"channel 'half' fails completeness \(deviation 7.500e-01\)"):
+        ShotSampler(half)
 
 
 def test_run_shot_coding_rule():
@@ -154,6 +171,30 @@ def test_bob_decode_majority():
         ShotRecord(ZERO, S3, UP, BitAnnouncement(0)),  # lone vote for 0
     ]
     assert bob_decode(shots) == 1
+
+
+_RECORD_FIELDS = (
+    st.sampled_from(list(ProtocolPureState)),
+    st.sampled_from(list(MeasurementBasis)),
+    st.sampled_from(list(MeasurementResult)),
+)
+
+
+@st.composite
+def shot_records(draw):
+    """Any record, including coded bits that disagree with each other."""
+    prep, basis, result = (draw(field) for field in _RECORD_FIELDS)
+    if draw(st.booleans()):
+        return ShotRecord(prep, basis, result, BitAnnouncement(draw(st.integers(0, 1))))
+    return ShotRecord(prep, basis, result, ResultAnnouncement(result))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(shot_records(), max_size=40))
+def test_record_tally_matches_loop_reference(shots):
+    decoded, _, mismatches, matched = tally_by_loop(shots)
+    assert bob_decode(shots) == decoded
+    assert tally_mismatches(shots) == (mismatches, matched)
 
 
 def test_tally_mismatch_table():
@@ -325,6 +366,100 @@ def test_monte_carlo_deterministic_and_order_independent():
         _, _, outcome = run_protocol(PARAMS, seal_channel(0.5), stream=t)
         mism += outcome.mismatch_count
     assert mism == stats1.mismatch_count
+
+
+# Exact counts under the randomness contract, as (trials, shots,
+# bit-announcement counts, matched result-announcements, mismatches, decode
+# successes, correct decodes).  Any change to the draws, their order, the
+# Born sampling or the tally shows here.  The cases cover one shot per run,
+# p_announce 0 and 1, message bit 1, trial counts that are not a multiple of
+# the Monte Carlo block and runs longer than the block.
+GOLDEN_RUNS = [
+    pytest.param(
+        ProtocolParams(1, 0.5, 0, 11), seal_channel(0.5), 300,
+        (300, 300, (35, 30, 58, 19), 76, 22, 72, 53), id="n1",
+    ),
+    pytest.param(
+        ProtocolParams(119, 0.0, 1, 3), identity_channel(), 97,
+        (97, 11543, (0, 0, 0, 0), 5774, 0, 0, 0), id="pa0-bit1-identity",
+    ),
+    pytest.param(
+        ProtocolParams(119, 1.0, 1, 5), seal_channel(1.0), 100,
+        (100, 11900, (3028, 2921, 0, 5951), 0, 0, 98, 54), id="pa1-bit1-seal1",
+    ),
+    pytest.param(
+        ProtocolParams(119, 0.2, 0, 99), random_kraus_channel(np.random.default_rng(123), 3), 101,
+        (101, 12019, (584, 590, 609, 573), 4826, 1856, 92, 75), id="random3op",
+    ),
+    pytest.param(
+        ProtocolParams(40, 0.3, 1, 2024), depolarizing_channel(0.4), 205,
+        (205, 8200, (649, 652, 610, 588), 2881, 608, 199, 197), id="depolarizing-bit1",
+    ),
+    pytest.param(
+        ProtocolParams(50000, 0.05, 0, 7), seal_channel(0.5), 2,
+        (2, 100000, (1270, 1253, 1838, 601), 47466, 9291, 2, 2), id="n50000",
+    ),
+]
+
+
+def _stats_tuple(stats):
+    return (
+        stats.trials,
+        stats.shots,
+        stats.bit_announcement_counts,
+        stats.matched_result_announcements,
+        stats.mismatch_count,
+        stats.decode_success_count,
+        stats.decode_correct_count,
+    )
+
+
+@pytest.mark.parametrize("params, channel, trials, want", GOLDEN_RUNS)
+def test_monte_carlo_counts_are_pinned(params, channel, trials, want):
+    assert _stats_tuple(monte_carlo(params, channel, trials)) == want
+
+
+@pytest.mark.parametrize("params, channel, trials, want", GOLDEN_RUNS)
+def test_runs_on_each_stream_add_up_to_monte_carlo(params, channel, trials, want):
+    """Trial t is run_protocol on stream t, tallied from its records."""
+    ba = [0, 0, 0, 0]
+    matched = mismatches = successes = correct = 0
+    for t in range(trials):
+        shots, _, outcome = run_protocol(params, channel, stream=t)
+        decoded, votes, bad, usable = tally_by_loop(shots)
+        assert outcome == RunOutcome(decoded, votes, usable, bad)
+        assert outcome.decoded_bit == bob_decode(shots)
+        assert (outcome.mismatch_count, outcome.matched_result_announcements) == tally_mismatches(
+            shots
+        )
+        for rec in shots:
+            if isinstance(rec.announcement, BitAnnouncement):
+                ba[BIT_ANNOUNCEMENT_ALPHABET.index((rec.basis, rec.announcement.c))] += 1
+        matched += usable
+        mismatches += bad
+        successes += decoded is not None
+        correct += decoded == params.message_bit
+    shots = trials * params.n_shots
+    assert (trials, shots, tuple(ba), matched, mismatches, successes, correct) == want
+
+
+def test_monte_carlo_memory_does_not_grow_with_trials():
+    """Peak traced memory is one block of trials, however many trials run."""
+    channel = seal_channel(0.5)
+    monte_carlo(PARAMS, channel, 50)  # first-call allocations out of the way
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            monte_carlo(PARAMS, channel, trials)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2000), peak(20000)
+    # slack for allocator noise; one leaked object per block or per trial
+    # (530 or 18000 more of them) would exceed it
+    assert large <= small + 16 * 1024
 
 
 def test_monte_carlo_rejects_bad_trials():

@@ -26,6 +26,7 @@ from sealsim.qubit import (
     identity_channel,
     maximally_mixed,
     measurement_prob,
+    preparation_images,
     seal_channel,
     state_density,
     state_vector,
@@ -222,6 +223,23 @@ def test_validate_channel_reports():
 def test_apply_channel_rejects_incomplete_set():
     with pytest.raises(ValueError):
         apply_channel(KrausChannel((np.diag([1.0, 0.5]),)), maximally_mixed())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_preparation_images_equal_apply_channel(seed):
+    ch = random_kraus_channel(np.random.default_rng(seed), 3)
+    images = preparation_images(ch)
+    assert list(images) == list(ProtocolPureState)
+    for s, image in images.items():
+        assert np.array_equal(image.matrix, apply_channel(ch, state_density(s)).matrix)
+
+
+def test_preparation_images_reject_incomplete_set_like_apply_channel():
+    half = KrausChannel((np.diag([1.0, 0.5]),), label="half")
+    message = r"channel 'half' fails completeness \(deviation 7.500e-01\)"
+    for call in (lambda: preparation_images(half), lambda: apply_channel(half, maximally_mixed())):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_kraus_channel_construction():
