@@ -12,9 +12,7 @@ failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-import tempfile
 from dataclasses import dataclass
 
 from sealsim import analysis, protocol
@@ -27,6 +25,7 @@ from sealsim.qubit import (
     seal_channel,
     validate_channel,
 )
+from sealsim.textfile import write_atomic
 
 DEFAULT_N = 119
 DEFAULT_PA = 0.05
@@ -67,19 +66,6 @@ def _fmt(value: float) -> str:
     return format(value, ".12g")
 
 
-def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sealsim-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def cmd_sweep(config: SweepConfig) -> int:
     rows = []
     for x in config.x_grid:
@@ -99,7 +85,7 @@ def cmd_sweep(config: SweepConfig) -> int:
         "x,mi_bits,mismatch_conditional,mismatch_per_shot,truncation_mass",
     ]
     try:
-        _write_atomic(config.output_path, "\n".join(header + rows) + "\n")
+        write_atomic(config.output_path, "\n".join(header + rows) + "\n")
     except OSError as exc:
         print(f"error: cannot write {config.output_path}: {exc}", file=sys.stderr)
         return 3

@@ -22,18 +22,28 @@ runs -- one row of codes per run -- into per-run counts of bit-announcements,
 votes, usable result-announcements and mismatches, with a histogram per row
 and a table of what each code contributes.  ``monte_carlo`` fills a reused
 block of about ``_BLOCK_CELLS`` codes with consecutive trials, each from its
-own stream, and tallies it; ``run_protocol`` tallies its one run and builds
-its ``ShotRecord`` list from a table of interned records; ``bob_decode`` and
-``tally_mismatches`` encode the records they are given and call the same
-tally; ``information_density`` tallies blocks like ``monte_carlo`` and keeps
-each run's bit-announcement counts.  Blocking only batches the tally, so
-counts do not depend on the block size.
+own stream, and tallies it; ``run_protocol`` tallies its one run and picks
+its ``ShotRecord`` list and public entries by code from tables of the 64
+interned records (32 codes per message bit) and their (basis, announcement)
+pairs; ``bob_decode`` and ``tally_mismatches`` encode the records they are
+given and call the same tally; ``information_density`` tallies blocks like
+``monte_carlo`` and keeps each run's bit-announcement counts.  Blocking only
+batches the tally, so counts do not depend on the block size.
+
+The transcript path is table-driven too.  One formatter gives a record's
+CSV fields after the shot index, full and public; it runs once per interned
+record at import, into a memo keyed by the record's identity that also
+holds its code.  ``transcript_lines`` and the record tally look a record up
+there and call the formatter (or the encoder) only for records they were
+not built from, so any record list gives the same lines and counts as a
+per-record formatter would.  ``export_transcript`` writes atomically.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -44,9 +54,12 @@ from sealsim.qubit import (
     MeasurementBasis,
     MeasurementResult,
     ProtocolPureState,
+    apply_channel,
     measurement_prob,
     preparation_images,
+    state_density,
 )
+from sealsim.textfile import write_atomic
 
 # Fixed ordering of the four bit-announcement symbols used everywhere
 # frequencies or probabilities are reported as 4-vectors.
@@ -183,8 +196,53 @@ def _interned_record(code: int, message_bit: int) -> ShotRecord:
     return ShotRecord(_STATES[prep_idx], _BASES[basis_idx], result, announcement)
 
 
-# _RECORDS[message_bit][code]: every record a run can produce, built once.
-_RECORDS = tuple(tuple(_interned_record(code, b) for code in range(_CODES)) for b in (0, 1))
+# _RECORDS[message_bit][code]: every record a run can produce, built once,
+# and _PUBLIC_ENTRIES[message_bit][code] the public (basis, announcement) pair
+# of that record.  Both are object arrays, so indexing one with an array of
+# codes picks a run's objects in one C loop.
+_RECORDS = tuple(
+    np.fromiter((_interned_record(code, b) for code in range(_CODES)), dtype=object) for b in (0, 1)
+)
+_PUBLIC_ENTRIES = tuple(
+    np.fromiter(((rec.basis, rec.announcement) for rec in records), dtype=object)
+    for records in _RECORDS
+)
+
+_PREP_LABEL = {
+    ProtocolPureState.ZERO: "0",
+    ProtocolPureState.ONE: "1",
+    ProtocolPureState.PLUS: "+",
+    ProtocolPureState.MINUS: "-",
+}
+
+
+def _line_fields(rec: ShotRecord) -> tuple[str, str]:
+    """A record's transcript fields after the shot index: (full, public)."""
+    ann = rec.announcement
+    if isinstance(ann, BitAnnouncement):
+        kind, value = "bit", str(ann.c)
+    else:
+        kind, value = "result", f"{int(ann.m):+d}"
+    public = f"{rec.basis.value},{kind},{value}"
+    return f"{_PREP_LABEL[rec.prep]},{rec.basis.value},{int(rec.result):+d},{kind},{value}", public
+
+
+# id of each interned record -> (its code, its full and its public line
+# fields).  The records live as long as the module, so no other object can
+# share their ids.
+_CODE, _FULL, _PUBLIC = 0, 1, 2
+_INTERNED = {
+    id(rec): (code, *_line_fields(rec)) for records in _RECORDS for code, rec in enumerate(records)
+}
+
+
+def _interned_column(shots, column: int, compute) -> list:
+    """Per record, one column of its ``_INTERNED`` entry.
+
+    A record that is not interned (built by hand, say) gets ``compute(rec)``.
+    """
+    get = _INTERNED.get
+    return [hit[column] if (hit := get(id(rec))) is not None else compute(rec) for rec in shots]
 
 
 def _record_code(rec: ShotRecord) -> int:
@@ -246,8 +304,22 @@ def _tally(codes: np.ndarray) -> _Tally:
 
 
 def _tally_records(shots) -> _Tally:
-    codes = np.fromiter((_record_code(rec) for rec in shots), dtype=np.int64)
+    codes = np.array(_interned_column(shots, _CODE, _record_code), dtype=np.int64)
     return _tally(codes.reshape(1, -1))
+
+
+def _shot_codes(cell, p_plus, u_result, u_announce, message_bit, p_announce):
+    """Shot codes from preparation-basis cells and variates (arrays or scalars).
+
+    ``cell`` is 2 * preparation index + basis index and ``p_plus`` its Pr(+1).
+    A shot's result is +1 when its result variate falls below Pr(+1), and it
+    is a bit-announcement when its announcement variate falls below
+    ``p_announce``.  ``message_bit`` may be an array that broadcasts against
+    the columns.
+    """
+    minus = u_result >= p_plus
+    is_bit = u_announce < p_announce
+    return cell * 4 + is_bit * 2 + (minus ^ (is_bit & message_bit))
 
 
 class ShotSampler:
@@ -262,17 +334,10 @@ class ShotSampler:
         )
 
     def _codes(self, p_announce, message_bit, preps, bases, u_result, u_announce):
-        """Shot codes from variate columns (arrays of one shape, or scalars).
-
-        A shot's result is +1 when its result variate falls below Pr(+1), and
-        it is a bit-announcement when its announcement variate falls below
-        ``p_announce``.  ``message_bit`` may be an array that broadcasts
-        against the columns.
-        """
+        """Shot codes from variate columns (arrays of one shape, or scalars)."""
         cell = preps * 2 + bases
-        minus = u_result >= self._p_plus.ravel()[cell]
-        is_bit = u_announce < p_announce
-        return cell * 4 + is_bit * 2 + (minus ^ (is_bit & message_bit))
+        p_plus = self._p_plus.ravel()[cell]
+        return _shot_codes(cell, p_plus, u_result, u_announce, message_bit, p_announce)
 
     def from_variates(
         self,
@@ -308,13 +373,21 @@ def run_shot(
     The channel acts between preparation and measurement: the result is
     sampled from the Born rule on the evolved state by comparing one uniform
     variate against Pr(+1).  Draw order per shot is fixed: preparation,
-    basis, result variate, announcement-type variate.
+    basis, result variate, announcement-type variate.  Only the drawn
+    preparation is mapped through the channel, so the record is the one
+    ``ShotSampler(eve).sample`` gives for the same draws.
     """
     if message_bit not in (0, 1):
         raise ValueError("message bit must be 0 or 1")
     if not 0.0 <= p_announce <= 1.0:
         raise ValueError(f"announcement probability must lie in [0, 1], got {p_announce}")
-    return ShotSampler(eve).sample(rng, message_bit, p_announce)
+    prep_idx, basis_idx = int(rng.integers(4)), int(rng.integers(2))
+    u_result, u_announce = float(rng.random()), float(rng.random())
+    image = apply_channel(eve, state_density(_STATES[prep_idx]))
+    p_plus = measurement_prob(image, _BASES[basis_idx], MeasurementResult.PLUS)
+    cell = prep_idx * 2 + basis_idx
+    code = _shot_codes(cell, p_plus, u_result, u_announce, message_bit, p_announce)
+    return _RECORDS[message_bit][code]
 
 
 def _decoded_bit(decoded) -> int | None:
@@ -397,15 +470,15 @@ def run_protocol(
     sampler = ShotSampler(eve)
     codes = sampler._codes(params.p_announce, params.message_bit, *_draw(params, stream))
     tally = _tally(codes.reshape(1, -1))
-    records = _RECORDS[params.message_bit]
-    shots = [records[code] for code in codes.tolist()]
+    shots = _RECORDS[params.message_bit][codes].tolist()
+    entries = tuple(_PUBLIC_ENTRIES[params.message_bit][codes].tolist())
     outcome = RunOutcome(
         _decoded_bit(tally.decoded[0]),
         int(tally.votes[0]),
         int(tally.matched_result_announcements[0]),
         int(tally.mismatches[0]),
     )
-    return shots, public_transcript(shots), outcome
+    return shots, PublicTranscript(entries), outcome
 
 
 def _freq_and_se(count: int, total: int) -> tuple[float, float]:
@@ -529,36 +602,23 @@ def information_density(
     return values
 
 
-_PREP_LABEL = {
-    ProtocolPureState.ZERO: "0",
-    ProtocolPureState.ONE: "1",
-    ProtocolPureState.PLUS: "+",
-    ProtocolPureState.MINUS: "-",
-}
-
-
 def transcript_lines(shots, public: bool = False):
-    """CSV lines for a run's records (full, or the public projection)."""
+    """CSV lines for a run's records (full, or the public projection).
+
+    Interned records take their fields from ``_INTERNED``; any other record
+    is formatted by the same :func:`_line_fields`.
+    """
     if public:
-        yield "shot_index,basis,announcement_kind,announced_value"
+        header = "shot_index,basis,announcement_kind,announced_value"
     else:
-        yield "shot_index,prep,basis,result,announcement_kind,announced_value"
-    for idx, rec in enumerate(shots):
-        ann = rec.announcement
-        if isinstance(ann, BitAnnouncement):
-            kind, value = "bit", str(ann.c)
-        else:
-            kind, value = "result", f"{int(ann.m):+d}"
-        if public:
-            yield f"{idx},{rec.basis.value},{kind},{value}"
-        else:
-            yield (
-                f"{idx},{_PREP_LABEL[rec.prep]},{rec.basis.value},"
-                f"{int(rec.result):+d},{kind},{value}"
-            )
+        header = "shot_index,prep,basis,result,announcement_kind,announced_value"
+    column = _PUBLIC if public else _FULL
+    fields = _interned_column(shots, column, lambda rec: _line_fields(rec)[public])
+    return chain((header,), [f"{idx},{line}" for idx, line in enumerate(fields)])
 
 
 def export_transcript(shots, path: str | Path, public: bool = False, comments=()) -> None:
+    """Write :func:`transcript_lines` after ``#`` comment lines, atomically."""
     lines = [f"# {c}" for c in comments]
     lines.extend(transcript_lines(shots, public=public))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")

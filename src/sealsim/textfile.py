@@ -1,0 +1,25 @@
+"""Whole-file text output: a file is either fully written or left untouched."""
+
+from __future__ import annotations
+
+import os
+import tempfile
+from pathlib import Path
+
+
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it.
+
+    On any failure the temporary file is removed and the exception
+    propagates; an existing file at ``path`` keeps its old contents.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sealsim-", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

@@ -6,7 +6,8 @@ string mutual information is computed by literal enumeration of every
 announcement string, and the damping family's mutual information is also
 summed over the paper's explicit symbol-count classes, which no evaluator
 in the package uses.  A run's records are tallied by a literal loop, not by
-the package's code table.
+the package's code table, and formatted as transcript lines one f-string per
+record, not through the package's table of interned records.
 """
 
 import itertools
@@ -150,6 +151,35 @@ def seal_expected_mi_by_classes(x: float, n_shots: int, p_announce: float) -> fl
     return math.fsum(
         float(w) * seal_mi_by_classes(x, k) for k, w in enumerate(weights) if k and w >= 1e-18
     )
+
+
+_PREP_LABEL = {
+    ProtocolPureState.ZERO: "0",
+    ProtocolPureState.ONE: "1",
+    ProtocolPureState.PLUS: "+",
+    ProtocolPureState.MINUS: "-",
+}
+
+
+def transcript_lines_by_record(shots, public: bool = False):
+    """CSV lines for a run's records (full, or the public projection)."""
+    if public:
+        yield "shot_index,basis,announcement_kind,announced_value"
+    else:
+        yield "shot_index,prep,basis,result,announcement_kind,announced_value"
+    for idx, rec in enumerate(shots):
+        ann = rec.announcement
+        if isinstance(ann, BitAnnouncement):
+            kind, value = "bit", str(ann.c)
+        else:
+            kind, value = "result", f"{int(ann.m):+d}"
+        if public:
+            yield f"{idx},{rec.basis.value},{kind},{value}"
+        else:
+            yield (
+                f"{idx},{_PREP_LABEL[rec.prep]},{rec.basis.value},"
+                f"{int(rec.result):+d},{kind},{value}"
+            )
 
 
 def tally_by_loop(shots):

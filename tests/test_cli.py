@@ -1,8 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from conftest import random_kraus_channel
+from sealsim import protocol
 from sealsim.channel_file import save_channel
 from sealsim.cli import SweepConfig, main
 from sealsim.qubit import depolarizing_channel, seal_channel
@@ -225,6 +228,85 @@ def test_transcript_files_are_deterministic(tmp_path, capsys):
     capsys.readouterr()
     assert first.read_bytes() == second.read_bytes()
     assert (tmp_path / "a.csv.public").read_bytes() == (tmp_path / "b.csv.public").read_bytes()
+
+
+# The sha256 of both transcript files (full, public) as a per-record
+# formatter wrote them; any change to a field, the line layout or the
+# comments shows here.  RANDOM_3OP stands for a random 3-operator channel file.
+RANDOM_3OP = "<random 3-op channel file>"
+PINNED_TRANSCRIPTS = [
+    pytest.param(
+        ["--channel", "seal", "--x", "0.5", "--n", "1", "--pa", "1", "--seed", "3"],
+        (
+            "1703b7f7da7502ec85e1a261502be3c1dfdf8bf018ffa4fdfa97a29220c1bfb2",
+            "0e290357e6d39b5df85003b098febb23d9406daeccc1a047eae664a61e4346a6",
+        ),
+        id="n1-pa1",
+    ),
+    pytest.param(
+        ["--channel", "depolarizing", "--x", "0.3", "--pa", "0", "--bit", "1", "--seed", "5"],
+        (
+            "edfae8b3bd67fcfb5636002647242d61f3b205504f1f433591d7a83f42a1870e",
+            "ef985b1fdcf1a674ad99cb458b363182e51cc37ec6dfc758fd7ec1850254146e",
+        ),
+        id="pa0-bit1",
+    ),
+    pytest.param(
+        ["--channel-file", RANDOM_3OP, "--pa", "0.2", "--seed", "99"],
+        (
+            "285fca193b947be03c096c98617df9e2844d1de94283f58b8cac64086b4cfcda",
+            "3b9fb53402d6f11726c0f59d84cfd0c11ff95ad7e133faa62c277425eec26dcd",
+        ),
+        id="random3op",
+    ),
+    pytest.param(
+        ["--channel", "seal", "--x", "0.5", "--n", "50000", "--pa", "0.5", "--seed", "7"],
+        (
+            "71d61e14f00fa79e6d188f51d806941803e9b61884f60b0494059aad465830d4",
+            "b5d857afb40c0ebce635aa21fc5d3042a7d5dae825c0c45a6b590bc6f1084adc",
+        ),
+        id="n50000",
+    ),
+]
+
+
+@pytest.mark.parametrize("options, want", PINNED_TRANSCRIPTS)
+def test_transcript_files_are_pinned(tmp_path, monkeypatch, capsys, options, want):
+    """Both files keep their bytes, and the run's public entries are the
+    projection of its records."""
+    if RANDOM_3OP in options:
+        channel_path = tmp_path / "random3.json"
+        save_channel(random_kraus_channel(np.random.default_rng(123), 3), channel_path)
+        options = [str(channel_path) if o == RANDOM_3OP else o for o in options]
+    runs = []
+    run_protocol = protocol.run_protocol
+
+    def recorded_run(*args, **kwargs):
+        runs.append(run_protocol(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(protocol, "run_protocol", recorded_run)
+    transcript = tmp_path / "run.csv"
+    assert main(["simulate", *options, "--trials", "10", "--transcript", str(transcript)]) == 0
+    capsys.readouterr()
+    [(shots, public, _)] = runs
+    assert public == protocol.public_transcript(shots)
+    digests = tuple(
+        hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (transcript, tmp_path / "run.csv.public")
+    )
+    assert digests == want
+
+
+def test_simulate_transcript_io_failure_exit_3(tmp_path, capsys):
+    transcript = tmp_path / "no" / "such" / "dir" / "run.csv"
+    argv = ["simulate", "--channel", "identity", "--trials", "5", "--transcript", str(transcript)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write transcript:")
+    assert "Traceback" not in err
+    assert not transcript.exists()
+    assert list(tmp_path.rglob(".sealsim-*.tmp")) == []
 
 
 def test_simulate_invalid_channel_file_exit_1(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_kraus_channel, rotated_channel
-from oracles import tally_by_loop
-from sealsim import qubit
+from oracles import tally_by_loop, transcript_lines_by_record
+from sealsim import protocol, qubit
 from sealsim.analysis import bit_announcement_probs, mismatch_probability
 from sealsim.protocol import (
     BIT_ANNOUNCEMENT_ALPHABET,
@@ -20,6 +21,7 @@ from sealsim.protocol import (
     ShotRecord,
     ShotSampler,
     bob_decode,
+    export_transcript,
     matching_basis,
     monte_carlo,
     predicted_result,
@@ -117,6 +119,28 @@ def test_run_shot_validation():
         run_shot(rng, 2, 0.5, identity_channel())
     with pytest.raises(ValueError):
         run_shot(rng, 0, 1.5, identity_channel())
+
+
+@pytest.mark.parametrize(
+    "channel", [seal_channel(0.6), depolarizing_channel(0.3)], ids=["seal06", "depolarizing03"]
+)
+@pytest.mark.parametrize("bit", [0, 1])
+def test_run_shot_is_the_sampler_shot(channel, bit):
+    """On twin generators run_shot returns the very record the sampler does."""
+    ours, twin = np.random.default_rng(31), np.random.default_rng(31)
+    sampler = ShotSampler(channel)
+    for _ in range(400):
+        assert run_shot(ours, bit, 0.5, channel) is sampler.sample(twin, bit, 0.5)
+    assert ours.random() == twin.random()  # both drew the same four variates per shot
+
+
+def test_run_shot_rejects_incomplete_channel_like_the_sampler():
+    half = KrausChannel((np.diag([1.0, 0.5]),), label="half")
+    message = r"channel 'half' fails completeness \(deviation 7.500e-01\)"
+    with pytest.raises(ValueError, match=message):
+        ShotSampler(half)
+    with pytest.raises(ValueError, match=message):
+        run_shot(np.random.default_rng(0), 0, 0.5, half)
 
 
 def test_shot_frequencies_uniform():
@@ -303,6 +327,35 @@ def test_transcript_lines_formats():
         assert len(fields) == 4
         assert fields[1] in ("sigma1", "sigma3")
         assert fields[2] in ("bit", "result")
+
+
+def test_export_transcript_keeps_the_old_file_when_the_write_fails(tmp_path, monkeypatch):
+    shots, _, _ = run_protocol(PARAMS, seal_channel(0.3))
+    path = tmp_path / "run.csv"
+    path.write_text("old\n")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        export_transcript(shots, path, comments=("new",))
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
+
+
+# every record a run can produce, as run_protocol and ShotSampler return them
+_INTERNED_RECORDS = [rec for records in protocol._RECORDS for rec in records]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(shot_records(), st.sampled_from(_INTERNED_RECORDS)), max_size=40))
+def test_transcript_lines_match_record_oracle(shots):
+    """Interned or hand-built (inconsistent coded bits included), the lines
+    are those of a literal per-record formatter."""
+    for public in (False, True):
+        want = list(transcript_lines_by_record(shots, public=public))
+        assert list(transcript_lines(shots, public=public)) == want
 
 
 # ---------------------------------------------------------------------------
