@@ -12,6 +12,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 
@@ -185,14 +186,20 @@ def cmd_simulate(
     return 0
 
 
-def cmd_validate_channel(path: str, n_shots: int, p_announce: float) -> int:
+def _read_channel_file(path: str) -> KrausChannel | None:
+    """The channel in ``path``, or None after saying on stderr why it cannot be read."""
     try:
-        channel = load_channel(path)
+        return load_channel(path)
     except ChannelFormatError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+    return None
+
+
+def cmd_validate_channel(path: str, n_shots: int, p_announce: float) -> int:
+    channel = _read_channel_file(path)
+    if channel is None:
         return 2
 
     report = validate_channel(channel)
@@ -224,6 +231,9 @@ def cmd_validate_channel(path: str, n_shots: int, p_announce: float) -> int:
     return 0 if report.passes else 1
 
 
+# Built once per process: parse_args keeps no state in the parser, and
+# in-process callers of main would otherwise pay for the build every call.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sealsim",
@@ -258,16 +268,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_n_and_pa(n_shots: int, p_announce: float) -> None:
+    if n_shots < 1:
+        raise ValueError("need at least one shot")
+    if not 0.0 <= p_announce <= 1.0:
+        raise ValueError(f"announcement probability must lie in [0, 1], got {p_announce}")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
 
     if args.command == "sweep":
         try:
-            if args.n < 1:
-                raise ValueError("need at least one shot")
-            if not 0.0 <= args.pa <= 1.0:
-                raise ValueError(f"announcement probability must lie in [0, 1], got {args.pa}")
+            _check_n_and_pa(args.n, args.pa)
             if not 0.0 < args.tail_tol <= 1e-6:
                 raise ValueError(f"tail tolerance must lie in (0, 1e-6], got {args.tail_tol}")
             config = SweepConfig(
@@ -291,18 +305,17 @@ def main(argv=None) -> int:
         except ValueError as exc:
             parser.error(str(exc))
         if args.channel_file is not None:
-            try:
-                channel = load_channel(args.channel_file)
-            except ChannelFormatError as exc:
-                print(f"error: {args.channel_file}: {exc}", file=sys.stderr)
-                return 2
-            except OSError as exc:
-                print(f"error: cannot read {args.channel_file}: {exc}", file=sys.stderr)
+            channel = _read_channel_file(args.channel_file)
+            if channel is None:
                 return 2
         else:
             channel = _build_builtin(args.channel, args.x, parser)
         return cmd_simulate(params, channel, args.trials, args.transcript)
 
+    try:
+        _check_n_and_pa(args.n, args.pa)
+    except ValueError as exc:
+        parser.error(str(exc))
     return cmd_validate_channel(args.file, args.n, args.pa)
 
 

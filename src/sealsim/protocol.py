@@ -16,27 +16,26 @@ without changing anything.  A run draws its four variate columns from its
 stream in one fixed order: preparations, bases, result variates,
 announcement-type variates, N of each.
 
-The engine is columnar.  A shot becomes one small integer code (preparation,
-basis, announcement kind, announced value), and one tally turns a block of
-runs -- one row of codes per run -- into per-run counts of bit-announcements,
-votes, usable result-announcements and mismatches, with a histogram per row
-and a table of what each code contributes.  ``monte_carlo`` fills a reused
-block of about ``_BLOCK_CELLS`` codes with consecutive trials, each from its
-own stream, and tallies it; ``run_protocol`` tallies its one run and picks
-its ``ShotRecord`` list and public entries by code from tables of the 64
-interned records (32 codes per message bit) and their (basis, announcement)
-pairs; ``bob_decode`` and ``tally_mismatches`` encode the records they are
-given and call the same tally; ``information_density`` tallies blocks like
-``monte_carlo`` and keeps each run's bit-announcement counts.  Blocking only
-batches the tally, so counts do not depend on the block size.
+The engine is columnar.  A shot becomes one of 64 small integer keys, one
+for each value a ``ShotRecord`` can take: preparation, basis, whether the
+result was -1, announcement kind and announced value.  One tally turns a
+block of runs -- one row of keys per run -- into per-run counts of
+bit-announcements, votes, usable result-announcements and mismatches, with
+a histogram per row and a table of what each key contributes.
+``monte_carlo`` fills a reused block of about ``_BLOCK_CELLS`` keys with
+consecutive trials, each from its own stream, and tallies it;
+``information_density`` tallies blocks the same way and keeps each run's
+bit-announcement counts.  Blocking only batches the tally, so counts do not
+depend on the block size.
 
-The transcript path is table-driven too.  One formatter gives a record's
-CSV fields after the shot index, full and public; it runs once per interned
-record at import, into a memo keyed by the record's identity that also
-holds its code.  ``transcript_lines`` and the record tally look a record up
-there and call the formatter (or the encoder) only for records they were
-not built from, so any record list gives the same lines and counts as a
-per-record formatter would.  ``export_transcript`` writes atomically.
+Every record carries its key, computed once when it is made, and the
+64 records, their public (basis, announcement) entries and their transcript
+fields are tables indexed by key.  ``run_protocol`` tallies its one run and
+picks its records and public entries from those tables; ``bob_decode`` and
+``tally_mismatches`` tally the keys of the records they are given, and
+``transcript_lines`` looks each record's CSV fields up by key, so a
+hand-built record counts and prints like any other.  ``export_transcript``
+writes atomically.
 """
 
 from __future__ import annotations
@@ -78,6 +77,9 @@ _BLOCK_CELLS = 1 << 12
 
 _STATES = tuple(ProtocolPureState)
 _BASES = (MeasurementBasis.SIGMA1, MeasurementBasis.SIGMA3)
+_RESULTS = (MeasurementResult.PLUS, MeasurementResult.MINUS)
+_STATE_INDEX = {s: i for i, s in enumerate(_STATES)}
+_BASIS_INDEX = {b: i for i, b in enumerate(_BASES)}
 
 # the basis whose eigenstates include the preparation
 _MATCHING_BASIS = {
@@ -133,12 +135,36 @@ class ResultAnnouncement:
 Announcement = BitAnnouncement | ResultAnnouncement
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ShotRecord:
+    """One shot: the private preparation and result, the public basis and announcement.
+
+    ``_key`` packs the four fields into one of 64 integers:
+    ``cell * 8 + minus * 4 + is_bit * 2 + twist``, where ``cell`` is
+    2 * preparation index + basis index in ``_STATES``/``_BASES``, ``minus``
+    says the result was -1, and ``twist`` is the announced value (the coded
+    bit c, or 1 for an announced result of -1) xor ``minus``.  For a
+    bit-announcement that is the message bit it carries; for a
+    result-announcement it says the announced result is not the result,
+    which no run produces.
+    """
+
     prep: ProtocolPureState
     basis: MeasurementBasis
     result: MeasurementResult
     announcement: Announcement
+
+    def __post_init__(self):
+        ann = self.announcement
+        if isinstance(ann, BitAnnouncement):
+            if ann.c not in (0, 1):
+                raise ValueError(f"coded bit must be 0 or 1, got {ann.c!r}")
+            is_bit, value = 1, ann.c
+        else:
+            is_bit, value = 0, int(ann.m is MeasurementResult.MINUS)
+        minus = int(self.result is MeasurementResult.MINUS)
+        cell = 2 * _STATE_INDEX[self.prep] + _BASIS_INDEX[self.basis]
+        object.__setattr__(self, "_key", cell * 8 + minus * 4 + is_bit * 2 + (value ^ minus))
 
 
 @dataclass(frozen=True)
@@ -169,44 +195,23 @@ def predicted_result(prep: ProtocolPureState) -> MeasurementResult:
     return _PREDICTED_RESULT[prep]
 
 
-# A shot as the receiver tallies it: the indices of its preparation and basis
-# in _STATES and _BASES, whether it was a bit-announcement, and the announced
-# value (the coded bit c, or 1 for a raw result of -1), packed into one code.
-_CODES = 32
+# one key per ShotRecord value (see ShotRecord for the packing)
+_KEYS = 64
 
 
-def _code(prep_idx, basis_idx, is_bit, value):
-    return ((prep_idx * 2 + basis_idx) * 2 + is_bit) * 2 + value
+def _record(key: int) -> ShotRecord:
+    """The record whose ``_key`` is ``key``."""
+    cell, minus, is_bit = key >> 3, (key >> 2) & 1, (key >> 1) & 1
+    value = (key & 1) ^ minus
+    announcement = BitAnnouncement(value) if is_bit else ResultAnnouncement(_RESULTS[value])
+    return ShotRecord(_STATES[cell >> 1], _BASES[cell & 1], _RESULTS[minus], announcement)
 
 
-def _code_fields(code: int) -> tuple[int, int, int, int]:
-    return code >> 3, (code >> 2) & 1, (code >> 1) & 1, code & 1
-
-
-_STATE_INDEX = {s: i for i, s in enumerate(_STATES)}
-_BASIS_INDEX = {b: i for i, b in enumerate(_BASES)}
-
-
-def _interned_record(code: int, message_bit: int) -> ShotRecord:
-    prep_idx, basis_idx, is_bit, value = _code_fields(code)
-    # c = message bit xor (result is -1), so a coded bit fixes the result
-    minus = value ^ (is_bit & message_bit)
-    result = MeasurementResult.MINUS if minus else MeasurementResult.PLUS
-    announcement = BitAnnouncement(value) if is_bit else ResultAnnouncement(result)
-    return ShotRecord(_STATES[prep_idx], _BASES[basis_idx], result, announcement)
-
-
-# _RECORDS[message_bit][code]: every record a run can produce, built once,
-# and _PUBLIC_ENTRIES[message_bit][code] the public (basis, announcement) pair
-# of that record.  Both are object arrays, so indexing one with an array of
-# codes picks a run's objects in one C loop.
-_RECORDS = tuple(
-    np.fromiter((_interned_record(code, b) for code in range(_CODES)), dtype=object) for b in (0, 1)
-)
-_PUBLIC_ENTRIES = tuple(
-    np.fromiter(((rec.basis, rec.announcement) for rec in records), dtype=object)
-    for records in _RECORDS
-)
+# _RECORDS[key]: every record value, built once, and _PUBLIC_ENTRIES[key] its
+# public (basis, announcement) pair.  Both are object arrays, so indexing one
+# with an array of keys picks a run's objects in one C loop.
+_RECORDS = np.fromiter(map(_record, range(_KEYS)), dtype=object)
+_PUBLIC_ENTRIES = np.fromiter(((rec.basis, rec.announcement) for rec in _RECORDS), dtype=object)
 
 _PREP_LABEL = {
     ProtocolPureState.ZERO: "0",
@@ -227,30 +232,9 @@ def _line_fields(rec: ShotRecord) -> tuple[str, str]:
     return f"{_PREP_LABEL[rec.prep]},{rec.basis.value},{int(rec.result):+d},{kind},{value}", public
 
 
-# id of each interned record -> (its code, its full and its public line
-# fields).  The records live as long as the module, so no other object can
-# share their ids.
-_CODE, _FULL, _PUBLIC = 0, 1, 2
-_INTERNED = {
-    id(rec): (code, *_line_fields(rec)) for records in _RECORDS for code, rec in enumerate(records)
-}
-
-
-def _interned_column(shots, column: int, compute) -> list:
-    """Per record, one column of its ``_INTERNED`` entry.
-
-    A record that is not interned (built by hand, say) gets ``compute(rec)``.
-    """
-    get = _INTERNED.get
-    return [hit[column] if (hit := get(id(rec))) is not None else compute(rec) for rec in shots]
-
-
-def _record_code(rec: ShotRecord) -> int:
-    if isinstance(rec.announcement, BitAnnouncement):
-        is_bit, value = 1, rec.announcement.c
-    else:
-        is_bit, value = 0, int(rec.result is MeasurementResult.MINUS)
-    return _code(_STATE_INDEX[rec.prep], _BASIS_INDEX[rec.basis], is_bit, value)
+# _LINE_FIELDS[public][key]: the full (public=False) or public transcript
+# fields of each record.
+_LINE_FIELDS = tuple(zip(*map(_line_fields, _RECORDS)))
 
 
 # Columns of a tally after the four bit-announcement counts.
@@ -258,20 +242,23 @@ _MATCHED_RA, _MISMATCH, _VOTE, _VOTE_ONE = 4, 5, 6, 7
 
 
 def _tally_table() -> np.ndarray:
-    """What one shot of each code adds to each column of a tally."""
-    table = np.zeros((_CODES, 8), dtype=np.int64)
-    for code in range(_CODES):
-        prep_idx, basis_idx, is_bit, value = _code_fields(code)
-        prep = _STATES[prep_idx]
-        matched = matching_basis(prep, _BASES[basis_idx])
-        flip = int(predicted_result(prep) is MeasurementResult.MINUS)
-        if is_bit:
-            table[code, 2 * basis_idx + value] = 1
-            table[code, _VOTE] = matched
-            table[code, _VOTE_ONE] = matched and value ^ flip
+    """What one shot of each key adds to each column of a tally.
+
+    A result-announcement counts by the record's result; the announced
+    value can differ from it only in a hand-built record.
+    """
+    table = np.zeros((_KEYS, 8))
+    for key, rec in enumerate(_RECORDS):
+        matched = matching_basis(rec.prep, rec.basis)
+        flip = int(predicted_result(rec.prep) is MeasurementResult.MINUS)
+        if isinstance(rec.announcement, BitAnnouncement):
+            c = rec.announcement.c
+            table[key, 2 * _BASIS_INDEX[rec.basis] + c] = 1
+            table[key, _VOTE] = matched
+            table[key, _VOTE_ONE] = matched and c ^ flip
         else:
-            table[code, _MATCHED_RA] = matched
-            table[code, _MISMATCH] = matched and value != flip
+            table[key, _MATCHED_RA] = matched
+            table[key, _MISMATCH] = matched and (rec.result is MeasurementResult.MINUS) != flip
     return table
 
 
@@ -288,28 +275,29 @@ class _Tally(NamedTuple):
     decoded: np.ndarray  # the majority bit, or -1 when the votes tie or there are none
 
 
-def _tally(codes: np.ndarray) -> _Tally:
-    """Tally a (runs, shots) block of shot codes, one row per run.
+def _tally(keys: np.ndarray) -> _Tally:
+    """Tally a (runs, shots) block of shot keys, one row per run.
 
-    Each row's histogram of codes times the per-code contributions gives
+    Each row's histogram of keys times the per-key contributions gives
     that run's counts, so the whole block costs a handful of array calls.
     """
-    runs = codes.shape[0]
-    offsets = np.arange(0, runs * _CODES, _CODES)[:, None]
-    hist = np.bincount((codes + offsets).ravel(), minlength=runs * _CODES)
-    counts = hist.reshape(runs, _CODES) @ _TALLY_TABLE
+    runs = keys.shape[0]
+    offsets = np.arange(0, runs * _KEYS, _KEYS)[:, None]
+    hist = np.bincount((keys + offsets).ravel(), minlength=runs * _KEYS)
+    # a float product runs in BLAS and is exact: every count is below 2**53
+    counts = (hist.reshape(runs, _KEYS) @ _TALLY_TABLE).astype(np.int64)
     votes, ones = counts[:, _VOTE], counts[:, _VOTE_ONE]
     decoded = np.where(2 * ones == votes, -1, 2 * ones > votes)
     return _Tally(counts[:, :4], counts[:, _MATCHED_RA], counts[:, _MISMATCH], votes, decoded)
 
 
 def _tally_records(shots) -> _Tally:
-    codes = np.array(_interned_column(shots, _CODE, _record_code), dtype=np.int64)
-    return _tally(codes.reshape(1, -1))
+    keys = np.array([rec._key for rec in shots], dtype=np.int64)
+    return _tally(keys.reshape(1, -1))
 
 
-def _shot_codes(cell, p_plus, u_result, u_announce, message_bit, p_announce):
-    """Shot codes from preparation-basis cells and variates (arrays or scalars).
+def _shot_keys(cell, p_plus, u_result, u_announce, message_bit, p_announce):
+    """Shot keys from preparation-basis cells and variates (arrays or scalars).
 
     ``cell`` is 2 * preparation index + basis index and ``p_plus`` its Pr(+1).
     A shot's result is +1 when its result variate falls below Pr(+1), and it
@@ -319,7 +307,8 @@ def _shot_codes(cell, p_plus, u_result, u_announce, message_bit, p_announce):
     """
     minus = u_result >= p_plus
     is_bit = u_announce < p_announce
-    return cell * 4 + is_bit * 2 + (minus ^ (is_bit & message_bit))
+    # the twist bit is the message bit on a bit-announcement and 0 otherwise
+    return cell * 8 + minus * 4 + is_bit * (2 + message_bit)
 
 
 class ShotSampler:
@@ -333,11 +322,11 @@ class ShotSampler:
             [[measurement_prob(images[s], b, MeasurementResult.PLUS) for b in _BASES] for s in _STATES]
         )
 
-    def _codes(self, p_announce, message_bit, preps, bases, u_result, u_announce):
-        """Shot codes from variate columns (arrays of one shape, or scalars)."""
+    def _keys(self, p_announce, message_bit, preps, bases, u_result, u_announce):
+        """Shot keys from variate columns (arrays of one shape, or scalars)."""
         cell = preps * 2 + bases
         p_plus = self._p_plus.ravel()[cell]
-        return _shot_codes(cell, p_plus, u_result, u_announce, message_bit, p_announce)
+        return _shot_keys(cell, p_plus, u_result, u_announce, message_bit, p_announce)
 
     def from_variates(
         self,
@@ -348,8 +337,8 @@ class ShotSampler:
         message_bit: int,
         p_announce: float,
     ) -> ShotRecord:
-        code = self._codes(p_announce, message_bit, prep_idx, basis_idx, u_result, u_announce)
-        return _RECORDS[message_bit][int(code)]
+        key = self._keys(p_announce, message_bit, prep_idx, basis_idx, u_result, u_announce)
+        return _RECORDS[int(key)]
 
     def sample(self, rng: np.random.Generator, message_bit: int, p_announce: float) -> ShotRecord:
         return self.from_variates(
@@ -386,8 +375,7 @@ def run_shot(
     image = apply_channel(eve, state_density(_STATES[prep_idx]))
     p_plus = measurement_prob(image, _BASES[basis_idx], MeasurementResult.PLUS)
     cell = prep_idx * 2 + basis_idx
-    code = _shot_codes(cell, p_plus, u_result, u_announce, message_bit, p_announce)
-    return _RECORDS[message_bit][code]
+    return _RECORDS[_shot_keys(cell, p_plus, u_result, u_announce, message_bit, p_announce)]
 
 
 def _decoded_bit(decoded) -> int | None:
@@ -468,10 +456,10 @@ def run_protocol(
     substream of the root seed; Monte Carlo trial t uses stream t.
     """
     sampler = ShotSampler(eve)
-    codes = sampler._codes(params.p_announce, params.message_bit, *_draw(params, stream))
-    tally = _tally(codes.reshape(1, -1))
-    shots = _RECORDS[params.message_bit][codes].tolist()
-    entries = tuple(_PUBLIC_ENTRIES[params.message_bit][codes].tolist())
+    keys = sampler._keys(params.p_announce, params.message_bit, *_draw(params, stream))
+    tally = _tally(keys.reshape(1, -1))
+    shots = _RECORDS[keys].tolist()
+    entries = tuple(_PUBLIC_ENTRIES[keys].tolist())
     outcome = RunOutcome(
         _decoded_bit(tally.decoded[0]),
         int(tally.votes[0]),
@@ -553,7 +541,7 @@ def monte_carlo(params: ProtocolParams, eve: KrausChannel, trials: int) -> SimSt
     ba_counts = np.zeros(4, dtype=np.int64)
     matched_ra = mismatches = successes = correct = 0
     for _, columns in _variate_blocks(params, trials):
-        tally = _tally(sampler._codes(params.p_announce, params.message_bit, *columns))
+        tally = _tally(sampler._keys(params.p_announce, params.message_bit, *columns))
         ba_counts += tally.bit_announcements.sum(axis=0)
         matched_ra += int(tally.matched_result_announcements.sum())
         mismatches += int(tally.mismatches.sum())
@@ -591,7 +579,7 @@ def information_density(
     for start, columns in _variate_blocks(params, trials):
         t = np.arange(start, start + len(columns[0]))
         bits = params.message_bit ^ (t & 1)
-        tally = _tally(sampler._codes(params.p_announce, bits[:, None], *columns))
+        tally = _tally(sampler._keys(params.p_announce, bits[:, None], *columns))
         counts = tally.bit_announcements[:, None, :]
         # log-likelihood of each run's string under either message; a symbol
         # that never occurs adds nothing even where its probability is 0
@@ -603,18 +591,13 @@ def information_density(
 
 
 def transcript_lines(shots, public: bool = False):
-    """CSV lines for a run's records (full, or the public projection).
-
-    Interned records take their fields from ``_INTERNED``; any other record
-    is formatted by the same :func:`_line_fields`.
-    """
+    """CSV lines for a run's records (full, or the public projection)."""
     if public:
         header = "shot_index,basis,announcement_kind,announced_value"
     else:
         header = "shot_index,prep,basis,result,announcement_kind,announced_value"
-    column = _PUBLIC if public else _FULL
-    fields = _interned_column(shots, column, lambda rec: _line_fields(rec)[public])
-    return chain((header,), [f"{idx},{line}" for idx, line in enumerate(fields)])
+    fields = _LINE_FIELDS[public]
+    return chain((header,), [f"{idx},{fields[rec._key]}" for idx, rec in enumerate(shots)])
 
 
 def export_transcript(shots, path: str | Path, public: bool = False, comments=()) -> None:

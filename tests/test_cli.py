@@ -324,6 +324,10 @@ def test_simulate_unparseable_channel_file_exit_2(tmp_path, capsys):
     assert main(["simulate", "--channel-file", str(bad)]) == 2
     assert "line" in capsys.readouterr().err
 
+    missing = tmp_path / "missing.json"
+    assert main(["simulate", "--channel-file", str(missing)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {missing}: ")
+
 
 # ---------------------------------------------------------------------------
 # validate-channel
@@ -384,6 +388,20 @@ def test_validate_channel_at_large_n(tmp_path, capsys, channel, want):
         assert abs(mi - want) <= 1e-9  # the x=1 anchor 1-(1-pa/2)^N
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--n", "0"], ["--pa", "2"], ["--pa", "nan"], ["--pa", "-0.1"]],
+    ids=["n0", "pa2", "pa-nan", "pa-negative"],
+)
+def test_validate_channel_bad_arguments_exit_2(tmp_path, flags):
+    path = tmp_path / "seal05.json"
+    save_channel(seal_channel(0.5), path)
+    for target in (path, tmp_path / "missing.json"):  # checked before the file is read
+        with pytest.raises(SystemExit) as err:
+            main(["validate-channel", str(target), *flags])
+        assert err.value.code == 2
+
+
 def test_validate_channel_incomplete_exit_1(tmp_path, capsys):
     path = tmp_path / "half.json"
     path.write_text('{"label": "half", "operators": [[[[1,0],[0,0]],[[0,0],[0.5,0]]]]}')
@@ -400,4 +418,6 @@ def test_validate_channel_parse_error_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "line" in err
 
-    assert main(["validate-channel", str(tmp_path / "missing.json")]) == 2
+    missing = tmp_path / "missing.json"
+    assert main(["validate-channel", str(missing)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {missing}: ")

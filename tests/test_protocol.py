@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import tracemalloc
@@ -206,11 +207,12 @@ _RECORD_FIELDS = (
 
 @st.composite
 def shot_records(draw):
-    """Any record, including coded bits that disagree with each other."""
+    """Any record, including coded bits that disagree with each other and
+    announced results that disagree with the result."""
     prep, basis, result = (draw(field) for field in _RECORD_FIELDS)
     if draw(st.booleans()):
         return ShotRecord(prep, basis, result, BitAnnouncement(draw(st.integers(0, 1))))
-    return ShotRecord(prep, basis, result, ResultAnnouncement(result))
+    return ShotRecord(prep, basis, result, ResultAnnouncement(draw(_RECORD_FIELDS[2])))
 
 
 @settings(max_examples=200, deadline=None)
@@ -344,8 +346,38 @@ def test_export_transcript_keeps_the_old_file_when_the_write_fails(tmp_path, mon
     assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
 
 
-# every record a run can produce, as run_protocol and ShotSampler return them
-_INTERNED_RECORDS = [rec for records in protocol._RECORDS for rec in records]
+# the 64 record values, indexed by key; run_protocol and ShotSampler return
+# these objects
+_INTERNED_RECORDS = list(protocol._RECORDS)
+
+
+def test_every_key_round_trips_through_its_record():
+    assert len(set(_INTERNED_RECORDS)) == 64
+    for key, rec in enumerate(_INTERNED_RECORDS):
+        assert rec._key == key
+        fields = {f.name: getattr(rec, f.name) for f in dataclasses.fields(ShotRecord)}
+        rebuilt = ShotRecord(**fields)
+        assert rebuilt._key == key
+        assert rebuilt == rec and hash(rebuilt) == hash(rec) and repr(rebuilt) == repr(rec)
+
+
+def test_shot_record_key_is_not_a_field():
+    assert [f.name for f in dataclasses.fields(ShotRecord)] == [
+        "prep",
+        "basis",
+        "result",
+        "announcement",
+    ]
+    rec = ShotRecord(ZERO, S3, DOWN, BitAnnouncement(1))
+    assert repr(rec) == (
+        "ShotRecord(prep=<ProtocolPureState.ZERO: '0'>, basis=<MeasurementBasis.SIGMA3: 'sigma3'>, "
+        "result=<MeasurementResult.MINUS: -1>, announcement=BitAnnouncement(c=1))"
+    )
+
+
+def test_shot_record_rejects_a_coded_bit_outside_0_1():
+    with pytest.raises(ValueError, match="coded bit"):
+        ShotRecord(ZERO, S3, UP, BitAnnouncement(2))
 
 
 @settings(max_examples=200, deadline=None)
