@@ -32,6 +32,9 @@ DEFAULT_N = 119
 DEFAULT_PA = 0.05
 DEFAULT_TAIL_TOL = 1e-12
 DEFAULT_GRID_STEP = 0.05
+# The most x points a sweep evaluates, a grid step of 1e-4.  A point takes
+# milliseconds, so a finer grid would run for hours.
+MAX_GRID_POINTS = 10_001
 
 _BUILTIN_CHANNELS = ("identity", "seal", "depolarizing", "dephasing")
 
@@ -52,11 +55,17 @@ class SweepConfig:
 
 
 def _default_grid(step: float) -> tuple[float, ...]:
+    """0, step, 2 step, ... below 1, then 1: at most ``MAX_GRID_POINTS`` points."""
     if not 0.0 < step <= 1.0:
         raise ValueError(f"grid step must lie in (0, 1], got {step}")
     values = []
     i = 0
     while i * step < 1.0 - 1e-12:
+        if i + 2 > MAX_GRID_POINTS:  # the points so far, this one and 1.0
+            raise ValueError(
+                f"grid step {step} gives more than {MAX_GRID_POINTS} points; "
+                f"the smallest step is {1.0 / (MAX_GRID_POINTS - 1):g}"
+            )
         values.append(i * step)
         i += 1
     values.append(1.0)
@@ -244,7 +253,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="write damping-family curve data to CSV")
     sweep.add_argument("--n", type=int, default=DEFAULT_N, help="shots per run")
     sweep.add_argument("--pa", type=float, default=DEFAULT_PA, help="bit-announcement probability")
-    sweep.add_argument("--grid-step", type=float, default=DEFAULT_GRID_STEP)
+    sweep.add_argument(
+        "--grid-step",
+        type=float,
+        default=DEFAULT_GRID_STEP,
+        help=f"x grid spacing in (0, 1]; at most {MAX_GRID_POINTS} points",
+    )
     sweep.add_argument("--tail-tol", type=float, default=DEFAULT_TAIL_TOL)
     sweep.add_argument("--out", required=True, help="output CSV path")
 

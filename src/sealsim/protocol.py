@@ -10,11 +10,22 @@ the message sender, and only announcements flow back.
 
 The module also provides the receiver's decoding and mismatch accounting and
 a seeded Monte Carlo harness.  Randomness contract: a run is a pure function
-of (params, channel, stream); Monte Carlo trial t uses stream t, derived from
-the root seed by a spawn key, so trials can run in any order or in parallel
+of (params, channel, stream); Monte Carlo trial t uses stream t, which is
+numpy's PCG64 seeded by ``SeedSequence(entropy=seed, spawn_key=(t,))`` and
+read through a ``Generator``, so trials can run in any order or in parallel
 without changing anything.  A run draws its four variate columns from its
 stream in one fixed order: preparations, bases, result variates,
 announcement-type variates, N of each.
+
+One column source computes those columns from the stream's raw 64-bit
+words, with no ``Generator``: the first N words hold 2N uint32 halves, low
+half first, whose top two bits (halves [0, N)) are the preparations and top
+bit (halves [N, 2N)) the bases; words [N, 2N) and [2N, 3N) give the result
+and announcement variates as ``(word >> 11) * 2**-53``.  The stream seeds
+are derived for a chunk of streams at a time in uint32 array operations,
+and each stream's state is set on one reused ``PCG64`` that reads its
+words.  The contract is unchanged: the tests compare the source with the
+columns numpy's own ``Generator`` draws.
 
 The engine is columnar.  A shot becomes one of 64 small integer keys, one
 for each value a ``ShotRecord`` can take: preparation, basis, whether the
@@ -22,11 +33,12 @@ result was -1, announcement kind and announced value.  One tally turns a
 block of runs -- one row of keys per run -- into per-run counts of
 bit-announcements, votes, usable result-announcements and mismatches, with
 a histogram per row and a table of what each key contributes.
-``monte_carlo`` fills a reused block of about ``_BLOCK_CELLS`` keys with
-consecutive trials, each from its own stream, and tallies it;
-``information_density`` tallies blocks the same way and keeps each run's
-bit-announcement counts.  Blocking only batches the tally, so counts do not
-depend on the block size.
+``monte_carlo`` and ``information_density`` fill a reused block of about
+``_BLOCK_CELLS`` keys with consecutive trials, each from its own stream,
+and tally it.  A run longer than the block is tallied in chunks of shots,
+each read from its offset in the stream, and its counts are summed before
+it is decoded, so memory grows with neither the trial count nor N.
+Blocking only batches the tally, so counts do not depend on the block size.
 
 Every record carries its key, computed once when it is made, and the
 64 records, their public (basis, announcement) entries and their transcript
@@ -41,6 +53,7 @@ writes atomically.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -69,11 +82,11 @@ BIT_ANNOUNCEMENT_ALPHABET: tuple[tuple[MeasurementBasis, int], ...] = (
     (MeasurementBasis.SIGMA3, 1),
 )
 
-# Shots per block of the Monte Carlo (rounded down to whole runs, and at least
-# one run).  A larger block adds memory without running faster: the tally's
-# array calls are already a small part of a trial's cost next to creating
-# its stream.
-_BLOCK_CELLS = 1 << 12
+# Shots per block of the Monte Carlo: whole runs, at least one, or a chunk
+# of a longer run.  Each block costs a few dozen array calls whatever its
+# size, which a block of this size makes a small part of a trial's cost
+# next to reading its stream.
+_BLOCK_CELLS = 1 << 13
 
 _STATES = tuple(ProtocolPureState)
 _BASES = (MeasurementBasis.SIGMA1, MeasurementBasis.SIGMA3)
@@ -275,17 +288,23 @@ class _Tally(NamedTuple):
     decoded: np.ndarray  # the majority bit, or -1 when the votes tie or there are none
 
 
-def _tally(keys: np.ndarray) -> _Tally:
-    """Tally a (runs, shots) block of shot keys, one row per run.
+def _counts(keys: np.ndarray) -> np.ndarray:
+    """The tally columns of a (runs, shots) block of shot keys, one row per run.
 
     Each row's histogram of keys times the per-key contributions gives
     that run's counts, so the whole block costs a handful of array calls.
+    Every column adds up, so the counts of a run's chunks of shots sum to
+    the counts of the run.
     """
     runs = keys.shape[0]
     offsets = np.arange(0, runs * _KEYS, _KEYS)[:, None]
     hist = np.bincount((keys + offsets).ravel(), minlength=runs * _KEYS)
     # a float product runs in BLAS and is exact: every count is below 2**53
-    counts = (hist.reshape(runs, _KEYS) @ _TALLY_TABLE).astype(np.int64)
+    return (hist.reshape(runs, _KEYS) @ _TALLY_TABLE).astype(np.int64)
+
+
+def _tally(counts: np.ndarray) -> _Tally:
+    """Name the columns of whole runs' counts and decode each run."""
     votes, ones = counts[:, _VOTE], counts[:, _VOTE_ONE]
     decoded = np.where(2 * ones == votes, -1, 2 * ones > votes)
     return _Tally(counts[:, :4], counts[:, _MATCHED_RA], counts[:, _MISMATCH], votes, decoded)
@@ -293,7 +312,7 @@ def _tally(keys: np.ndarray) -> _Tally:
 
 def _tally_records(shots) -> _Tally:
     keys = np.array([rec._key for rec in shots], dtype=np.int64)
-    return _tally(keys.reshape(1, -1))
+    return _tally(_counts(keys.reshape(1, -1)))
 
 
 def _shot_keys(cell, p_plus, u_result, u_announce, message_bit, p_announce):
@@ -325,7 +344,7 @@ class ShotSampler:
     def _keys(self, p_announce, message_bit, preps, bases, u_result, u_announce):
         """Shot keys from variate columns (arrays of one shape, or scalars)."""
         cell = preps * 2 + bases
-        p_plus = self._p_plus.ravel()[cell]
+        p_plus = self._p_plus.take(cell)
         return _shot_keys(cell, p_plus, u_result, u_announce, message_bit, p_announce)
 
     def from_variates(
@@ -406,43 +425,216 @@ def public_transcript(shots) -> PublicTranscript:
     return PublicTranscript(tuple((rec.basis, rec.announcement) for rec in shots))
 
 
-def _stream_rng(seed: int, stream: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
+# The stream contract, computed from raw words.  Stream t of a root seed is
+# numpy's PCG64 seeded by SeedSequence(entropy=seed, spawn_key=(t,)), read
+# through a Generator.  The constants are SeedSequence's hash constants and
+# PCG64's multiplier, which numpy keeps fixed so that seeded streams stay
+# reproducible across releases; tests/oracles.py draws the same columns
+# through numpy's own classes, and the tests compare the two.
+_M32 = 0xFFFFFFFF
+_M128 = (1 << 128) - 1
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# Streams whose seed words are derived by one set of array calls.  Numpy
+# calls cost about the same at any size up to here, so this is what keeps
+# the derivation cheap per stream; it does not depend on the trial count,
+# so neither does the memory of a Monte Carlo.
+_SEED_CHUNK = 1 << 10
 
 
-def _draw(params: ProtocolParams, stream: int):
-    """The four variate columns of one run, drawn from its stream.
+def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
+    """``init * mult**i mod 2**32`` for i in [0, calls].
 
-    The order is the contract: preparations, bases, result variates,
-    announcement-type variates.  The integer columns keep numpy's default
-    int64: asking for another dtype would draw a different stream.
+    Call i of a SeedSequence hash xors its value with entry i and multiplies
+    it by entry i + 1.
     """
-    n = params.n_shots
-    rng = _stream_rng(params.seed, stream)
-    return rng.integers(0, 4, n), rng.integers(0, 2, n), rng.random(n), rng.random(n)
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _M32)
+    return np.array(consts, dtype=np.uint32)
 
 
-def _variate_blocks(params: ProtocolParams, trials: int):
-    """Yield (first trial, columns) for consecutive blocks of trials.
+# hashmix calls 0-15 mix the seed into the pool and calls 16-19 and 20-23
+# the two words of a spawn key; generate_state's 8 words are calls 0-7 of
+# the second hash
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 24)
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+# generate_state cycles through the 4 pool words
+_POOL_CYCLE = np.arange(8) % 4
 
-    Trial t's variates come from stream t and fill one row of each column;
-    the arrays are reused from block to block, and the last block may hold
-    fewer rows.
+
+def _mix(x, y):
+    """SeedSequence's mix of two uint32 values (Python ints or uint32 arrays)."""
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
+    return r ^ r >> 16
+
+
+def _seed_pool(seed: int) -> np.ndarray:
+    """The SeedSequence pool of every stream of ``seed``, before its spawn key.
+
+    The entropy is the seed's uint32 words, little-endian, zero-padded to
+    the pool size of 4: a seed below 2**32 has one word, which the padding
+    makes the same as two.
     """
-    n = params.n_shots
-    rows = max(1, min(_BLOCK_CELLS // n, trials))
-    columns = (
-        np.empty((rows, n), dtype=np.int64),
-        np.empty((rows, n), dtype=np.int64),
-        np.empty((rows, n)),
-        np.empty((rows, n)),
+    seed = int(seed)
+    calls = zip(_HASH_A[:-1].tolist(), _HASH_A[1:].tolist())
+
+    def hashmix(value: int) -> int:
+        xor, mul = next(calls)
+        value = (value ^ xor) * mul & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in (seed & _M32, seed >> 32, 0, 0)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    return np.array(pool, dtype=np.uint32)
+
+
+def _mix_key_word(pool: np.ndarray, words: np.ndarray, first_call: int) -> np.ndarray:
+    """Mix a (streams, 1) column of spawn-key words into each stream's pool."""
+    h = (words ^ _HASH_A[first_call : first_call + 4]) * _HASH_A[first_call + 1 : first_call + 5]
+    return _mix(pool, h ^ h >> 16)
+
+
+def _stream_seeds(pool: np.ndarray, streams: np.ndarray) -> np.ndarray:
+    """``generate_state(4, np.uint64)`` of each stream's SeedSequence, one row each.
+
+    The spawn key is the stream index's uint32 words, little-endian: one
+    below 2**32 and two from there on.
+    """
+    high = streams >> 32
+    mixed = _mix_key_word(pool, (streams & _M32).astype(np.uint32)[:, None], 16)
+    if high.any():
+        two_words = _mix_key_word(mixed, high.astype(np.uint32)[:, None], 20)
+        mixed = np.where(high[:, None] != 0, two_words, mixed)
+    state = (mixed[:, _POOL_CYCLE] ^ _HASH_B[:-1]) * _HASH_B[1:]
+    state = (state ^ state >> 16).astype(np.uint64)
+    return state[:, 0::2] | state[:, 1::2] << 32
+
+
+def _halves(words: np.ndarray) -> np.ndarray:
+    """The uint32 halves of uint64 words along the last axis, low half first."""
+    return words.astype("<u8", copy=False).view("<u4")
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """``Generator.random``'s doubles from raw words: the top 53 bits over 2**53."""
+    return (words >> 11) * 2.0**-53
+
+
+def _run_columns(words: np.ndarray, n: int):
+    """The four variate columns of whole n-shot runs, one run per row.
+
+    ``words`` is a C-contiguous block of each run's first 3n raw words,
+    which is viewed as uint32 halves in place.  The first n words hold 2n
+    uint32 halves: the preparation is the top two bits of halves [0, n) and
+    the basis the top bit of halves [n, 2n), which is what
+    ``Generator.integers`` gives for 4 and 2 outcomes.  The result and
+    announcement variates come from words [n, 2n) and [2n, 3n).
+    """
+    halves = _halves(words)
+    return (
+        halves[:, :n] >> 30,
+        halves[:, n : 2 * n] >> 31,
+        _uniforms(words[:, n : 2 * n]),
+        _uniforms(words[:, 2 * n :]),
     )
-    preps, bases, u_result, u_announce = columns
+
+
+class _Streams:
+    """The raw PCG64 words of the streams of one root seed.
+
+    The seed is mixed into the SeedSequence pool once.  The spawn-key steps
+    and the seed words are array operations over chunks of streams, and each
+    stream's PCG64 state is set on one reused bit generator, which reads its
+    words with ``random_raw``.
+    """
+
+    def __init__(self, seed: int):
+        self._pool = _seed_pool(seed)
+        self._bitgen = np.random.PCG64(0)
+        self._inner = {"state": 0, "inc": 0}
+        self._state = {
+            "bit_generator": "PCG64",
+            "state": self._inner,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+    def states(self, start: int, stop: int):
+        """Yield the PCG64 (state, increment) of streams [start, stop) in order.
+
+        PCG64 seeds itself by stepping from state 0 with increment
+        ``(initseq << 1) | 1``, adding ``initstate`` and stepping again.
+        """
+        for first in range(start, stop, _SEED_CHUNK):
+            streams = np.arange(first, min(first + _SEED_CHUNK, stop), dtype=np.uint64)
+            for init_hi, init_lo, seq_hi, seq_lo in _stream_seeds(self._pool, streams).tolist():
+                inc = (seq_hi << 65 | seq_lo << 1 | 1) & _M128
+                yield ((inc + (init_hi << 64 | init_lo)) * _PCG64_MULT + inc) & _M128, inc
+
+    def words(self, state: tuple[int, int], first: int, count: int) -> np.ndarray:
+        """Raw words [first, first + count) of the stream with PCG64 ``state``."""
+        self._inner["state"], self._inner["inc"] = state
+        self._bitgen.state = self._state
+        if first:
+            self._bitgen.advance(first)
+        return self._bitgen.random_raw(count)
+
+    def _read_halves(self, state: tuple[int, int], first: int, count: int) -> np.ndarray:
+        """uint32 halves [first, first + count) of the stream with ``state``."""
+        word = first // 2
+        halves = _halves(self.words(state, word, (first + count + 1) // 2 - word))
+        return halves[first % 2 : first % 2 + count]
+
+    def chunk_columns(self, state: tuple[int, int], n: int, first: int):
+        """The variate columns of the ``_BLOCK_CELLS`` shots of an n-shot run from ``first``.
+
+        The last chunk of a run may be shorter.  Each column is read from its
+        own offset in the stream, as laid out in :func:`_run_columns`.
+        """
+        count = min(_BLOCK_CELLS, n - first)
+        return (
+            self._read_halves(state, first, count) >> 30,
+            self._read_halves(state, n + first, count) >> 31,
+            _uniforms(self.words(state, n + first, count)),
+            _uniforms(self.words(state, 2 * n + first, count)),
+        )
+
+
+def _run_counts(params: ProtocolParams, eve: KrausChannel, trials: int, parity: int = 0):
+    """Yield (trial indices, counts): the tally columns of whole runs, one row each.
+
+    Trial t runs stream t and sends message bit
+    ``params.message_bit ^ (t & parity)``.  Runs of up to ``_BLOCK_CELLS``
+    shots come in blocks of whole runs, read into one reused array.  A
+    longer run is tallied in chunks of ``_BLOCK_CELLS`` shots and its
+    chunks' counts are summed, so memory grows with neither the trial count
+    nor N.
+    """
+    n, pa = params.n_shots, params.p_announce
+    sampler = ShotSampler(eve)
+    streams = _Streams(params.seed)
+    states = streams.states(0, trials)
+    if n > _BLOCK_CELLS:
+        for t, state in enumerate(states):
+            bit = params.message_bit ^ (t & parity)
+            counts = sum(
+                _counts(sampler._keys(pa, bit, *streams.chunk_columns(state, n, first))[None])
+                for first in range(0, n, _BLOCK_CELLS)
+            )
+            yield np.array([t]), counts
+        return
+    rows = min(_BLOCK_CELLS // n, trials)
+    words = np.empty((rows, 3 * n), dtype=np.uint64)
     for start in range(0, trials, rows):
-        stop = min(start + rows, trials)
-        for row, t in enumerate(range(start, stop)):
-            preps[row], bases[row], u_result[row], u_announce[row] = _draw(params, t)
-        yield start, [c[: stop - start] for c in columns]
+        t = np.arange(start, min(start + rows, trials))
+        for row, state in zip(range(len(t)), states):
+            words[row] = streams.words(state, 0, 3 * n)
+        bits = params.message_bit ^ (t & parity)
+        yield t, _counts(sampler._keys(pa, bits[:, None], *_run_columns(words[: len(t)], n)))
 
 
 def run_protocol(
@@ -450,16 +642,24 @@ def run_protocol(
 ) -> tuple[list[ShotRecord], PublicTranscript, RunOutcome]:
     """One full run of ``params.n_shots`` shots.
 
-    Deterministic in (params, eve, stream): the per-shot variates are drawn
-    as one block from the stream's generator, so shot s always sees the same
-    four variates no matter how the run is scheduled.  ``stream`` selects a
-    substream of the root seed; Monte Carlo trial t uses stream t.
+    Deterministic in (params, eve, stream): the run's four variate columns
+    are read from its stream's raw words in one fixed layout, so shot s
+    always sees the same four variates no matter how the run is scheduled.
+    ``stream`` selects a substream of the root seed, a non-negative integer
+    below 2**64; Monte Carlo trial t uses stream t.
     """
+    stream = operator.index(stream)
+    if not 0 <= stream < 2**64:
+        raise ValueError(f"stream must be a non-negative integer below 2**64, got {stream}")
+    n = params.n_shots
     sampler = ShotSampler(eve)
-    keys = sampler._keys(params.p_announce, params.message_bit, *_draw(params, stream))
-    tally = _tally(keys.reshape(1, -1))
-    shots = _RECORDS[keys].tolist()
-    entries = tuple(_PUBLIC_ENTRIES[keys].tolist())
+    streams = _Streams(params.seed)
+    (state,) = streams.states(stream, stream + 1)
+    columns = _run_columns(streams.words(state, 0, 3 * n)[None], n)
+    keys = sampler._keys(params.p_announce, params.message_bit, *columns)
+    tally = _tally(_counts(keys))
+    shots = _RECORDS[keys[0]].tolist()
+    entries = tuple(_PUBLIC_ENTRIES[keys[0]].tolist())
     outcome = RunOutcome(
         _decoded_bit(tally.decoded[0]),
         int(tally.votes[0]),
@@ -537,11 +737,10 @@ def monte_carlo(params: ProtocolParams, eve: KrausChannel, trials: int) -> SimSt
     """Run ``trials`` independent runs and aggregate order-independent counts."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    sampler = ShotSampler(eve)
     ba_counts = np.zeros(4, dtype=np.int64)
     matched_ra = mismatches = successes = correct = 0
-    for _, columns in _variate_blocks(params, trials):
-        tally = _tally(sampler._keys(params.p_announce, params.message_bit, *columns))
+    for _, counts in _run_counts(params, eve, trials):
+        tally = _tally(counts)
         ba_counts += tally.bit_announcements.sum(axis=0)
         matched_ra += int(tally.matched_result_announcements.sum())
         mismatches += int(tally.mismatches.sum())
@@ -572,15 +771,12 @@ def information_density(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    sampler = ShotSampler(eve)
     with np.errstate(divide="ignore"):
         log_probs = np.log2(np.asarray(probs_given_b, dtype=float))
     values = np.empty(trials)
-    for start, columns in _variate_blocks(params, trials):
-        t = np.arange(start, start + len(columns[0]))
+    for t, run_counts in _run_counts(params, eve, trials, parity=1):
         bits = params.message_bit ^ (t & 1)
-        tally = _tally(sampler._keys(params.p_announce, bits[:, None], *columns))
-        counts = tally.bit_announcements[:, None, :]
+        counts = run_counts[:, None, :4]
         # log-likelihood of each run's string under either message; a symbol
         # that never occurs adds nothing even where its probability is 0
         terms = np.zeros((len(t), *log_probs.shape))

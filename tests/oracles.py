@@ -7,7 +7,9 @@ announcement string, and the damping family's mutual information is also
 summed over the paper's explicit symbol-count classes, which no evaluator
 in the package uses.  A run's records are tallied by a literal loop, not by
 the package's code table, and formatted as transcript lines one f-string per
-record, not through the package's table of interned records.
+record, not through the package's table of interned records.  A run's
+variate columns are drawn through numpy's own ``SeedSequence`` and
+``Generator``, which the package's raw-word column source must match.
 """
 
 import itertools
@@ -204,3 +206,20 @@ def tally_by_loop(shots):
             mismatches += (rec.result is MeasurementResult.MINUS) != expected_minus
     decoded = None if 2 * ones == votes else int(2 * ones > votes)
     return decoded, votes, mismatches, matched
+
+
+def _stream_rng(seed: int, stream: int) -> np.random.Generator:
+    """Stream ``stream`` of root seed ``seed``: the randomness contract's generator."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
+
+
+def _draw(params, stream: int):
+    """The four variate columns of one run, drawn through numpy's Generator.
+
+    The order is the contract: preparations, bases, result variates,
+    announcement-type variates.  The integer columns keep numpy's default
+    int64: asking for another dtype would draw a different stream.
+    """
+    n = params.n_shots
+    rng = _stream_rng(params.seed, stream)
+    return rng.integers(0, 4, n), rng.integers(0, 2, n), rng.random(n), rng.random(n)

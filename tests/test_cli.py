@@ -7,7 +7,7 @@ import pytest
 from conftest import random_kraus_channel
 from sealsim import protocol
 from sealsim.channel_file import save_channel
-from sealsim.cli import SweepConfig, main
+from sealsim.cli import MAX_GRID_POINTS, SweepConfig, _default_grid, main
 from sealsim.qubit import depolarizing_channel, seal_channel
 
 
@@ -89,6 +89,24 @@ def test_sweep_bad_arguments_exit_2(argv):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("step", ["1e-6", "9.9999e-5"])
+def test_sweep_grid_above_the_point_limit_exits_2(tmp_path, capsys, step):
+    out = tmp_path / "grid.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["sweep", "--grid-step", step, "--out", str(out)])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert f"more than {MAX_GRID_POINTS} points" in stderr
+    assert "Traceback" not in stderr
+    assert not out.exists()
+
+
+def test_sweep_grid_at_the_point_limit_is_accepted():
+    grid = _default_grid(1e-4)
+    assert len(grid) == MAX_GRID_POINTS
+    assert grid[0] == 0.0 and grid[-1] == 1.0
 
 
 def test_sweep_io_failure_exit_3(tmp_path):

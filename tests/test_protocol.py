@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_kraus_channel, rotated_channel
-from oracles import tally_by_loop, transcript_lines_by_record
+from oracles import _draw, tally_by_loop, transcript_lines_by_record
 from sealsim import protocol, qubit
 from sealsim.analysis import bit_announcement_probs, mismatch_probability
 from sealsim.protocol import (
@@ -23,6 +23,7 @@ from sealsim.protocol import (
     ShotSampler,
     bob_decode,
     export_transcript,
+    information_density,
     matching_basis,
     monte_carlo,
     predicted_result,
@@ -545,6 +546,107 @@ def test_monte_carlo_memory_does_not_grow_with_trials():
     # slack for allocator noise; one leaked object per block or per trial
     # (530 or 18000 more of them) would exceed it
     assert large <= small + 16 * 1024
+
+
+@pytest.mark.parametrize("make", [monte_carlo, information_density])
+def test_one_trial_memory_does_not_grow_with_n(make):
+    """A long run is tallied in fixed-size chunks of shots."""
+    channel = seal_channel(0.5)
+    probs = bit_announcement_probs(channel).probs_given_b
+
+    def peak(n):
+        params = ProtocolParams(n_shots=n, p_announce=0.5, message_bit=0, seed=3)
+        args = (params, channel, 1) if make is monte_carlo else (params, channel, 1, probs)
+        tracemalloc.start()
+        try:
+            make(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10**4)  # first-call allocations out of the way
+    small, large = peak(10**4), peak(10**6)
+    # slack for allocator noise; holding one column of the run (8 MB) or
+    # one chunk per chunk (a hundred of them) would exceed it
+    assert large <= small + 32 * 1024
+
+
+def _source_columns(params, stream):
+    """One run's variate columns as the package's raw-word source reads them."""
+    streams = protocol._Streams(params.seed)
+    (state,) = streams.states(stream, stream + 1)
+    words = streams.words(state, 0, 3 * params.n_shots)[None]
+    return [column[0] for column in protocol._run_columns(words, params.n_shots)]
+
+
+def _assert_same_columns(got, want):
+    for ours, theirs in zip(got, want, strict=True):
+        assert ours.shape == theirs.shape
+        assert np.array_equal(ours, theirs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 119, 120, 1001])
+@pytest.mark.parametrize("seed", [0, 2**32 + 7, 2**64 - 1])
+@pytest.mark.parametrize("stream", [0, 2**32 + 5, 2**40])
+def test_raw_word_columns_are_the_generator_draws(n, seed, stream):
+    """The column layout and stream seeding equal numpy's Generator, bit for bit.
+
+    Streams from 2**32 on take a two-word spawn key.  A numpy release that
+    changed ``Generator.integers`` or ``Generator.random`` would fail here.
+    """
+    params = ProtocolParams(n_shots=n, p_announce=0.5, message_bit=0, seed=seed)
+    _assert_same_columns(_source_columns(params, stream), _draw(params, stream))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.integers(min_value=0, max_value=2**40 - 1),
+    st.integers(min_value=1, max_value=300),
+)
+def test_raw_word_columns_property(seed, stream, n):
+    params = ProtocolParams(n_shots=n, p_announce=0.5, message_bit=0, seed=seed)
+    _assert_same_columns(_source_columns(params, stream), _draw(params, stream))
+
+
+def test_stream_states_across_the_two_word_boundary():
+    """A chunk of streams with one- and two-word spawn keys seeds each right."""
+    params = ProtocolParams(n_shots=5, p_announce=0.5, message_bit=0, seed=2**32 + 7)
+    streams = protocol._Streams(params.seed)
+    first = 2**32 - 2
+    for stream, state in enumerate(streams.states(first, first + 4), start=first):
+        reference = np.random.PCG64(np.random.SeedSequence(entropy=params.seed, spawn_key=(stream,)))
+        assert np.array_equal(streams.words(state, 0, 15), reference.random_raw(15))
+
+
+@pytest.mark.parametrize("n, stream", [(1001, 0), (1001, 2**32 + 5), (2, 7)])
+def test_chunk_columns_are_slices_of_the_run(monkeypatch, n, stream):
+    """Each chunk reads its shots from their own offsets in the stream."""
+    monkeypatch.setattr(protocol, "_BLOCK_CELLS", 7)
+    params = ProtocolParams(n_shots=n, p_announce=0.5, message_bit=0, seed=2**64 - 1)
+    streams = protocol._Streams(params.seed)
+    (state,) = streams.states(stream, stream + 1)
+    chunks = [streams.chunk_columns(state, n, first) for first in range(0, n, 7)]
+    _assert_same_columns([np.concatenate(c) for c in zip(*chunks)], _draw(params, stream))
+
+
+@pytest.mark.parametrize("block", [7, 50])
+def test_counts_do_not_depend_on_the_block_size(monkeypatch, block):
+    """Runs tallied in chunks of shots give the pinned counts and densities."""
+    params, channel, trials, want = GOLDEN_RUNS[3].values
+    probs = bit_announcement_probs(channel).probs_given_b
+    densities = information_density(params, channel, trials, probs)
+    monkeypatch.setattr(protocol, "_BLOCK_CELLS", block)
+    assert _stats_tuple(monte_carlo(params, channel, trials)) == want
+    assert np.array_equal(information_density(params, channel, trials, probs), densities)
+
+
+@pytest.mark.parametrize("stream", [-1, 1.5])
+def test_run_protocol_rejects_a_bad_stream_as_seed_sequence_does(stream):
+    with pytest.raises((TypeError, ValueError)) as numpy_error:
+        np.random.SeedSequence(entropy=PARAMS.seed, spawn_key=(stream,))
+    with pytest.raises(numpy_error.type):
+        run_protocol(PARAMS, identity_channel(), stream=stream)
 
 
 def test_monte_carlo_rejects_bad_trials():
