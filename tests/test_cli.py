@@ -124,6 +124,39 @@ def test_sweep_config_rejects_bad_grids():
         SweepConfig((), 119, 0.05, 1e-12, "out.csv")  # empty
 
 
+# The sha256 of the sweep CSV as the per-point evaluation wrote it; any
+# changed digit of any column shows here.
+PINNED_SWEEPS = [
+    pytest.param(
+        [],
+        "8883f9a4f5231f3b19efb2d2e835fe221d4e7655819a5543a04e780e9c05235e",
+        id="defaults",
+    ),
+    pytest.param(
+        ["--pa", "0.5", "--grid-step", "0.5"],
+        "939020fe529c72694d0f92dc88993d0a815483de4e6fd23097b8ad4a2aa19b6f",
+        id="pa0.5-step0.5",
+    ),
+    pytest.param(
+        ["--n", "500", "--pa", "0.5"],
+        "9f7b4cbb679853811adb1d1189c0b0173671a9cdfc8e6c62626d8d867b929519",
+        id="n500-pa0.5",
+    ),
+    pytest.param(
+        ["--n", "800", "--pa", "1.0", "--grid-step", "0.5"],
+        "36c80951c9a86fbeb779cf5d83ff9ada3f4b4b87a3edfc6f15c33817e81093a0",
+        id="n800-pa1",
+    ),
+]
+
+
+@pytest.mark.parametrize("options, want", PINNED_SWEEPS)
+def test_sweep_csv_is_pinned(tmp_path, options, want):
+    out = tmp_path / "curve.csv"
+    assert main(["sweep", *options, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -418,6 +451,54 @@ def test_validate_channel_bad_arguments_exit_2(tmp_path, flags):
         with pytest.raises(SystemExit) as err:
             main(["validate-channel", str(target), *flags])
         assert err.value.code == 2
+
+
+# The sha256 of the validate-channel report for a file named channel.json in
+# the working directory; RANDOM_3OP is the seeded random 3-operator channel
+# of the transcript pins.
+PINNED_REPORTS = [
+    pytest.param(
+        seal_channel(0.5), [],
+        "09819f038ed81701fe42bbefe7a9f6e74cc34c0ac8ce054222254b249921acf4",
+        id="seal0.5",
+    ),
+    pytest.param(
+        seal_channel(0.5), ["--pa", "0.5"],
+        "95e87d4d0c8ffc7634bd72dcf89e787b67a36ba82ec0ca987ef5dddcf1a2657e",
+        id="seal0.5-pa0.5",
+    ),
+    pytest.param(
+        depolarizing_channel(0.3), [],
+        "4e4bae27709d432d1f6ce4480fbce7c6694a94704adbc49fd97795e310f82411",
+        id="depolarizing0.3",
+    ),
+    pytest.param(
+        depolarizing_channel(0.3), ["--pa", "0.5"],
+        "96210944ec6ae87f4671e0c2576bd99cbb775a683592689a0bcb49819fac87ec",
+        id="depolarizing0.3-pa0.5",
+    ),
+    pytest.param(
+        RANDOM_3OP, [],
+        "a4ef7f4d3ec2a41ad80ada18e36a97c3148535c26a0de0c3e997d6d4a73de86a",
+        id="random3op",
+    ),
+    pytest.param(
+        RANDOM_3OP, ["--pa", "0.5"],
+        "4f98ad93ce517da15134de112a83abec63ae78d000d0bada9c2d5f1800106ccb",
+        id="random3op-pa0.5",
+    ),
+]
+
+
+@pytest.mark.parametrize("channel, options, want", PINNED_REPORTS)
+def test_validate_channel_report_is_pinned(tmp_path, monkeypatch, capsys, channel, options, want):
+    if channel is RANDOM_3OP:
+        channel = random_kraus_channel(np.random.default_rng(123), 3)
+    monkeypatch.chdir(tmp_path)
+    save_channel(channel, "channel.json")
+    assert main(["validate-channel", "channel.json", *options]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
 def test_validate_channel_incomplete_exit_1(tmp_path, capsys):
