@@ -18,6 +18,13 @@ carries no information, and its axis collapses: the damping family walks a
 line, unital channels a single cell.  Memory is O(k^2) at length k (O(k)
 on a line).
 
+The evaluator walks a stack of distributions that share a collapse
+pattern at once, each row with the numbers it would get alone.  A sweep
+of the damping family computes the binomial weights and kept lengths once
+and walks its whole x grid in blocks of bounded size, and its mismatch
+column comes from the Born tables of the stacked channels
+(``qubit.born_tables``).
+
 All logarithms are base 2, so information is in bits and the one-bit
 message bounds every result by 1.  0 * log 0 is 0 throughout.
 """
@@ -35,13 +42,17 @@ from sealsim.qubit import (
     MeasurementBasis,
     MeasurementResult,
     ProtocolPureState,
-    measurement_prob,
-    preparation_images,
+    born_table,
+    born_tables,
+    seal_channel,
     validate_channel,
 )
 
 _DISTRIBUTION_TOL = 1e-12
 _DEFAULT_TAIL_TOL = 1e-12
+# Lattice cells, at the longest kept length, of one block of rows walked
+# together: each array of a block's walk is at most 128 KiB.
+_BLOCK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -151,8 +162,14 @@ def bit_announcement_probs(eve: KrausChannel) -> AnnouncementDistribution:
     return AnnouncementDistribution((given_0, given_1))
 
 
-def _lattice_mi(p0: np.ndarray) -> float:
-    """I(s : message) in bits from the net-vote distribution given b = 0.
+def _unit_rows(probs) -> np.ndarray:
+    """Distributions as a (rows, 4) array, each row divided by its exactly rounded sum."""
+    probs = np.asarray(probs, dtype=float).reshape(-1, 4)
+    return probs / np.fromiter(map(math.fsum, probs), float, len(probs))[:, None]
+
+
+def _lattice_mi(lattice: np.ndarray) -> np.ndarray:
+    """I(s : message) in bits per row of net-vote distributions given b = 0.
 
     Flipping the message negates every net vote, so p1(s) = p0(-s), and the
     information is 1 - H(message | s) with
@@ -160,54 +177,83 @@ def _lattice_mi(p0: np.ndarray) -> float:
     never has an underflowed divisor, and each term is non-negative, so the
     result never exceeds 1.  (Writing 1 as sum_s p0(s) gives the
     Jensen-Shannon form sum_s p0(s) log2(2 p0(s) / (p0(s) + p0(-s))); using
-    the exact 1 keeps the lattice's rounded mass out of the result.)
+    the exact 1 keeps the lattice's rounded mass out of the result.)  Cells
+    with p0(s) = 0 add an exact 0 to their row's sum.
     """
-    seen = p0 > 0.0
-    p = p0[seen]
-    q = p0[::-1, ::-1][seen]
-    return 1.0 + float(np.sum(p * np.log2(p / (p + q))))
+    rows = len(lattice)
+    p = lattice.reshape(rows, -1)
+    q = lattice[:, ::-1, ::-1].reshape(rows, -1)
+    seen = p > 0.0
+    ratio = p + q
+    if seen.all():
+        np.divide(p, ratio, out=ratio)
+    else:
+        ratio = np.divide(p, ratio, out=np.ones_like(p), where=seen)
+    np.log2(ratio, out=ratio)
+    ratio *= p
+    return 1.0 + np.add.reduce(ratio, axis=1)
 
 
-def _mi_by_length(dist: AnnouncementDistribution, lengths: list[int]) -> list[float]:
+def _lattice_steps(moving1: int, moving3: int):
+    """(grow, offsets): the lattice growth per step and each symbol's offset.
+
+    Each of the four symbols moves the walk by a fixed offset while the
+    lattice grows by ``grow`` per step.  A basis whose two symbols are
+    equally likely has a collapsed axis: it never grows, and its
+    announcements are "stay" steps.  When neither axis collapses, s1 + s3
+    has the parity of k, and the lattice is kept in the coordinates
+    u = (k + s1 + s3)/2, v = (k + s1 - s3)/2 so that no cell of the wrong
+    parity is stored.
+    """
+    if moving1 and moving3:
+        return (1, 1), ((1, 1), (0, 0), (1, 0), (0, 1))
+    # cell [i, j] is (s1, s3) = (i - k, j - k) on a moving axis, 0 on a collapsed one
+    grow = (2 * moving1, 2 * moving3)
+    return grow, ((2 * moving1, moving3), (0, moving3), (moving1, 2 * moving3), (moving1, 0))
+
+
+def _mi_by_length(probs: np.ndarray, lengths: list[int]) -> np.ndarray:
     """I(announcement string : message) in bits at each of the ascending ``lengths``.
 
-    Walks k = 0, 1, ... up to the largest length on the lattice of net votes
-    (s1, s3), convolving it at each step with the single-announcement
-    distribution.  Each of the four symbols moves the walk by a fixed offset
-    while the lattice grows by ``grow`` per step, and negating (s1, s3)
-    reverses both lattice axes.  A basis whose two symbols are equally likely
-    has a collapsed axis: it never grows, and its announcements are "stay"
-    steps.  When neither axis collapses, s1 + s3 has the parity of k, and the
-    lattice is kept in the coordinates u = (k + s1 + s3)/2, v = (k + s1 - s3)/2
-    so that no cell of the wrong parity is stored.
+    ``probs`` is a (rows, 4) array of single-announcement distributions given
+    b = 0 (from :func:`_unit_rows`) that share one collapse pattern; the
+    result is (rows, len(lengths)), and each row's numbers are the ones it
+    gets walking alone.  Walks k = 0, 1, ... up to the largest length on the
+    lattice of net votes (s1, s3) of every row at once, convolving it at
+    each step with the single-announcement distribution (see
+    :func:`_lattice_steps`); negating (s1, s3) reverses both lattice axes.
+    Memory is rows times the lattice at the largest length.
     """
     if lengths[0] < 0:
         raise ValueError("string length must be non-negative")
-    probs = np.array(dist.probs_given_b[0]) / math.fsum(dist.probs_given_b[0])
-    moving1, moving3 = int(probs[0] != probs[1]), int(probs[2] != probs[3])
-    if moving1 and moving3:
-        grow, offsets = (1, 1), ((1, 1), (0, 0), (1, 0), (0, 1))
-    else:
-        # cell [i, j] is (s1, s3) = (i - k, j - k) on a moving axis, 0 on a collapsed one
-        grow = (2 * moving1, 2 * moving3)
-        offsets = ((2 * moving1, moving3), (0, moving3), (moving1, 2 * moving3), (moving1, 0))
-    moves: dict[tuple[int, int], float] = {}
-    for weight, offset in zip(probs, offsets):
-        if weight > 0.0:
-            moves[offset] = moves.get(offset, 0.0) + float(weight)
+    moving = probs[:, ::2] != probs[:, 1::2]
+    if (moving != moving[0]).any():
+        raise ValueError("rows must share one collapse pattern")
+    grow, offsets = _lattice_steps(*moving[0].tolist())
+    # a symbol without positive weight adds exact zeros, in every row
+    weights = np.maximum(probs, 0.0)
+    taken = (weights > 0.0).any(axis=0).tolist()
+    # a lone row steps with floats, which numpy multiplies faster
+    columns = weights.T[:, :, None, None] if len(weights) > 1 else weights[0].tolist()
+    moves: dict[tuple[int, int], np.ndarray | float] = {}
+    for column, offset in enumerate(offsets):
+        if taken[column]:
+            weight = columns[column]
+            moves[offset] = moves[offset] + weight if offset in moves else weight
 
-    lattice = np.ones((1, 1))
-    out = []
+    rows = len(probs)
+    lattice = np.ones((rows, 1, 1))
+    out = np.empty((rows, len(lengths)))
     k = 0
-    for target in lengths:
+    for column, target in enumerate(lengths):
         while k < target:
-            n1, n3 = lattice.shape
-            step = np.zeros((n1 + grow[0], n3 + grow[1]))
+            _, n1, n3 = lattice.shape
+            step = np.zeros((rows, n1 + grow[0], n3 + grow[1]))
             for (o1, o3), weight in moves.items():
-                step[o1 : o1 + n1, o3 : o3 + n3] += weight * lattice
+                step[:, o1 : o1 + n1, o3 : o3 + n3] += weight * lattice
             lattice = step
             k += 1
-        out.append(_lattice_mi(lattice))
+        out[:, column] = _lattice_mi(lattice)
     return out
 
 
@@ -217,7 +263,7 @@ def mutual_information_k(dist: AnnouncementDistribution, k: int) -> float:
     Evaluated on the net votes (s1, s3), which carry all of the string's
     information about the message.
     """
-    return _mi_by_length(dist, [k])[0]
+    return float(_mi_by_length(_unit_rows(dist.probs_given_b[0]), [k])[0, 0])
 
 
 def _binomial_pmf(n: int, p: float) -> np.ndarray:
@@ -237,9 +283,14 @@ def _binomial_pmf(n: int, p: float) -> np.ndarray:
     return pmf / math.fsum(pmf)
 
 
-def _expected_mi(
-    dist: AnnouncementDistribution, n_shots: int, p_announce: float, tail_tol: float
-) -> MIResult:
+def _kept_lengths(
+    n_shots: int, p_announce: float, tail_tol: float
+) -> tuple[np.ndarray, list[int], float]:
+    """Binomial weights, the ascending kept string lengths and the omitted mass.
+
+    Keeps the most likely string lengths until the omitted mass drops below
+    ``tail_tol``; depends on nothing but its three arguments.
+    """
     if n_shots < 1:
         raise ValueError("need at least one shot")
     if not 0.0 <= p_announce <= 1.0:
@@ -248,17 +299,39 @@ def _expected_mi(
         raise ValueError(f"tail tolerance must lie in (0, 1e-6], got {tail_tol}")
 
     pmf = _binomial_pmf(n_shots, p_announce)
-    # keep the most likely string lengths until the omitted mass is negligible
     order = np.argsort(-pmf, kind="stable")
     mass = np.cumsum(pmf[order])
     done = np.flatnonzero(1.0 - mass < tail_tol)
     kept = int(done[0]) + 1 if done.size else mass.size
     lengths = sorted(int(k) for k in order[:kept])
-    # fixed ascending-k summation order for bitwise reproducibility
-    mi = 0.0
-    for k, mi_k in zip(lengths, _mi_by_length(dist, lengths)):
-        mi += float(pmf[k]) * mi_k
-    return MIResult(mi, kept, float(max(1.0 - mass[kept - 1], 0.0)))
+    return pmf, lengths, float(max(1.0 - mass[kept - 1], 0.0))
+
+
+def _expected_mi_rows(
+    probs: np.ndarray, pmf: np.ndarray, lengths: list[int], truncation_mass: float
+) -> list[MIResult]:
+    """The binomially weighted information of each row of ``probs``.
+
+    Rows of one collapse pattern walk together, in blocks of at most
+    ``_BLOCK_CELLS`` lattice cells at the longest length (and at least one
+    row), so memory does not grow with the number of rows.  Each row's sum
+    runs over the kept lengths in ascending order, so a row's result does
+    not depend on the other rows.
+    """
+    mi = np.empty(len(probs))
+    moving = probs[:, ::2] != probs[:, 1::2]
+    pattern = moving[:, 0] + 2 * moving[:, 1]
+    for value in set(pattern.tolist()):
+        rows = np.flatnonzero(pattern == value)
+        grow, _ = _lattice_steps(value & 1, value >> 1)
+        cells = (1 + grow[0] * lengths[-1]) * (1 + grow[1] * lengths[-1])
+        block = max(1, _BLOCK_CELLS // cells)
+        for first in range(0, len(rows), block):
+            chunk = rows[first : first + block]
+            weighted = _mi_by_length(probs[chunk], lengths) * pmf[lengths]
+            # accumulate adds the lengths one at a time, in ascending order
+            mi[chunk] = np.add.accumulate(weighted, axis=1)[:, -1]
+    return [MIResult(value, len(lengths), truncation_mass) for value in mi.tolist()]
 
 
 def expected_mutual_information(
@@ -274,15 +347,22 @@ def expected_mutual_information(
     binomial mass drops below ``tail_tol`` (recorded as ``truncation_mass``).
     All kept lengths come from one walk up to the longest of them.
     """
-    return _expected_mi(dist, n_shots, p_announce, tail_tol)
+    kept = _kept_lengths(n_shots, p_announce, tail_tol)
+    return _expected_mi_rows(_unit_rows(dist.probs_given_b[0]), *kept)[0]
 
 
-def _damping_distribution(x: float) -> AnnouncementDistribution:
-    """Announcement distribution of the damping family: r1 = 0, r3 = x."""
+def _check_damping(x: float) -> None:
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"damping strength must lie in [0, 1], got {x}")
-    given_0 = (0.25, 0.25, 0.25 * (1 + x), 0.25 * (1 - x))
-    return AnnouncementDistribution((given_0, (given_0[1], given_0[0], given_0[3], given_0[2])))
+
+
+def _damping_rows(xs) -> np.ndarray:
+    """Announcement distributions given b = 0 of the damping family: r1 = 0, r3 = x."""
+    xs = np.asarray(xs, dtype=float)
+    probs = np.full((len(xs), 4), 0.25)
+    probs[:, 2] *= 1 + xs
+    probs[:, 3] *= 1 - xs
+    return _unit_rows(probs)
 
 
 def seal_class_masses(
@@ -325,7 +405,8 @@ def seal_mutual_information_k(x: float, k: int) -> float:
     The sigma1 symbols are equally likely under both message values, so
     the walk runs on the sigma3 net vote alone.
     """
-    return _mi_by_length(_damping_distribution(x), [k])[0]
+    _check_damping(x)
+    return float(_mi_by_length(_damping_rows([x]), [k])[0, 0])
 
 
 def seal_expected_mutual_information(
@@ -335,7 +416,34 @@ def seal_expected_mutual_information(
     tail_tol: float = _DEFAULT_TAIL_TOL,
 ) -> MIResult:
     """:func:`expected_mutual_information` for the damping family at strength x."""
-    return _expected_mi(_damping_distribution(x), n_shots, p_announce, tail_tol)
+    _check_damping(x)
+    kept = _kept_lengths(n_shots, p_announce, tail_tol)
+    return _expected_mi_rows(_damping_rows([x]), *kept)[0]
+
+
+def seal_expected_mutual_information_grid(
+    x_grid,
+    n_shots: int,
+    p_announce: float,
+    tail_tol: float = _DEFAULT_TAIL_TOL,
+) -> list[MIResult]:
+    """:func:`seal_expected_mutual_information` at every strength of ``x_grid``.
+
+    The binomial weights and the kept lengths depend only on
+    (n_shots, p_announce, tail_tol), so they are computed once, and the
+    strengths x > 0 walk the sigma3 line together in blocks of bounded
+    size.  x = 0 is the identity channel and leaks exactly 0 bits.  Each
+    result equals, bit for bit, the one the single-strength function gives.
+    """
+    xs = [float(x) for x in x_grid]
+    for x in xs:
+        _check_damping(x)
+    kept = _kept_lengths(n_shots, p_announce, tail_tol)
+    _, lengths, truncation_mass = kept
+    moving = [x for x in xs if x > 0.0]
+    walked = iter(_expected_mi_rows(_damping_rows(moving), *kept) if moving else [])
+    still = MIResult(0.0, len(lengths), truncation_mass)
+    return [next(walked) if x > 0.0 else still for x in xs]
 
 
 _MISMATCH_EVENTS = (
@@ -344,6 +452,18 @@ _MISMATCH_EVENTS = (
     (ProtocolPureState.ZERO, MeasurementBasis.SIGMA3, MeasurementResult.MINUS),
     (ProtocolPureState.ONE, MeasurementBasis.SIGMA3, MeasurementResult.PLUS),
 )
+# The same events as (preparation, basis, result) indices of born_table.
+_MISMATCH_CELLS = tuple(
+    tuple(list(type(member)).index(member) for member in event) for event in _MISMATCH_EVENTS
+)
+
+
+def _mismatch_per_shot(tables: np.ndarray) -> np.ndarray:
+    """The per-shot mismatch of each (..., 4, 2, 2) Born table, events summed in order."""
+    per_shot = np.zeros(tables.shape[:-3])
+    for cell in _MISMATCH_CELLS:
+        per_shot += 0.125 * tables[(..., *cell)]
+    return per_shot
 
 
 def mismatch_probability(eve: KrausChannel) -> MismatchProbability:
@@ -356,11 +476,18 @@ def mismatch_probability(eve: KrausChannel) -> MismatchProbability:
     this depends on the channel's action on each pure state separately, not
     just on its action on the maximally mixed state.
     """
-    images = preparation_images(eve)
-    per_shot = 0.0
-    for prep, basis, result in _MISMATCH_EVENTS:
-        per_shot += 0.125 * measurement_prob(images[prep], basis, result)
+    per_shot = float(_mismatch_per_shot(born_table(eve)))
     return MismatchProbability(per_shot, 2.0 * per_shot)
+
+
+def seal_mismatch_probability_grid(x_grid) -> list[MismatchProbability]:
+    """:func:`mismatch_probability` of the damping channel at every strength of ``x_grid``.
+
+    The Born tables of the whole grid come from one stacked computation,
+    and each result equals, bit for bit, the single-channel one.
+    """
+    per_shot = _mismatch_per_shot(born_tables([seal_channel(x) for x in x_grid]))
+    return [MismatchProbability(p, 2.0 * p) for p in per_shot.tolist()]
 
 
 def decode_success_probability(n_shots: int, p_announce: float) -> float:

@@ -32,8 +32,8 @@ DEFAULT_N = 119
 DEFAULT_PA = 0.05
 DEFAULT_TAIL_TOL = 1e-12
 DEFAULT_GRID_STEP = 0.05
-# The most x points a sweep evaluates, a grid step of 1e-4.  A point takes
-# milliseconds, so a finer grid would run for hours.
+# The most x points a sweep evaluates, a grid step of 1e-4.  The grid walks
+# in blocks of bounded memory, but its time grows with every point.
 MAX_GRID_POINTS = 10_001
 
 _BUILTIN_CHANNELS = ("identity", "seal", "depolarizing", "dephasing")
@@ -77,12 +77,12 @@ def _fmt(value: float) -> str:
 
 
 def cmd_sweep(config: SweepConfig) -> int:
+    curve = analysis.seal_expected_mutual_information_grid(
+        config.x_grid, config.n_shots, config.p_announce, config.tail_tol
+    )
+    mismatch = analysis.seal_mismatch_probability_grid(config.x_grid)
     rows = []
-    for x in config.x_grid:
-        mi = analysis.seal_expected_mutual_information(
-            x, config.n_shots, config.p_announce, config.tail_tol
-        )
-        mm = analysis.mismatch_probability(seal_channel(x))
+    for x, mi, mm in zip(config.x_grid, curve, mismatch):
         rows.append(
             f"{_fmt(x)},{_fmt(mi.mi_bits)},{_fmt(mm.matched_basis_conditional)},"
             f"{_fmt(mm.per_shot)},{_fmt(mi.truncation_mass)}"
@@ -242,8 +242,10 @@ def cmd_validate_channel(path: str, n_shots: int, p_announce: float) -> int:
 
 # Built once per process: parse_args keeps no state in the parser, and
 # in-process callers of main would otherwise pay for the build every call.
+# Returns the top-level parser and each subcommand's parser by name, which
+# reports that subcommand's argument errors under its own usage line.
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="sealsim",
         description="Sealed-message protocol simulator and eavesdropping analysis",
@@ -279,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
     val.add_argument("--n", type=int, default=DEFAULT_N)
     val.add_argument("--pa", type=float, default=DEFAULT_PA)
 
-    return parser
+    return parser, {"sweep": sweep, "simulate": sim, "validate-channel": val}
 
 
 def _check_n_and_pa(n_shots: int, p_announce: float) -> None:
@@ -290,8 +292,9 @@ def _check_n_and_pa(n_shots: int, p_announce: float) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    top, commands = _build_parser()
+    args = top.parse_args(argv)
+    parser = commands[args.command]
 
     if args.command == "sweep":
         try:

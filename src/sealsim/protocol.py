@@ -67,8 +67,8 @@ from sealsim.qubit import (
     MeasurementResult,
     ProtocolPureState,
     apply_channel,
+    born_table,
     measurement_prob,
-    preparation_images,
     state_density,
 )
 from sealsim.textfile import write_atomic
@@ -334,12 +334,9 @@ class ShotSampler:
     """Per-channel sampler with the eight Born probabilities precomputed."""
 
     def __init__(self, eve: KrausChannel):
-        images = preparation_images(eve)
         self.channel = eve
         # Pr(+1) indexed by (preparation, basis), in _STATES and _BASES order
-        self._p_plus = np.array(
-            [[measurement_prob(images[s], b, MeasurementResult.PLUS) for b in _BASES] for s in _STATES]
-        )
+        self._p_plus = np.ascontiguousarray(born_table(eve)[:, :, 0])
 
     def _keys(self, p_announce, message_bit, preps, bases, u_result, u_announce):
         """Shot keys from variate columns (arrays of one shape, or scalars)."""

@@ -5,6 +5,14 @@ Born-rule probabilities for the two measurement observables used by the
 sealed-message protocol, plus the builtin channel families (identity,
 seal damping, depolarizing, dephasing).
 
+A channel keeps its Kraus operators as one read-only (m, 2, 2) array, and
+the channel algebra works on stacks: completeness, the images of the four
+preparation states and the Born table of every (preparation, basis,
+result) cell each take a few array calls over that array, in the same
+order of operations as mapping one state at a time, so the numbers agree
+bit for bit.  ``DensityMatrix`` and ``BlochVector`` are built only where
+the public API returns them.
+
 All values are immutable after construction and every function is pure,
 so everything here is safe to share across threads.
 """
@@ -13,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,6 +82,15 @@ _BASIS_MATRICES = {
     MeasurementBasis.SIGMA1: SIGMA_1,
     MeasurementBasis.SIGMA3: SIGMA_3,
 }
+
+# The four preparation states stacked in ProtocolPureState order.
+_STATE_STACK = np.array([_STATE_MATRICES[s] for s in ProtocolPureState])
+# I + m*sigma for each basis (MeasurementBasis order) and result
+# (MeasurementResult order: +1, then -1); Pr(m | basis) is half its trace
+# against the state.
+_BORN_OPERATORS = np.array(
+    [[IDENTITY + int(m) * _BASIS_MATRICES[b] for m in MeasurementResult] for b in MeasurementBasis]
+)
 
 
 def _frozen_array(values, shape) -> np.ndarray:
@@ -154,11 +171,14 @@ class KrausChannel:
 
     Construction checks shape and finiteness and silently drops operators of
     negligible Frobenius norm; completeness (sum of E_i^dag E_i equal to the
-    identity) is the job of :func:`validate_channel`.
+    identity) is the job of :func:`validate_channel`.  ``stack`` holds the
+    kept operators as one read-only (m, 2, 2) array, and ``operators`` are
+    views of its rows.
     """
 
     operators: tuple[np.ndarray, ...]
     label: str = ""
+    stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         ops = []
@@ -168,7 +188,10 @@ class KrausChannel:
                 ops.append(arr)
         if not ops:
             raise ValueError("a channel needs at least one non-zero Kraus operator")
-        object.__setattr__(self, "operators", tuple(ops))
+        stack = np.array(ops)
+        stack.setflags(write=False)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "operators", tuple(stack))
         object.__setattr__(self, "label", str(self.label))
 
 
@@ -225,11 +248,21 @@ def bloch_from_density(rho: DensityMatrix) -> BlochVector:
     return BlochVector(lam, (r1 / lam, r2 / lam, r3 / lam))
 
 
-def _apply_operators(operators, m: np.ndarray) -> np.ndarray:
-    out = np.zeros((2, 2), dtype=complex)
-    for op in operators:
-        out += op @ m @ op.conj().T
-    return out
+def _operator_sum(stacks: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """sum_i E_i rho E_i^dag for each stack (..., m, 2, 2) and each rho of ``states``.
+
+    ``states`` is one (2, 2) matrix or a (4, 2, 2) stack of them.  The terms
+    are added in operator order, as a loop over the operators would add them.
+    """
+    extra = states.ndim - 2
+    ops = stacks[(..., slice(None)) + (None,) * extra + (slice(None), slice(None))]
+    return (ops @ states @ ops.conj().swapaxes(-1, -2)).sum(axis=-3 - extra)
+
+
+def _completeness_deviation(stack: np.ndarray) -> float:
+    """Frobenius norm of sum_i E_i^dag E_i - I for one (m, 2, 2) stack."""
+    total = (stack.conj().swapaxes(-1, -2) @ stack).sum(axis=0)
+    return float(np.linalg.norm(total - IDENTITY))
 
 
 def validate_channel(ch: KrausChannel) -> ChannelValidation:
@@ -239,32 +272,31 @@ def validate_channel(ch: KrausChannel) -> ChannelValidation:
     channel fixes the maximally mixed state (zero Bloch radius of the image
     up to the completeness tolerance).
     """
-    total = np.zeros((2, 2), dtype=complex)
-    for op in ch.operators:
-        total += op.conj().T @ op
-    deviation = float(np.linalg.norm(total - IDENTITY))
+    deviation = _completeness_deviation(ch.stack)
     passes = deviation <= COMPLETENESS_TOL
     if not passes:
         return ChannelValidation(deviation, False, None, False)
-    image = _apply_operators(ch.operators, 0.5 * IDENTITY)
+    image = _operator_sum(ch.stack, 0.5 * IDENTITY)
     bloch = bloch_from_density(DensityMatrix(image))
     return ChannelValidation(deviation, True, bloch, bloch.lam <= COMPLETENESS_TOL)
+
+
+def _incomplete(ch: KrausChannel, deviation: float) -> ValueError:
+    return ValueError(f"channel {ch.label!r} fails completeness (deviation {deviation:.3e})")
 
 
 def _require_complete(ch: KrausChannel) -> None:
     report = validate_channel(ch)
     if not report.passes:
-        raise ValueError(
-            f"channel {ch.label!r} fails completeness (deviation {report.deviation:.3e})"
-        )
+        raise _incomplete(ch, report.deviation)
 
 
-def _map_state(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
-    """The operator sum, re-hermitized and trace-normalized; the caller validates."""
-    out = _apply_operators(ch.operators, rho.matrix)
-    out = 0.5 * (out + out.conj().T)
-    out /= out[0, 0].real + out[1, 1].real
-    return DensityMatrix(out)
+def _map_states(stacks: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The operator sum of each state, re-hermitized and trace-normalized."""
+    out = _operator_sum(stacks, states)
+    out = 0.5 * (out + out.conj().swapaxes(-1, -2))
+    out /= (out[..., 0, 0].real + out[..., 1, 1].real)[..., None, None]
+    return out
 
 
 def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
@@ -274,7 +306,7 @@ def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     entries at the scale of the channel's completeness deviation.
     """
     _require_complete(ch)
-    return _map_state(ch, rho)
+    return DensityMatrix(_map_states(ch.stack, rho.matrix))
 
 
 def preparation_images(ch: KrausChannel) -> dict[ProtocolPureState, DensityMatrix]:
@@ -284,7 +316,8 @@ def preparation_images(ch: KrausChannel) -> dict[ProtocolPureState, DensityMatri
     validated once for all four.
     """
     _require_complete(ch)
-    return {s: _map_state(ch, state_density(s)) for s in ProtocolPureState}
+    images = _map_states(ch.stack, _STATE_STACK)
+    return {s: DensityMatrix(image) for s, image in zip(ProtocolPureState, images)}
 
 
 def measurement_prob(
@@ -294,6 +327,51 @@ def measurement_prob(
     sigma = _BASIS_MATRICES[basis]
     p = float((0.5 * np.trace((IDENTITY + int(m) * sigma) @ rho.matrix)).real)
     return min(max(p, 0.0), 1.0)
+
+
+def _born(stacks: np.ndarray) -> np.ndarray:
+    """The (..., 4, 2, 2) Born tables of complete (..., m, 2, 2) operator stacks."""
+    images = _map_states(stacks, _STATE_STACK)[..., None, None, :, :]
+    probs = (0.5 * np.trace(_BORN_OPERATORS @ images, axis1=-2, axis2=-1)).real
+    # clamped as measurement_prob's min(max(p, 0.0), 1.0), which keeps -0.0 and NaN
+    probs = np.where(probs < 0.0, 0.0, probs)
+    return np.where(probs > 1.0, 1.0, probs)
+
+
+def born_table(ch: KrausChannel) -> np.ndarray:
+    """Pr(result | basis) on the channel's image of each preparation state.
+
+    A read-only (4, 2, 2) array indexed by preparation (ProtocolPureState
+    order), basis (MeasurementBasis order) and result (+1, then -1).  Each
+    entry is the float that :func:`measurement_prob` gives on the matching
+    :func:`preparation_images` entry; the channel is validated once.
+    """
+    _require_complete(ch)
+    table = _born(ch.stack)
+    table.setflags(write=False)
+    return table
+
+
+def born_tables(channels) -> np.ndarray:
+    """:func:`born_table` of each channel, as one read-only (n, 4, 2, 2) array.
+
+    Each channel's completeness is checked as :func:`born_table` checks it,
+    and channels with the same number of operators share one set of array
+    calls over their stacked operators.
+    """
+    counts = []
+    for ch in channels:
+        deviation = _completeness_deviation(ch.stack)
+        if not deviation <= COMPLETENESS_TOL:
+            raise _incomplete(ch, deviation)
+        counts.append(len(ch.operators))
+    tables = np.empty((len(counts), 4, 2, 2))
+    counts = np.array(counts)
+    for m in set(counts.tolist()):
+        rows = np.flatnonzero(counts == m)
+        tables[rows] = _born(np.stack([channels[i].stack for i in rows]))
+    tables.setflags(write=False)
+    return tables
 
 
 def identity_channel() -> KrausChannel:

@@ -9,7 +9,9 @@ in the package uses.  A run's records are tallied by a literal loop, not by
 the package's code table, and formatted as transcript lines one f-string per
 record, not through the package's table of interned records.  A run's
 variate columns are drawn through numpy's own ``SeedSequence`` and
-``Generator``, which the package's raw-word column source must match.
+``Generator``, which the package's raw-word column source must match.  A
+channel's Born table is built one preparation state at a time, looping over
+the Kraus operators, as the package did before it stacked them.
 """
 
 import itertools
@@ -21,7 +23,15 @@ from scipy.stats import binom
 
 from sealsim.analysis import seal_class_masses
 from sealsim.protocol import BitAnnouncement
-from sealsim.qubit import MeasurementBasis, MeasurementResult, ProtocolPureState
+from sealsim.qubit import (
+    DensityMatrix,
+    MeasurementBasis,
+    MeasurementResult,
+    ProtocolPureState,
+    measurement_prob,
+    state_density,
+    validate_channel,
+)
 
 _LN2 = math.log(2.0)
 
@@ -223,3 +233,46 @@ def _draw(params, stream: int):
     n = params.n_shots
     rng = _stream_rng(params.seed, stream)
     return rng.integers(0, 4, n), rng.integers(0, 2, n), rng.random(n), rng.random(n)
+
+
+def _map_state(ch, rho):
+    """The operator sum of one state, re-hermitized and trace-normalized."""
+    out = np.zeros((2, 2), dtype=complex)
+    for op in ch.operators:
+        out += op @ rho.matrix @ op.conj().T
+    out = 0.5 * (out + out.conj().T)
+    out /= out[0, 0].real + out[1, 1].real
+    return DensityMatrix(out)
+
+
+def born_table_by_state(ch) -> np.ndarray:
+    """Pr(result | basis) per preparation state, as a (4, 2, 2) array.
+
+    Indexed by preparation, basis and result in enum order; each image is a
+    validated ``DensityMatrix`` and each entry a ``measurement_prob`` call.
+    """
+    report = validate_channel(ch)
+    if not report.passes:
+        raise ValueError(
+            f"channel {ch.label!r} fails completeness (deviation {report.deviation:.3e})"
+        )
+    images = {s: _map_state(ch, state_density(s)) for s in ProtocolPureState}
+    return np.array(
+        [
+            [
+                [measurement_prob(images[s], b, m) for m in MeasurementResult]
+                for b in MeasurementBasis
+            ]
+            for s in ProtocolPureState
+        ]
+    )
+
+
+def mismatch_by_state(ch) -> float:
+    """Per-shot mismatch: the four contradicting (state, basis, result) events, 1/8 each."""
+    table = born_table_by_state(ch)
+    events = ((2, 0, 1), (3, 0, 0), (0, 1, 1), (1, 1, 0))  # +|-1, -|+1, 0|-1, 1|+1
+    per_shot = 0.0
+    for cell in events:
+        per_shot += 0.125 * float(table[cell])
+    return per_shot

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.stats import binom
 
 from conftest import random_kraus_channel, rotated_channel
 from oracles import mi_bruteforce, seal_expected_mi_by_classes, seal_mi_by_classes
-from sealsim import qubit
+from sealsim import analysis, qubit
 from sealsim.analysis import (
     AnnouncementDistribution,
     MIResult,
@@ -20,6 +21,8 @@ from sealsim.analysis import (
     mutual_information_k,
     seal_class_masses,
     seal_expected_mutual_information,
+    seal_expected_mutual_information_grid,
+    seal_mismatch_probability_grid,
     seal_mutual_information_k,
 )
 from sealsim.qubit import (
@@ -468,3 +471,81 @@ def test_general_channel_mi_is_valid(n, pa, seed):
         mi = expected_mutual_information(bit_announcement_probs(ch), n, pa).mi_bits
         assert math.isfinite(mi)
         assert 0.0 <= mi <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# Whole-grid evaluation
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def damping_grids(draw):
+    """Sorted strengths from 0 to 1, repeats allowed, tiny ones included."""
+    return sorted([0.0, 1.0, *draw(st.lists(unit, max_size=8))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=300), unit, damping_grids())
+def test_grid_is_the_per_point_evaluation(n, pa, grid):
+    curve = seal_expected_mutual_information_grid(grid, n, pa)
+    assert len(curve) == len(grid)
+    for x, got in zip(grid, curve):
+        want = seal_expected_mutual_information(x, n, pa)
+        assert got.mi_bits.hex() == want.mi_bits.hex()
+        assert got.k_terms_used == want.k_terms_used
+        assert got.truncation_mass == want.truncation_mass
+    assert curve[0].mi_bits.hex() == (0.0).hex()  # x = 0 leaks exactly nothing
+    assert abs(curve[-1].mi_bits - (1.0 - (1.0 - pa / 2.0) ** n)) <= 1e-9
+    for x, got in zip(grid, seal_mismatch_probability_grid(grid)):
+        want = mismatch_probability(seal_channel(x))
+        assert got.per_shot.hex() == want.per_shot.hex()
+        assert got.matched_basis_conditional.hex() == want.matched_basis_conditional.hex()
+
+
+@pytest.mark.parametrize("block_cells", [1, 100])
+def test_grid_blocks_do_not_change_the_numbers(monkeypatch, block_cells):
+    grid = [0.0, 1e-300, 0.05, 0.3, 0.3, 0.75, 1.0]
+    want = [seal_expected_mutual_information(x, 60, 0.5) for x in grid]
+    monkeypatch.setattr(analysis, "_BLOCK_CELLS", block_cells)
+    assert seal_expected_mutual_information_grid(grid, 60, 0.5) == want
+
+
+def test_rows_of_a_general_channel_walk_as_they_walk_alone():
+    rng = np.random.default_rng(11)
+    rows = analysis._unit_rows(
+        [bit_announcement_probs(random_kraus_channel(rng, 3)).probs_given_b[0] for _ in range(5)]
+    )
+    lengths = [0, 1, 5, 17, 30]
+    together = analysis._mi_by_length(rows, lengths)
+    assert together.shape == (5, 5)
+    for row, got in zip(rows, together):
+        assert got.tobytes() == analysis._mi_by_length(row[None], lengths)[0].tobytes()
+    with pytest.raises(ValueError, match="collapse pattern"):
+        analysis._mi_by_length(np.vstack([rows[:1], analysis._damping_rows([0.5])]), lengths)
+
+
+def test_grid_rejects_a_strength_outside_0_1():
+    with pytest.raises(ValueError, match="damping strength"):
+        seal_expected_mutual_information_grid([0.0, 1.5], N_DEFAULT, PA_DEFAULT)
+    with pytest.raises(ValueError, match="announcement probability"):
+        seal_expected_mutual_information_grid([0.0, 0.5], N_DEFAULT, 1.5)
+    assert seal_expected_mutual_information_grid([], N_DEFAULT, PA_DEFAULT) == []
+
+
+def _grid_peak_bytes(points: int) -> int:
+    grid = [i / (points - 1) for i in range(points)]
+    tracemalloc.start()
+    try:
+        curve = seal_expected_mutual_information_grid(grid, N_DEFAULT, PA_DEFAULT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(curve) == points
+    return peak
+
+
+def test_grid_memory_does_not_grow_with_the_grid():
+    """The rows walk in blocks: a grid of 10001 points peaks at the memory of
+    a 101-point one plus its own results and input rows (about 200 bytes a
+    point); walked all at once, its lattices alone would take over 20 MB."""
+    assert _grid_peak_bytes(10_001) <= _grid_peak_bytes(101) + 3 * 2**20

@@ -103,6 +103,36 @@ def test_sweep_grid_above_the_point_limit_exits_2(tmp_path, capsys, step):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, command",
+    [
+        (["sweep", "--grid-step", "1e-6", "--out", "x.csv"], "sweep"),
+        (["sweep", "--tail-tol", "0.1", "--out", "x.csv"], "sweep"),
+        (["simulate", "--channel", "seal", "--x", "0.5", "--trials", "0"], "simulate"),
+        (["simulate", "--channel", "seal"], "simulate"),
+        (["simulate", "--channel", "depolarizing", "--x", "2"], "simulate"),
+        (["validate-channel", "channel.json", "--pa", "2"], "validate-channel"),
+    ],
+    ids=[
+        "sweep-grid-step",
+        "sweep-tail-tol",
+        "simulate-trials",
+        "simulate-no-x",
+        "simulate-bad-x",
+        "validate-pa",
+    ],
+)
+def test_argument_errors_show_the_subcommand_usage(tmp_path, monkeypatch, capsys, argv, command):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert stderr.splitlines()[0].startswith(f"usage: sealsim {command} ")
+    assert f"sealsim {command}: error: " in stderr
+    assert "Traceback" not in stderr
+
+
 def test_sweep_grid_at_the_point_limit_is_accepted():
     grid = _default_grid(1e-4)
     assert len(grid) == MAX_GRID_POINTS

@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_kraus_channel, rotated_channel
-from oracles import _draw, tally_by_loop, transcript_lines_by_record
+from oracles import (
+    _draw,
+    born_table_by_state,
+    mismatch_by_state,
+    tally_by_loop,
+    transcript_lines_by_record,
+)
 from sealsim import protocol, qubit
 from sealsim.analysis import bit_announcement_probs, mismatch_probability
 from sealsim.protocol import (
@@ -104,6 +110,64 @@ def test_sampler_validates_the_channel_once(monkeypatch):
     half = KrausChannel((np.diag([1.0, 0.5]),), label="half")
     with pytest.raises(ValueError, match=r"channel 'half' fails completeness \(deviation 7.500e-01\)"):
         ShotSampler(half)
+
+
+@st.composite
+def channels(draw):
+    """A builtin channel at a drawn strength, or a random channel of 1 to 4 operators."""
+    kind = draw(st.sampled_from(["seal", "depolarizing", "dephasing", "identity", "random"]))
+    strength = draw(st.floats(min_value=0.0, max_value=1.0))
+    if kind == "seal":
+        return seal_channel(strength)
+    if kind == "depolarizing":
+        return depolarizing_channel(strength)
+    if kind == "dephasing":
+        return dephasing_channel()
+    if kind == "identity":
+        return identity_channel()
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return random_kraus_channel(np.random.default_rng(seed), draw(st.integers(1, 4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(channels())
+def test_born_table_is_the_per_state_path(channel):
+    """The stacked Born table is the per-state one bit for bit: the Monte
+    Carlo compares its variates against these very floats."""
+    want = born_table_by_state(channel)
+    assert ShotSampler(channel)._p_plus.tobytes() == np.ascontiguousarray(want[:, :, 0]).tobytes()
+    assert qubit.born_table(channel).tobytes() == want.tobytes()
+    assert qubit.born_tables([channel, seal_channel(0.5)])[0].tobytes() == want.tobytes()
+    assert abs(mismatch_probability(channel).per_shot - mismatch_by_state(channel)) <= 1e-15
+
+
+def test_born_tables_group_channels_by_operator_count():
+    mixed = [
+        seal_channel(0.0),
+        random_kraus_channel(np.random.default_rng(1), 3),
+        seal_channel(0.3),
+        depolarizing_channel(0.2),
+        seal_channel(1.0),
+    ]
+    tables = qubit.born_tables(mixed)
+    assert tables.shape == (5, 4, 2, 2) and not tables.flags.writeable
+    for channel, table in zip(mixed, tables):
+        assert table.tobytes() == born_table_by_state(channel).tobytes()
+    assert qubit.born_tables([]).shape == (0, 4, 2, 2)
+
+
+def test_born_table_rejects_an_incomplete_channel_as_before():
+    half = KrausChannel((np.diag([1.0, 0.5]),), label="half")
+    message = r"channel 'half' fails completeness \(deviation 7.500e-01\)"
+    for call in (
+        lambda: born_table_by_state(half),
+        lambda: ShotSampler(half),
+        lambda: mismatch_probability(half),
+        lambda: qubit.born_table(half),
+        lambda: qubit.born_tables([seal_channel(0.5), half]),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_run_shot_coding_rule():

@@ -253,6 +253,17 @@ def test_kraus_channel_construction():
         KrausChannel((np.array([[np.inf, 0], [0, 1]]),))
 
 
+def test_kraus_channel_keeps_one_read_only_stack():
+    ch = random_kraus_channel(np.random.default_rng(2), 3)
+    assert ch.stack.shape == (3, 2, 2) and not ch.stack.flags.writeable
+    for op, row in zip(ch.operators, ch.stack):
+        assert np.array_equal(op, row) and not op.flags.writeable
+    with pytest.raises(ValueError):
+        ch.stack[0, 0, 0] = 2.0
+    assert seal_channel(0.0).stack.shape == (1, 2, 2)  # zero operator dropped
+    assert "stack" not in repr(ch)
+
+
 def test_depolarizing_channel():
     assert np.abs(
         apply_channel(depolarizing_channel(1.0), state_density(ProtocolPureState.PLUS)).matrix
