@@ -181,6 +181,10 @@ def _lattice_mi(lattice: np.ndarray) -> np.ndarray:
     with p0(s) = 0 add an exact 0 to their row's sum.
     """
     rows = len(lattice)
+    if lattice.size == rows:
+        # one cell, s = 0: p0(s) / (p0(s) + p0(-s)) is exactly 1/2, so a
+        # row's information is exactly 1 - p0(0)
+        return 1.0 - lattice.reshape(rows)
     p = lattice.reshape(rows, -1)
     q = lattice[:, ::-1, ::-1].reshape(rows, -1)
     seen = p > 0.0
@@ -188,7 +192,12 @@ def _lattice_mi(lattice: np.ndarray) -> np.ndarray:
     if seen.all():
         np.divide(p, ratio, out=ratio)
     else:
-        ratio = np.divide(p, ratio, out=np.ones_like(p), where=seen)
+        # the ratio of a cell with p0(s) = 0 becomes 0/(q + 1) + 1 = 1, and the
+        # exact zeros added elsewhere change nothing
+        unseen = ~seen
+        ratio += unseen
+        np.divide(p, ratio, out=ratio)
+        ratio += unseen
     np.log2(ratio, out=ratio)
     ratio *= p
     return 1.0 + np.add.reduce(ratio, axis=1)
@@ -483,8 +492,9 @@ def mismatch_probability(eve: KrausChannel) -> MismatchProbability:
 def seal_mismatch_probability_grid(x_grid) -> list[MismatchProbability]:
     """:func:`mismatch_probability` of the damping channel at every strength of ``x_grid``.
 
-    The Born tables of the whole grid come from one stacked computation,
-    and each result equals, bit for bit, the single-channel one.
+    The Born tables of the grid's channels are computed together (one set
+    of array calls per operator count), and each result equals, bit for
+    bit, the single-channel one.
     """
     per_shot = _mismatch_per_shot(born_tables([seal_channel(x) for x in x_grid]))
     return [MismatchProbability(p, 2.0 * p) for p in per_shot.tolist()]

@@ -524,6 +524,14 @@ def test_rows_of_a_general_channel_walk_as_they_walk_alone():
         analysis._mi_by_length(np.vstack([rows[:1], analysis._damping_rows([0.5])]), lengths)
 
 
+def test_a_single_cell_reads_as_the_general_formula():
+    """A unital channel's lattice is one cell a row, read as 1 - p0(0)."""
+    p = np.array([1.0, 0.75, 0.3, 1e-300, 5e-324, 0.0])
+    ratio = np.divide(p, p + p, out=np.ones_like(p), where=p > 0.0)
+    want = 1.0 + p * np.log2(ratio)
+    assert analysis._lattice_mi(p[:, None, None]).tobytes() == want.tobytes()
+
+
 def test_grid_rejects_a_strength_outside_0_1():
     with pytest.raises(ValueError, match="damping strength"):
         seal_expected_mutual_information_grid([0.0, 1.5], N_DEFAULT, PA_DEFAULT)
