@@ -10,8 +10,8 @@ the channel algebra works on stacks: completeness, the images of the four
 preparation states and the Born table of every (preparation, basis,
 result) cell each take a few array calls over that array, in the same
 order of operations as mapping one state at a time, so the numbers agree
-bit for bit.  ``DensityMatrix`` and ``BlochVector`` are built only where
-the public API returns them.
+bit for bit.  The Born table builds no ``DensityMatrix``; the functions
+that return density matrices still validate each one.
 
 All values are immutable after construction and every function is pure,
 so everything here is safe to share across threads.
@@ -355,9 +355,10 @@ def born_table(ch: KrausChannel) -> np.ndarray:
 def born_tables(channels) -> np.ndarray:
     """:func:`born_table` of each channel, as one read-only (n, 4, 2, 2) array.
 
-    Each channel's completeness is checked as :func:`born_table` checks it,
-    and channels with the same number of operators share one set of array
-    calls over their stacked operators.
+    Each channel's completeness deviation is checked against the same
+    tolerance, with the same message, as :func:`born_table` checks it, and
+    channels with the same number of operators share one set of array calls
+    over their stacked operators.
     """
     counts = []
     for ch in channels:
