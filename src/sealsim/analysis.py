@@ -191,14 +191,11 @@ def _lattice_mi(lattice: np.ndarray) -> np.ndarray:
     ratio = p + q
     if seen.all():
         np.divide(p, ratio, out=ratio)
+        np.log2(ratio, out=ratio)
     else:
-        # the ratio of a cell with p0(s) = 0 becomes 0/(q + 1) + 1 = 1, and the
-        # exact zeros added elsewhere change nothing
-        unseen = ~seen
-        ratio += unseen
-        np.divide(p, ratio, out=ratio)
-        ratio += unseen
-    np.log2(ratio, out=ratio)
+        # a cell with p0(s) = 0 keeps its finite p0(-s), and its term is 0
+        np.divide(p, ratio, out=ratio, where=seen)
+        np.log2(ratio, out=ratio, where=seen)
     ratio *= p
     return 1.0 + np.add.reduce(ratio, axis=1)
 
