@@ -44,10 +44,16 @@ Every record carries its key, computed once when it is made, and the
 64 records, their public (basis, announcement) entries and their transcript
 fields are tables indexed by key.  ``run_protocol`` tallies its one run and
 picks its records and public entries from those tables; ``bob_decode`` and
-``tally_mismatches`` tally the keys of the records they are given, and
-``transcript_lines`` looks each record's CSV fields up by key, so a
-hand-built record counts and prints like any other.  ``export_transcript``
-writes atomically.
+``tally_mismatches`` tally the keys of the records they are given, so a
+hand-built record counts and prints like any other.
+
+A transcript is built as bytes with no Python work per line beyond reading
+each record's key.  A (64, width) uint8 table holds each key's
+``",<fields>\n"`` padded with NUL.  Each row of one block over a byte
+buffer gets its shot index's digits, NUL-padded on the left, then its key's
+row of that table, and the padding is deleted from the buffer.
+``export_transcript`` writes the comments, the header and those bytes
+atomically, and ``transcript_lines`` is the header followed by their lines.
 """
 
 from __future__ import annotations
@@ -55,7 +61,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -249,6 +254,24 @@ def _line_fields(rec: ShotRecord) -> tuple[str, str]:
 # fields of each record.
 _LINE_FIELDS = tuple(zip(*map(_line_fields, _RECORDS)))
 
+_HEADERS = (
+    "shot_index,prep,basis,result,announcement_kind,announced_value",
+    "shot_index,basis,announcement_kind,announced_value",
+)
+
+
+def _line_table(fields) -> np.ndarray:
+    """A (keys, width) uint8 table: row k is ``",<fields[k]>\n"``, NUL-padded."""
+    rows = [f",{f}\n".encode() for f in fields]
+    width = max(map(len, rows))
+    table = b"".join(row.ljust(width, b"\0") for row in rows)
+    return np.frombuffer(table, dtype=np.uint8).reshape(len(rows), width)
+
+
+# _LINE_TABLES[public][key]: _LINE_FIELDS as padded bytes, one row per key
+_LINE_TABLES = tuple(map(_line_table, _LINE_FIELDS))
+_DIGITS = np.frombuffer(b"0123456789", dtype=np.uint8)
+
 
 # Columns of a tally after the four bit-announcement counts.
 _MATCHED_RA, _MISMATCH, _VOTE, _VOTE_ONE = 4, 5, 6, 7
@@ -310,9 +333,13 @@ def _tally(counts: np.ndarray) -> _Tally:
     return _Tally(counts[:, :4], counts[:, _MATCHED_RA], counts[:, _MISMATCH], votes, decoded)
 
 
+def _record_keys(shots) -> np.ndarray:
+    """The keys of the records ``shots``, in order, as one intp array."""
+    return np.fromiter(map(operator.attrgetter("_key"), shots), dtype=np.intp)
+
+
 def _tally_records(shots) -> _Tally:
-    keys = np.array([rec._key for rec in shots], dtype=np.int64)
-    return _tally(_counts(keys.reshape(1, -1)))
+    return _tally(_counts(_record_keys(shots).reshape(1, -1)))
 
 
 def _shot_keys(cell, p_plus, u_result, u_announce, message_bit, p_announce):
@@ -783,18 +810,53 @@ def information_density(
     return values
 
 
-def transcript_lines(shots, public: bool = False):
-    """CSV lines for a run's records (full, or the public projection)."""
-    if public:
-        header = "shot_index,basis,announcement_kind,announced_value"
-    else:
-        header = "shot_index,prep,basis,result,announcement_kind,announced_value"
-    fields = _LINE_FIELDS[public]
-    return chain((header,), [f"{idx},{fields[rec._key]}" for idx, rec in enumerate(shots)])
+def _write_index_digits(block: np.ndarray) -> None:
+    """Fill an (n, width) uint8 block with the digits of 0 .. n-1, NUL-padded on the left.
+
+    Column j holds the digits of place ``width - 1 - j``: a cycle of
+    "0".."9", each repeated 10**place times.  A row below 10**place has no
+    digit there, which is NUL.
+    """
+    n, width = block.shape
+    for place in range(width):
+        run = 10**place
+        column = block[:, width - 1 - place]
+        column[:] = np.tile(np.repeat(_DIGITS, run), -(-n // (10 * run)))[:n]
+        if place:
+            column[:run] = 0
+
+
+def _transcript_body(shots, public: bool) -> bytearray:
+    """The CSV lines after the header, each ending in a newline, as one buffer.
+
+    A line is its shot index's digits followed by the record's row of
+    ``_LINE_TABLES``.  Both are written, NUL-padded, into the rows of one
+    (n, width) block over the buffer, and the padding is deleted.
+    """
+    keys = _record_keys(shots)
+    table = _LINE_TABLES[public]
+    n = len(keys)
+    digits = len(str(n - 1)) if n else 0
+    width = digits + table.shape[1]
+    buffer = bytearray(n * width)
+    block = np.frombuffer(buffer, dtype=np.uint8).reshape(n, width)
+    _write_index_digits(block[:, :digits])
+    block[:, digits:] = table.take(keys, axis=0)
+    return buffer.translate(None, b"\0")
+
+
+def transcript_lines(shots, public: bool = False) -> list[str]:
+    """CSV lines for a run's records (full, or the public projection).
+
+    The header, then the lines of the bytes :func:`export_transcript` writes.
+    """
+    return [_HEADERS[public], *_transcript_body(shots, public).decode().splitlines()]
 
 
 def export_transcript(shots, path: str | Path, public: bool = False, comments=()) -> None:
-    """Write :func:`transcript_lines` after ``#`` comment lines, atomically."""
-    lines = [f"# {c}" for c in comments]
-    lines.extend(transcript_lines(shots, public=public))
-    write_atomic(path, "\n".join(lines) + "\n")
+    """Write ``#`` comment lines, then :func:`transcript_lines`, atomically.
+
+    The file is one byte string: the comments and header, then the body.
+    """
+    head = "".join(f"# {c}\n" for c in comments) + _HEADERS[public] + "\n"
+    write_atomic(path, head.encode() + _transcript_body(shots, public))

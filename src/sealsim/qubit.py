@@ -276,7 +276,10 @@ def validate_channel(ch: KrausChannel) -> ChannelValidation:
     passes = deviation <= COMPLETENESS_TOL
     if not passes:
         return ChannelValidation(deviation, False, None, False)
+    # a channel within the gate may scale the trace by up to about 1e-10,
+    # beyond DensityMatrix's tolerance, so the image is normalized
     image = _operator_sum(ch.stack, 0.5 * IDENTITY)
+    image /= image[0, 0].real + image[1, 1].real
     bloch = bloch_from_density(DensityMatrix(image))
     return ChannelValidation(deviation, True, bloch, bloch.lam <= COMPLETENESS_TOL)
 

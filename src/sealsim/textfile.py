@@ -1,4 +1,4 @@
-"""Whole-file text output: a file is either fully written or left untouched."""
+"""Whole-file output: a file is either fully written or left untouched."""
 
 from __future__ import annotations
 
@@ -7,8 +7,10 @@ import tempfile
 from pathlib import Path
 
 
-def write_atomic(path: str | Path, text: str) -> None:
-    """Write ``text`` to a temporary file beside ``path``, then rename it.
+def write_atomic(path: str | Path, data: str | bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path``, then rename it.
+
+    ``bytes`` are written as they are; ``str`` is written in text mode.
 
     On any failure the temporary file is removed and the exception
     propagates; an existing file at ``path`` keeps its old contents.
@@ -16,8 +18,8 @@ def write_atomic(path: str | Path, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sealsim-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as handle:
+            handle.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -1,10 +1,15 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import random_kraus_channel
+import sealsim
 from sealsim import protocol
 from sealsim.channel_file import save_channel
 from sealsim.cli import MAX_GRID_POINTS, SweepConfig, _default_grid, main
@@ -550,3 +555,81 @@ def test_validate_channel_parse_error_exit_2(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert main(["validate-channel", str(missing)]) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot read {missing}: ")
+
+
+# Channels whose completeness deviation lies just inside or just outside the
+# gate (1e-10).  A scaled identity leaves the maximally mixed state mixed; a
+# scaled reset to |0> takes it to a pure state, whose unnormalized image has
+# a Bloch radius above 1.
+_SCALE_INSIDE, _SCALE_OUTSIDE = "1.00000000003", "1.00000000004"
+
+
+def _scaled_identity(scale: str) -> str:
+    return f'{{"label": "scaled", "operators": [[[[{scale},0],[0,0]],[[0,0],[{scale},0]]]]}}'
+
+
+def _scaled_reset(scale: str) -> str:
+    return (
+        f'{{"label": "reset", "operators": [[[[{scale},0],[0,0]],[[0,0],[0,0]]], '
+        f'[[[0,0],[{scale},0]],[[0,0],[0,0]]]]}}'
+    )
+
+
+@pytest.mark.parametrize("document", [_scaled_identity, _scaled_reset])
+def test_validate_channel_within_the_gate_passes(tmp_path, capsys, document):
+    path = tmp_path / "near.json"
+    path.write_text(document(_SCALE_INSIDE))
+    assert main(["validate-channel", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "verdict = PASS" in out
+    values = dict(line.split(" = ", 1) for line in out.splitlines() if " = " in line)
+    assert 5e-11 < float(values["completeness_deviation"]) <= 1e-10
+    assert float(values["chaotic_image_lambda"]) == (0.0 if document is _scaled_identity else 1.0)
+
+
+@pytest.mark.parametrize("document", [_scaled_identity, _scaled_reset])
+def test_validate_channel_just_above_the_gate_fails(tmp_path, capsys, document):
+    path = tmp_path / "above.json"
+    path.write_text(document(_SCALE_OUTSIDE))
+    assert main(["validate-channel", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "verdict = FAIL" in out
+    assert "chaotic_image_lambda" not in out
+
+
+@pytest.mark.parametrize("document", [_scaled_identity, _scaled_reset])
+def test_simulate_channel_at_the_gate(tmp_path, capsys, document):
+    path = tmp_path / "near.json"
+    path.write_text(document(_SCALE_INSIDE))
+    assert main(["simulate", "--channel-file", str(path), "--trials", "20"]) == 0
+    assert "mismatch_conditional" in capsys.readouterr().out
+    path.write_text(document(_SCALE_OUTSIDE))
+    assert main(["simulate", "--channel-file", str(path), "--trials", "20"]) == 1
+    assert "fails completeness" in capsys.readouterr().err
+
+
+def test_python_dash_m_sealsim_runs_from_a_source_tree(tmp_path):
+    """``python -m sealsim`` works with only the source tree on the path, and
+    keeps the documented exit codes without a traceback."""
+    good, incomplete = tmp_path / "good.json", tmp_path / "half.json"
+    save_channel(seal_channel(0.5), good)
+    incomplete.write_text('{"label": "half", "operators": [[[[1,0],[0,0]],[[0,0],[0.5,0]]]]}')
+    src = str(Path(sealsim.__file__).resolve().parents[1])
+    path_entries = (src, os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
+    for path, code, verdict in (
+        (good, 0, "verdict = PASS"),
+        (incomplete, 1, "verdict = FAIL"),
+        (tmp_path / "missing.json", 2, ""),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "sealsim", "validate-channel", str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=tmp_path,
+            timeout=120,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert verdict in proc.stdout
+        assert "Traceback" not in proc.stderr

@@ -49,6 +49,7 @@ from sealsim.qubit import (
     identity_channel,
     seal_channel,
 )
+from sealsim.textfile import write_atomic
 
 ZERO, ONE = ProtocolPureState.ZERO, ProtocolPureState.ONE
 PLUS, MINUS = ProtocolPureState.PLUS, ProtocolPureState.MINUS
@@ -411,6 +412,28 @@ def test_export_transcript_keeps_the_old_file_when_the_write_fails(tmp_path, mon
     assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
 
 
+def test_write_atomic_keeps_the_old_file_when_a_bytes_write_fails(tmp_path, monkeypatch):
+    path = tmp_path / "run.csv"
+    path.write_bytes(b"old\n")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        write_atomic(path, b"new\n")
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
+
+
+def test_write_atomic_writes_bytes_as_they_are(tmp_path):
+    data = b"a,b\r\nc\x00\xff\n"
+    write_atomic(tmp_path / "raw", data)
+    assert (tmp_path / "raw").read_bytes() == data
+    write_atomic(tmp_path / "text", "a,b\nc\n")
+    assert (tmp_path / "text").read_bytes() == b"a,b\nc\n"
+
+
 # the 64 record values, indexed by key; run_protocol and ShotSampler return
 # these objects
 _INTERNED_RECORDS = list(protocol._RECORDS)
@@ -453,6 +476,51 @@ def test_transcript_lines_match_record_oracle(shots):
     for public in (False, True):
         want = list(transcript_lines_by_record(shots, public=public))
         assert list(transcript_lines(shots, public=public)) == want
+
+
+# run lengths on either side of each change in the shot index's digit count
+_RUN_LENGTHS = (0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 10001)
+
+# every record value, hand-built rather than interned: the announcement is
+# any of the four, so coded bits disagree with each other and announced
+# results with the result
+_HAND_BUILT_RECORDS = [
+    ShotRecord(prep, basis, result, announcement)
+    for prep in ProtocolPureState
+    for basis in (S1, S3)
+    for result in (UP, DOWN)
+    for announcement in (
+        BitAnnouncement(0),
+        BitAnnouncement(1),
+        ResultAnnouncement(UP),
+        ResultAnnouncement(DOWN),
+    )
+]
+
+
+def _mixed_run(n: int) -> list[ShotRecord]:
+    pool = _INTERNED_RECORDS + _HAND_BUILT_RECORDS
+    return [pool[i] for i in np.random.default_rng(n).integers(len(pool), size=n)]
+
+
+@pytest.mark.parametrize("n", _RUN_LENGTHS)
+def test_transcript_lines_match_record_oracle_across_digit_widths(n):
+    shots = _mixed_run(n)
+    for public in (False, True):
+        want = list(transcript_lines_by_record(shots, public=public))
+        assert list(transcript_lines(shots, public=public)) == want
+
+
+@pytest.mark.parametrize("n", _RUN_LENGTHS)
+def test_export_transcript_bytes_are_comments_then_oracle_lines(tmp_path, n):
+    shots = _mixed_run(n)
+    comments = ("sealsim transcript", f"n_shots = {n}")
+    for public in (False, True):
+        path = tmp_path / f"run-{public}.csv"
+        export_transcript(shots, path, public=public, comments=comments)
+        lines = [f"# {c}" for c in comments]
+        lines.extend(transcript_lines_by_record(shots, public=public))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 # ---------------------------------------------------------------------------

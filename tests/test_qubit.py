@@ -220,6 +220,21 @@ def test_validate_channel_reports():
     assert np.abs(np.array(seal.chaotic_image.v) - (0.0, 0.0, 1.0)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("scale", [1.0 + 3e-11, 1.0 - 3e-11])
+def test_validate_channel_reports_a_channel_complete_within_the_gate(scale):
+    """The image of I/2 is normalized, so a trace off by the channel's
+    deviation gets a report instead of a DensityMatrix error."""
+    scaled = validate_channel(KrausChannel((scale * IDENTITY,), label="scaled"))
+    assert scaled.passes and 5e-11 < scaled.deviation <= 1e-10
+    assert scaled.unital and scaled.chaotic_image.lam == 0.0
+
+    reset = KrausChannel((scale * np.diag([1.0, 0.0]), scale * np.array([[0.0, 1.0], [0.0, 0.0]])))
+    report = validate_channel(reset)
+    assert report.passes and not report.unital
+    assert abs(report.chaotic_image.lam - 1.0) <= 1e-15
+    assert report.chaotic_image.v == (0.0, 0.0, 1.0)
+
+
 def test_apply_channel_rejects_incomplete_set():
     with pytest.raises(ValueError):
         apply_channel(KrausChannel((np.diag([1.0, 0.5]),)), maximally_mixed())
