@@ -15,8 +15,21 @@ evaluator serves every channel: it walks string lengths upward on the
 each step, and reads off the per-length information at the lengths the
 binomial weighting keeps.  A basis whose two symbols are equally likely
 carries no information, and its axis collapses: the damping family walks a
-line, unital channels a single cell.  Memory is O(k^2) at length k (O(k)
-on a line).
+line, unital channels a single cell.
+
+The walk allocates nothing per step.  The lattice lives in one flat buffer
+sized for the longest kept length, with a buffer of products beside it: a
+step is one multiply of the lattice's window by every move's weight and
+one add per further move, each on a contiguous range (a line of the
+damping family is three numpy calls a step), and a single cell's walk is
+one ``np.multiply.accumulate``.  The lattice at each kept length is copied
+into a store of at most ``_BLOCK_CELLS`` cells, and the logarithms of a
+whole store are taken in one pass; each length's sum is still one
+``np.add.reduce`` over its own cells.  Every result is, bit for bit, that
+of the walk on growing arrays, one step and one length at a time.  Memory
+is the lattice at the longest length, k^2 cells at length k (2k + 1 on a
+line), once for the lattice and once for each move's products, plus the
+store.
 
 The evaluator walks a stack of distributions that share a collapse
 pattern at once, each row with the numbers it would get alone.  A sweep
@@ -31,6 +44,7 @@ message bounds every result by 1.  0 * log 0 is 0 throughout.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -38,6 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from sealsim.qubit import (
+    ChannelValidation,
     KrausChannel,
     MeasurementBasis,
     MeasurementResult,
@@ -53,6 +68,10 @@ _DEFAULT_TAIL_TOL = 1e-12
 # Lattice cells, at the longest kept length, of one block of rows walked
 # together: each array of a block's walk is at most 128 KiB.
 _BLOCK_CELLS = 1 << 14
+# Cells of arithmetic a walk step may spend beyond its lattice, so that a
+# narrow walk re-slices its views every few steps: slicing a step's views
+# costs about as much as a step's arithmetic on a few hundred cells.
+_AHEAD_CELLS = 256
 
 
 @dataclass(frozen=True)
@@ -141,15 +160,19 @@ def _log_factorials(n: int) -> np.ndarray:
     return table
 
 
-def bit_announcement_probs(eve: KrausChannel) -> AnnouncementDistribution:
+def bit_announcement_probs(
+    eve: KrausChannel, report: ChannelValidation | None = None
+) -> AnnouncementDistribution:
     """Single-announcement probabilities induced by the channel.
 
     Only the image of the maximally mixed state matters: with Bloch
     coordinates (lam, v) of that image,
     Pr(sigma_i, c=b | b) = (1 + lam*v_i)/4 and
-    Pr(sigma_i, c!=b | b) = (1 - lam*v_i)/4 for i in {1, 3}.
+    Pr(sigma_i, c!=b | b) = (1 - lam*v_i)/4 for i in {1, 3}.  ``report`` is
+    the channel's :func:`validate_channel` report, when the caller has it.
     """
-    report = validate_channel(eve)
+    if report is None:
+        report = validate_channel(eve)
     if not report.passes:
         raise ValueError(
             f"channel {eve.label!r} fails completeness (deviation {report.deviation:.3e})"
@@ -168,27 +191,48 @@ def _unit_rows(probs) -> np.ndarray:
     return probs / np.fromiter(map(math.fsum, probs), float, len(probs))[:, None]
 
 
-def _lattice_mi(lattice: np.ndarray) -> np.ndarray:
-    """I(s : message) in bits per row of net-vote distributions given b = 0.
+def _walk_moves(moving1: bool, moving3: bool) -> tuple[tuple[int, ...], ...]:
+    """Each symbol's move on the lattice's moving axes, in symbol order.
 
-    Flipping the message negates every net vote, so p1(s) = p0(-s), and the
-    information is 1 - H(message | s) with
-    H = sum_s p0(s) log2((p0(s) + p0(-s)) / p0(s)).  The ratio inside the log
-    never has an underflowed divisor, and each term is non-negative, so the
-    result never exceeds 1.  (Writing 1 as sum_s p0(s) gives the
-    Jensen-Shannon form sum_s p0(s) log2(2 p0(s) / (p0(s) + p0(-s))); using
-    the exact 1 keeps the lattice's rounded mass out of the result.)  Cells
-    with p0(s) = 0 add an exact 0 to their row's sum.
+    A basis whose two symbols are equally likely has a collapsed axis: it
+    never grows, and its announcements are "stay" moves.  On a line (one
+    moving axis) a symbol moves the net vote by +1, -1 or 0.  When neither
+    axis collapses, s1 + s3 has the parity of k, and the lattice is kept in
+    the coordinates u = (k + s1 + s3)/2, v = (k + s1 - s3)/2 so that no cell
+    of the wrong parity is stored; a symbol moves (u, v) by 0 or 1 on each.
+    With both axes collapsed the lattice is one cell, and every move stays.
     """
-    rows = len(lattice)
-    if lattice.size == rows:
-        # one cell, s = 0: p0(s) / (p0(s) + p0(-s)) is exactly 1/2, so a
-        # row's information is exactly 1 - p0(0)
-        return 1.0 - lattice.reshape(rows)
-    p = lattice.reshape(rows, -1)
-    q = lattice[:, ::-1, ::-1].reshape(rows, -1)
+    if moving1 and moving3:
+        return ((1, 1), (0, 0), (1, 0), (0, 1))
+    if moving1:
+        return ((1,), (-1,), (0,), (0,))
+    if moving3:
+        return ((0,), (0,), (1,), (-1,))
+    return ((),) * 4
+
+
+def _cells(axes: int, k: int) -> int:
+    """Lattice cells of one row at length k, with ``axes`` moving axes."""
+    return (2 * k + 1, (k + 1) ** 2)[axes - 1] if axes else 1
+
+
+def _read_out(p: np.ndarray, ratio: np.ndarray, segments, out: np.ndarray) -> None:
+    """I(s : message) in bits, less 1, of each segment of net-vote distributions given b = 0.
+
+    ``ratio`` holds p0(s) + p0(-s) at the cells of ``p``, which holds p0(s);
+    each (column, cells) segment is a (rows..., cells) view into ``ratio``
+    whose sums go to that column of ``out``.  Flipping the message negates
+    every net vote, so p1(s) = p0(-s), and the information is
+    1 - H(message | s) with H = sum_s p0(s) log2((p0(s) + p0(-s)) / p0(s)).
+    The ratio inside the log never has an underflowed divisor, and each
+    term is non-negative, so the result never exceeds 1.  (Writing 1 as
+    sum_s p0(s) gives the Jensen-Shannon form
+    sum_s p0(s) log2(2 p0(s) / (p0(s) + p0(-s))); using the exact 1 keeps
+    the lattice's rounded mass out of the result.)  Cells with p0(s) = 0
+    add an exact 0 to their segment's sum, and each segment is one
+    ``np.add.reduce``, so its summation order is that of its cells alone.
+    """
     seen = p > 0.0
-    ratio = p + q
     if seen.all():
         np.divide(p, ratio, out=ratio)
         np.log2(ratio, out=ratio)
@@ -197,25 +241,140 @@ def _lattice_mi(lattice: np.ndarray) -> np.ndarray:
         np.divide(p, ratio, out=ratio, where=seen)
         np.log2(ratio, out=ratio, where=seen)
     ratio *= p
-    return 1.0 + np.add.reduce(ratio, axis=1)
+    by_column = out.T if len(out) > 1 else out[0]
+    for column, cells in segments:
+        by_column[column] = np.add.reduce(cells, axis=-1)
 
 
-def _lattice_steps(moving1: int, moving3: int):
-    """(grow, offsets): the lattice growth per step and each symbol's offset.
+def _walk_cell(weight: np.ndarray, lengths: list[int], out: np.ndarray) -> None:
+    """:func:`_mi_by_length` when both axes collapse: the lattice is one cell a row.
 
-    Each of the four symbols moves the walk by a fixed offset while the
-    lattice grows by ``grow`` per step.  A basis whose two symbols are
-    equally likely has a collapsed axis: it never grows, and its
-    announcements are "stay" steps.  When neither axis collapses, s1 + s3
-    has the parity of k, and the lattice is kept in the coordinates
-    u = (k + s1 + s3)/2, v = (k + s1 - s3)/2 so that no cell of the wrong
-    parity is stored.
+    Every move stays, so a step multiplies the cell by the row's total
+    weight, and ``np.multiply.accumulate`` forms those products in the
+    walk's order, in runs of at most ``_BLOCK_CELLS`` cells.  At s = 0,
+    p0(s) / (p0(s) + p0(-s)) is exactly 1/2, so a row's information is
+    exactly 1 - p0(0).
     """
-    if moving1 and moving3:
-        return (1, 1), ((1, 1), (0, 0), (1, 0), (0, 1))
-    # cell [i, j] is (s1, s3) = (i - k, j - k) on a moving axis, 0 on a collapsed one
-    grow = (2 * moving1, 2 * moving3)
-    return grow, ((2 * moving1, moving3), (0, moving3), (moving1, 2 * moving3), (moving1, 0))
+    rows = len(weight)
+    run = max(1, _BLOCK_CELLS // rows)
+    cell = np.ones(rows)
+    first = column = 0  # the length ``cell`` holds, and the next column to fill
+    while column < len(lengths):
+        steps = min(lengths[-1] - first, run)
+        walked = np.empty((rows, steps + 1))
+        walked[:, 0] = cell
+        walked[:, 1:] = weight[:, None]
+        np.multiply.accumulate(walked, axis=1, out=walked)
+        stop = bisect.bisect_right(lengths, first + steps, column)
+        out[:, column:stop] = walked[:, [k - first for k in lengths[column:stop]]]
+        cell, first, column = walked[:, -1], first + steps, stop
+    np.subtract(1.0, out, out=out)
+
+
+def _walk_lattice(moves: dict, lengths: list[int], out: np.ndarray) -> None:
+    """:func:`_mi_by_length` on a line or on the plane of (u, v).
+
+    The lattice lives in one flat buffer, cells first and rows last, that
+    holds the cells of the longest length and one empty cell on each side a
+    move comes from: a line is centred on s = 0, and the plane is stored
+    row by row, u = v = -1 first, so a move is a fixed shift of the flat
+    index.  A step multiplies a window of the buffer by every move's weight
+    at once, into one buffer of products (one slab per move), then adds the
+    products shifted by their moves, in the order of ``moves``.  These are
+    exactly the sums of a walk on growing arrays: a move that misses a cell
+    adds w * 0 = +0 to a non-negative value, and a cell outside the lattice
+    (on the plane, also the cells between its rows) only ever sums such
+    zeros.  The window covers the lattice after the step and runs ahead of
+    it by at most about ``_AHEAD_CELLS`` cells of arithmetic, so a narrow
+    walk re-slices its views every few steps and a wide one every step.
+
+    Each kept length's cells p0(s) and the sums p0(s) + p0(-s) are copied,
+    row by row, into a store of at most ``_BLOCK_CELLS`` cells and read out
+    a store at a time (:func:`_read_out`); a length whose cells alone
+    overfill the store is read where it lies.
+    """
+    rows, top = out.shape[0], lengths[-1]
+    axes = len(next(iter(moves)))
+    lead = (rows,) if rows > 1 else ()  # a lone row walks without a row axis
+    if axes == 1:
+        size, growth = 2 * top + 3, 2
+        shifts = [d for (d,) in moves]
+    else:
+        width = top + 2  # cells in a row of the plane
+        size, growth = width * width, width + 1
+        shifts = [du * width + dv for du, dv in moves]
+    lattice = np.zeros((size,) + lead)
+    # span(k): the flat range that holds the lattice at length k; cells(k): that lattice
+    if axes == 1:
+
+        def span(k: int) -> tuple[int, int]:
+            return top + 1 - k, top + 2 + k
+
+        def cells(k: int) -> np.ndarray:
+            return lattice[top + 1 - k : top + 2 + k]
+    else:
+        plane = lattice.reshape((width, width) + lead)
+
+        def span(k: int) -> tuple[int, int]:
+            return width + 1, (k + 1) * width + k + 2
+
+        def cells(k: int) -> np.ndarray:
+            return plane[1 : k + 2, 1 : k + 2]
+
+    lattice[span(0)[0]] = 1.0
+    products = np.zeros((len(moves),) + lattice.shape)
+    factors = np.array(list(moves.values())).reshape((len(moves), 1) + lead)
+    if lead:  # one weight per cell, so no operand of the product broadcasts
+        factors = np.repeat(factors, size, axis=1)
+    rows_first = (axes, *range(axes))
+
+    def views(k: int):
+        """The step's views, for lattices that fit the window of length k."""
+        lo, hi = span(k)
+        scale = factors[:, lo:hi] if lead else factors
+        shifted = [products[m, lo - d : hi - d] for m, d in enumerate(shifts)]
+        return lattice[lo:hi], products[:, lo:hi], scale, shifted[0], shifted[1:]
+
+    flip = (slice(None),) * len(lead) + (slice(None, None, -1),) * axes
+    capacity = _BLOCK_CELLS // rows
+    held = np.empty(lead + (capacity,))
+    sums = np.empty(lead + (capacity,))
+    pending: list = []
+    used = 0
+    k = reach = 0  # the length the lattice holds, and the one its window fits
+    for column, target in enumerate(lengths):
+        while k < target:
+            if k == reach:
+                reach = min(top, k + max(1, _AHEAD_CELLS // (rows * growth)))
+                grown, made, scale, first, rest = views(reach)
+            np.multiply(scale, grown, out=made)
+            if rest:
+                np.add(first, rest[0], out=grown)
+                for more in rest[1:]:
+                    np.add(grown, more, out=grown)
+            else:
+                np.copyto(grown, first)
+            k += 1
+        p = cells(k).transpose(rows_first) if lead else cells(k)
+        count = p.size // rows
+        if count > capacity:
+            ratio = np.add(p, p[flip], order="C")
+            _read_out(p, ratio, [(column, ratio.reshape(lead + (count,)))], out)
+            continue
+        if used + count > capacity:
+            _read_out(held[..., :used], sums[..., :used], pending, out)
+            pending.clear()
+            used = 0
+        kept, summed = held[..., used : used + count], sums[..., used : used + count]
+        pending.append((column, summed))
+        if axes == 2:
+            kept, summed = kept.reshape(p.shape), summed.reshape(p.shape)
+        kept[...] = p
+        np.add(p, p[flip], out=summed)
+        used += count
+    if pending:
+        _read_out(held[..., :used], sums[..., :used], pending, out)
+    out += 1.0
 
 
 def _mi_by_length(probs: np.ndarray, lengths: list[int]) -> np.ndarray:
@@ -227,39 +386,30 @@ def _mi_by_length(probs: np.ndarray, lengths: list[int]) -> np.ndarray:
     gets walking alone.  Walks k = 0, 1, ... up to the largest length on the
     lattice of net votes (s1, s3) of every row at once, convolving it at
     each step with the single-announcement distribution (see
-    :func:`_lattice_steps`); negating (s1, s3) reverses both lattice axes.
-    Memory is rows times the lattice at the largest length.
+    :func:`_walk_moves`); negating (s1, s3) reverses both lattice axes.
+    Memory is rows times the lattice at the largest length, plus a store of
+    ``_BLOCK_CELLS`` cells for the read-out.
     """
     if lengths[0] < 0:
         raise ValueError("string length must be non-negative")
     moving = probs[:, ::2] != probs[:, 1::2]
     if (moving != moving[0]).any():
         raise ValueError("rows must share one collapse pattern")
-    grow, offsets = _lattice_steps(*moving[0].tolist())
+    symbol_moves = _walk_moves(*moving[0].tolist())
     # a symbol without positive weight adds exact zeros, in every row
     weights = np.maximum(probs, 0.0)
     taken = (weights > 0.0).any(axis=0).tolist()
-    # a lone row steps with floats, which numpy multiplies faster
-    columns = weights.T[:, :, None, None] if len(weights) > 1 else weights[0].tolist()
-    moves: dict[tuple[int, int], np.ndarray | float] = {}
-    for column, offset in enumerate(offsets):
+    moves: dict[tuple[int, ...], np.ndarray] = {}
+    for column, move in enumerate(symbol_moves):
         if taken[column]:
-            weight = columns[column]
-            moves[offset] = moves[offset] + weight if offset in moves else weight
+            weight = weights[:, column]
+            moves[move] = moves[move] + weight if move in moves else weight
 
-    rows = len(probs)
-    lattice = np.ones((rows, 1, 1))
-    out = np.empty((rows, len(lengths)))
-    k = 0
-    for column, target in enumerate(lengths):
-        while k < target:
-            _, n1, n3 = lattice.shape
-            step = np.zeros((rows, n1 + grow[0], n3 + grow[1]))
-            for (o1, o3), weight in moves.items():
-                step[:, o1 : o1 + n1, o3 : o3 + n3] += weight * lattice
-            lattice = step
-            k += 1
-        out[:, column] = _lattice_mi(lattice)
+    out = np.empty((len(probs), len(lengths)))
+    if not symbol_moves[0]:
+        _walk_cell(moves.get((), np.zeros(len(probs))), lengths, out)
+    else:
+        _walk_lattice(moves, lengths, out)
     return out
 
 
@@ -286,7 +436,7 @@ def _binomial_pmf(n: int, p: float) -> np.ndarray:
     lf = _log_factorials(n)
     log_pmf = lf[n] - lf[: n + 1] - lf[::-1] + k * math.log(p) + (n - k) * math.log1p(-p)
     pmf = np.exp(log_pmf)
-    return pmf / math.fsum(pmf)
+    return pmf / math.fsum(pmf.tolist())
 
 
 def _kept_lengths(
@@ -309,7 +459,7 @@ def _kept_lengths(
     mass = np.cumsum(pmf[order])
     done = np.flatnonzero(1.0 - mass < tail_tol)
     kept = int(done[0]) + 1 if done.size else mass.size
-    lengths = sorted(int(k) for k in order[:kept])
+    lengths = sorted(order[:kept].tolist())
     return pmf, lengths, float(max(1.0 - mass[kept - 1], 0.0))
 
 
@@ -329,8 +479,7 @@ def _expected_mi_rows(
     pattern = moving[:, 0] + 2 * moving[:, 1]
     for value in set(pattern.tolist()):
         rows = np.flatnonzero(pattern == value)
-        grow, _ = _lattice_steps(value & 1, value >> 1)
-        cells = (1 + grow[0] * lengths[-1]) * (1 + grow[1] * lengths[-1])
+        cells = _cells(bool(value & 1) + bool(value & 2), lengths[-1])
         block = max(1, _BLOCK_CELLS // cells)
         for first in range(0, len(rows), block):
             chunk = rows[first : first + block]
@@ -472,7 +621,9 @@ def _mismatch_per_shot(tables: np.ndarray) -> np.ndarray:
     return per_shot
 
 
-def mismatch_probability(eve: KrausChannel) -> MismatchProbability:
+def mismatch_probability(
+    eve: KrausChannel, report: ChannelValidation | None = None
+) -> MismatchProbability:
     """Probability that a shot contradicts the receiver's preparation.
 
     ``per_shot`` averages the four contradiction events over the uniform
@@ -480,9 +631,10 @@ def mismatch_probability(eve: KrausChannel) -> MismatchProbability:
     ``matched_basis_conditional`` conditions on the basis having matched,
     which removes one factor of 1/2.  Unlike the announcement distribution,
     this depends on the channel's action on each pure state separately, not
-    just on its action on the maximally mixed state.
+    just on its action on the maximally mixed state.  ``report`` is the
+    channel's :func:`validate_channel` report, when the caller has it.
     """
-    per_shot = float(_mismatch_per_shot(born_table(eve)))
+    per_shot = float(_mismatch_per_shot(born_table(eve, report)))
     return MismatchProbability(per_shot, 2.0 * per_shot)
 
 

@@ -1,17 +1,23 @@
 """Read and write Kraus channels as JSON documents.
 
 Layout: ``{"label": str, "operators": [M, ...]}`` where each M is a 2x2
-nested array of ``[re, im]`` pairs, row-major.
+nested array of ``[re, im]`` pairs, row-major.  The label may not contain
+control characters (below U+0020, or U+007F).
 """
 
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 
 from sealsim.qubit import KrausChannel
+
+# Labels are printed into line-based outputs (reports, transcript comments),
+# so no character of one may end or rewrite a line: C0 controls and DEL.
+_CONTROL = re.compile(r"[\x00-\x1f\x7f]")
 
 
 class ChannelFormatError(ValueError):
@@ -46,6 +52,11 @@ def parse_channel(text: str) -> KrausChannel:
     label = doc.get("label", "")
     if not isinstance(label, str):
         raise ChannelFormatError('"label" must be a string')
+    control = _CONTROL.search(label)
+    if control:
+        raise ChannelFormatError(
+            f'"label" has control character U+{ord(control.group()):04X} at index {control.start()}'
+        )
     raw_ops = doc.get("operators")
     if not isinstance(raw_ops, list) or not raw_ops:
         raise ChannelFormatError('"operators" must be a non-empty array')

@@ -6,13 +6,15 @@ to the analytic predictions, ``validate-channel`` checks a channel document.
 
 Exit codes are part of the interface: 0 success, 1 channel failed
 validation, 2 bad arguments or unparseable channel file, 3 output I/O
-failure.
+failure (an output file that cannot be written, or standard output closed
+by its reader, as by ``| head``).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from dataclasses import dataclass
 
@@ -136,9 +138,9 @@ def cmd_simulate(
         return 1
 
     stats = protocol.monte_carlo(params, channel, trials)
-    dist = analysis.bit_announcement_probs(channel)
+    dist = analysis.bit_announcement_probs(channel, report)
     predicted = dist.probs_given_b[params.message_bit]
-    mismatch = analysis.mismatch_probability(channel)
+    mismatch = analysis.mismatch_probability(channel, report)
     decode_baseline = analysis.decode_success_probability(params.n_shots, params.p_announce)
 
     lines = [
@@ -229,9 +231,9 @@ def cmd_validate_channel(path: str, n_shots: int, p_announce: float) -> int:
         )
         lines.append(f"unital = {'yes' if report.unital else 'no'}")
         mi = analysis.expected_mutual_information(
-            analysis.bit_announcement_probs(channel), n_shots, p_announce
+            analysis.bit_announcement_probs(channel, report), n_shots, p_announce
         )
-        mismatch = analysis.mismatch_probability(channel)
+        mismatch = analysis.mismatch_probability(channel, report)
         lines.append(f"expected_mi_bits = {_fmt(mi.mi_bits)} (n_shots={n_shots}, p_announce={_fmt(p_announce)})")
         lines.append(f"mi_truncation_mass = {mi.truncation_mass:.3e}")
         lines.append(f"mismatch_per_shot = {_fmt(mismatch.per_shot)}")
@@ -292,6 +294,29 @@ def _check_n_and_pa(n_shots: int, p_announce: float) -> None:
 
 
 def main(argv=None) -> int:
+    """Run one command; a reader that closes standard output early gives exit 3."""
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _drop_stdout()
+        print("error: cannot write standard output: broken pipe", file=sys.stderr)
+        return 3
+    return code
+
+
+def _drop_stdout() -> None:
+    """Point standard output at the null device, so the flush at exit cannot fail again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not a file descriptor: nothing is left to flush to the closed pipe
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
+def _run(argv) -> int:
     top, commands = _build_parser()
     args = top.parse_args(argv)
     parser = commands[args.command]

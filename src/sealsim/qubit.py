@@ -288,8 +288,10 @@ def _incomplete(ch: KrausChannel, deviation: float) -> ValueError:
     return ValueError(f"channel {ch.label!r} fails completeness (deviation {deviation:.3e})")
 
 
-def _require_complete(ch: KrausChannel) -> None:
-    report = validate_channel(ch)
+def _require_complete(ch: KrausChannel, report: ChannelValidation | None = None) -> None:
+    """Raise unless ``ch`` is complete; ``report``, when given, is its :func:`validate_channel`."""
+    if report is None:
+        report = validate_channel(ch)
     if not report.passes:
         raise _incomplete(ch, report.deviation)
 
@@ -341,15 +343,16 @@ def _born(stacks: np.ndarray) -> np.ndarray:
     return np.where(probs > 1.0, 1.0, probs)
 
 
-def born_table(ch: KrausChannel) -> np.ndarray:
+def born_table(ch: KrausChannel, report: ChannelValidation | None = None) -> np.ndarray:
     """Pr(result | basis) on the channel's image of each preparation state.
 
     A read-only (4, 2, 2) array indexed by preparation (ProtocolPureState
     order), basis (MeasurementBasis order) and result (+1, then -1).  Each
     entry is the float that :func:`measurement_prob` gives on the matching
-    :func:`preparation_images` entry; the channel is validated once.
+    :func:`preparation_images` entry.  The channel is validated once, or
+    not at all when the caller passes its :func:`validate_channel` report.
     """
-    _require_complete(ch)
+    _require_complete(ch, report)
     table = _born(ch.stack)
     table.setflags(write=False)
     return table

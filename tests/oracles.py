@@ -11,7 +11,11 @@ record, not through the package's table of interned records.  A run's
 variate columns are drawn through numpy's own ``SeedSequence`` and
 ``Generator``, which the package's raw-word column source must match.  A
 channel's Born table is built one preparation state at a time, looping over
-the Kraus operators, as the package did before it stacked them.
+the Kraus operators, as the package did before it stacked them.  The
+mutual information of a stack of announcement distributions at each kept
+string length is walked one lattice step at a time, each step a freshly
+allocated lattice and each length read out on its own, as the package did
+before it walked in fixed buffers and read the kept lengths in batches.
 """
 
 import itertools
@@ -276,3 +280,98 @@ def mismatch_by_state(ch) -> float:
     for cell in events:
         per_shot += 0.125 * float(table[cell])
     return per_shot
+
+
+def lattice_mi_stepwise(lattice: np.ndarray) -> np.ndarray:
+    """I(s : message) in bits per row of net-vote distributions given b = 0.
+
+    Flipping the message negates every net vote, so p1(s) = p0(-s), and the
+    information is 1 - H(message | s) with
+    H = sum_s p0(s) log2((p0(s) + p0(-s)) / p0(s)).  The ratio inside the log
+    never has an underflowed divisor, and each term is non-negative, so the
+    result never exceeds 1.  (Writing 1 as sum_s p0(s) gives the
+    Jensen-Shannon form sum_s p0(s) log2(2 p0(s) / (p0(s) + p0(-s))); using
+    the exact 1 keeps the lattice's rounded mass out of the result.)  Cells
+    with p0(s) = 0 add an exact 0 to their row's sum.
+    """
+    rows = len(lattice)
+    if lattice.size == rows:
+        # one cell, s = 0: p0(s) / (p0(s) + p0(-s)) is exactly 1/2, so a
+        # row's information is exactly 1 - p0(0)
+        return 1.0 - lattice.reshape(rows)
+    p = lattice.reshape(rows, -1)
+    q = lattice[:, ::-1, ::-1].reshape(rows, -1)
+    seen = p > 0.0
+    ratio = p + q
+    if seen.all():
+        np.divide(p, ratio, out=ratio)
+        np.log2(ratio, out=ratio)
+    else:
+        # a cell with p0(s) = 0 keeps its finite p0(-s), and its term is 0
+        np.divide(p, ratio, out=ratio, where=seen)
+        np.log2(ratio, out=ratio, where=seen)
+    ratio *= p
+    return 1.0 + np.add.reduce(ratio, axis=1)
+
+
+def lattice_steps_stepwise(moving1: int, moving3: int):
+    """(grow, offsets): the lattice growth per step and each symbol's offset.
+
+    Each of the four symbols moves the walk by a fixed offset while the
+    lattice grows by ``grow`` per step.  A basis whose two symbols are
+    equally likely has a collapsed axis: it never grows, and its
+    announcements are "stay" steps.  When neither axis collapses, s1 + s3
+    has the parity of k, and the lattice is kept in the coordinates
+    u = (k + s1 + s3)/2, v = (k + s1 - s3)/2 so that no cell of the wrong
+    parity is stored.
+    """
+    if moving1 and moving3:
+        return (1, 1), ((1, 1), (0, 0), (1, 0), (0, 1))
+    # cell [i, j] is (s1, s3) = (i - k, j - k) on a moving axis, 0 on a collapsed one
+    grow = (2 * moving1, 2 * moving3)
+    return grow, ((2 * moving1, moving3), (0, moving3), (moving1, 2 * moving3), (moving1, 0))
+
+
+def mi_by_length_stepwise(probs: np.ndarray, lengths: list[int]) -> np.ndarray:
+    """I(announcement string : message) in bits at each of the ascending ``lengths``.
+
+    ``probs`` is a (rows, 4) array of single-announcement distributions given
+    b = 0 (from :func:`_unit_rows`) that share one collapse pattern; the
+    result is (rows, len(lengths)), and each row's numbers are the ones it
+    gets walking alone.  Walks k = 0, 1, ... up to the largest length on the
+    lattice of net votes (s1, s3) of every row at once, convolving it at
+    each step with the single-announcement distribution (see
+    :func:`lattice_steps_stepwise`); negating (s1, s3) reverses both lattice axes.
+    Memory is rows times the lattice at the largest length.
+    """
+    if lengths[0] < 0:
+        raise ValueError("string length must be non-negative")
+    moving = probs[:, ::2] != probs[:, 1::2]
+    if (moving != moving[0]).any():
+        raise ValueError("rows must share one collapse pattern")
+    grow, offsets = lattice_steps_stepwise(*moving[0].tolist())
+    # a symbol without positive weight adds exact zeros, in every row
+    weights = np.maximum(probs, 0.0)
+    taken = (weights > 0.0).any(axis=0).tolist()
+    # a lone row steps with floats, which numpy multiplies faster
+    columns = weights.T[:, :, None, None] if len(weights) > 1 else weights[0].tolist()
+    moves: dict[tuple[int, int], np.ndarray | float] = {}
+    for column, offset in enumerate(offsets):
+        if taken[column]:
+            weight = columns[column]
+            moves[offset] = moves[offset] + weight if offset in moves else weight
+
+    rows = len(probs)
+    lattice = np.ones((rows, 1, 1))
+    out = np.empty((rows, len(lengths)))
+    k = 0
+    for column, target in enumerate(lengths):
+        while k < target:
+            _, n1, n3 = lattice.shape
+            step = np.zeros((rows, n1 + grow[0], n3 + grow[1]))
+            for (o1, o3), weight in moves.items():
+                step[:, o1 : o1 + n1, o3 : o3 + n3] += weight * lattice
+            lattice = step
+            k += 1
+        out[:, column] = lattice_mi_stepwise(lattice)
+    return out

@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 from scipy.stats import binom
 
 from conftest import random_kraus_channel, rotated_channel
-from oracles import mi_bruteforce, seal_expected_mi_by_classes, seal_mi_by_classes
+from oracles import (
+    mi_bruteforce,
+    mi_by_length_stepwise,
+    seal_expected_mi_by_classes,
+    seal_mi_by_classes,
+)
 from sealsim import analysis, qubit
 from sealsim.analysis import (
     AnnouncementDistribution,
@@ -525,11 +530,102 @@ def test_rows_of_a_general_channel_walk_as_they_walk_alone():
 
 
 def test_a_single_cell_reads_as_the_general_formula():
-    """A unital channel's lattice is one cell a row, read as 1 - p0(0)."""
-    p = np.array([1.0, 0.75, 0.3, 1e-300, 5e-324, 0.0])
+    """A unital channel's lattice is one cell a row, read as 1 - p0(0).
+
+    Rows whose bases both collapse keep one cell, which each step multiplies
+    by the row's total weight; the totals here make the cell 1, 0.75, 0.3,
+    1e-300, a subnormal and 0 at the walked lengths.
+    """
+    rows = np.array(
+        [
+            [0.5, 0.5, 0.0, 0.0],
+            [0.375, 0.375, 0.0, 0.0],
+            [0.15, 0.15, 0.0, 0.0],
+            [5e-151, 5e-151, 0.0, 0.0],
+            [5e-324, 5e-324, 0.0, 0.0],
+        ]
+    )
+    lengths = [0, 1, 2, 3]
+    p = np.empty((len(rows), len(lengths)))
+    cell = np.ones(len(rows))
+    for k in range(lengths[-1] + 1):
+        p[:, k] = cell
+        cell = rows.sum(axis=1) * cell
+    assert {0.75, 0.3, 1e-300, 1e-323, 0.0} <= set(p.ravel().tolist())
     ratio = np.divide(p, p + p, out=np.ones_like(p), where=p > 0.0)
     want = 1.0 + p * np.log2(ratio)
-    assert analysis._lattice_mi(p[:, None, None]).tobytes() == want.tobytes()
+    assert analysis._mi_by_length(rows, lengths).tobytes() == want.tobytes()
+
+
+def test_a_line_with_one_move_is_the_stepwise_walk():
+    """A row with one symbol of positive weight walks the line by copying its only product."""
+    lengths = [0, 1, 5, 9]
+    for row in ([0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0]):
+        rows = np.array([row, row])
+        got = analysis._mi_by_length(rows, lengths)
+        assert got.tobytes() == mi_by_length_stepwise(rows, lengths).tobytes()
+        assert got[:, 1:].tolist() == [[1.0, 1.0, 1.0]] * 2
+
+
+@st.composite
+def collapse_stacks(draw):
+    """(rows, lengths): announcement distributions of one collapse pattern and kept lengths.
+
+    The pattern is drawn first: a collapsed basis has r = 0, a moving one a
+    drawn r, with +-1 (a symbol of zero weight, so empty lattice cells) and
+    1e-300 (a basis that collapses in floating point) among the choices.
+    Lines (one moving axis, or a damping strength x) walk up to N = 2000,
+    the plane up to N = 300, with fewer rows as N grows.
+    """
+    moving1, moving3 = draw(st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1)]))
+    damping = moving3 and not moving1 and draw(st.booleans())
+    n_cap = 300 if moving1 and moving3 else 2000
+    n_shots = draw(st.integers(min_value=1, max_value=n_cap))
+    walk = n_shots**3 // 30 if moving1 and moving3 else 20 * n_shots
+    count = draw(st.integers(min_value=1, max_value=max(1, min(40, 2_000_000 // max(walk, 1)))))
+    strength = st.one_of(
+        st.sampled_from([1.0, -1.0, 1e-300, 0.5]), st.floats(min_value=-1.0, max_value=1.0)
+    )
+    if damping:
+        xs = draw(
+            st.lists(
+                st.one_of(st.sampled_from([1.0, 1e-300]), st.floats(min_value=0.0, max_value=1.0)),
+                min_size=count,
+                max_size=count,
+            )
+        )
+        rows = analysis._damping_rows(xs)
+    else:
+        probs = []
+        for _ in range(count):
+            r1 = draw(strength) if moving1 else 0.0
+            r3 = draw(strength) if moving3 else 0.0
+            probs.append((0.25 * (1 + r1), 0.25 * (1 - r1), 0.25 * (1 + r3), 0.25 * (1 - r3)))
+        rows = analysis._unit_rows(probs)
+    pa = draw(st.floats(min_value=0.0, max_value=1.0))
+    _, lengths, _ = analysis._kept_lengths(n_shots, pa, 1e-12)
+    return rows, lengths
+
+
+@pytest.mark.parametrize("block_cells", [None, 1, 100])
+@settings(max_examples=40, deadline=None)
+@given(collapse_stacks())
+def test_mi_by_length_is_the_stepwise_walk(block_cells, stack):
+    """Every row of every collapse pattern reads, bit for bit, as the walk one step at a time.
+
+    With ``_BLOCK_CELLS`` at 1 each length is read in place; at 100 the
+    store of kept lengths fills and is read out many times a walk.
+    """
+    rows, lengths = stack
+    moving = rows[:, ::2] != rows[:, 1::2]
+    pattern = moving[:, 0] + 2 * moving[:, 1]
+    with pytest.MonkeyPatch.context() as patch:
+        if block_cells is not None:
+            patch.setattr(analysis, "_BLOCK_CELLS", block_cells)
+        for value in set(pattern.tolist()):
+            group = rows[pattern == value]
+            got = analysis._mi_by_length(group, lengths)
+            assert got.tobytes() == mi_by_length_stepwise(group, lengths).tobytes()
 
 
 def test_grid_rejects_a_strength_outside_0_1():

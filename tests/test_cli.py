@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -10,10 +11,10 @@ import pytest
 
 from conftest import random_kraus_channel
 import sealsim
-from sealsim import protocol
+from sealsim import protocol, qubit
 from sealsim.channel_file import save_channel
 from sealsim.cli import MAX_GRID_POINTS, SweepConfig, _default_grid, main
-from sealsim.qubit import depolarizing_channel, seal_channel
+from sealsim.qubit import KrausChannel, depolarizing_channel, seal_channel
 
 
 def read_csv(path):
@@ -633,3 +634,98 @@ def test_python_dash_m_sealsim_runs_from_a_source_tree(tmp_path):
         assert proc.returncode == code, proc.stderr
         assert verdict in proc.stdout
         assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["validate-channel", "{path}"],
+        ["simulate", "--channel-file", "{path}", "--trials", "2", "--n", "3"],
+    ],
+)
+def test_a_reader_that_closes_the_pipe_gives_exit_3(tmp_path, command):
+    """The reader takes one line and closes the pipe, as ``| head -1`` does.
+
+    The label is longer than a pipe's buffer, so the command is still
+    writing when the reader leaves, whatever the timing: exit 3 and one
+    line on stderr, with no traceback and nothing from the flush at exit.
+    """
+    path = tmp_path / "long.json"
+    save_channel(KrausChannel((np.eye(2),), label="x" * 300_000), path)
+    src = str(Path(sealsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    argv = [arg.format(path=path) for arg in command]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sealsim", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+        cwd=tmp_path,
+    )
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 3, stderr
+    finally:
+        proc.kill()
+        proc.wait()
+    assert first == f"# sealsim {command[0]}\n".encode()
+    assert stderr.splitlines() == ["error: cannot write standard output: broken pipe"]
+
+
+def _label_document(label: str) -> str:
+    return json.dumps({"label": label, "operators": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]})
+
+
+@pytest.mark.parametrize("character", ["\n", "\r", "\t", "\x00", "\x1b", "\x1f", "\x7f"])
+@pytest.mark.parametrize("command", [["validate-channel"], ["simulate", "--channel-file"]])
+def test_a_label_with_a_control_character_exits_2(tmp_path, capsys, character, command):
+    path = tmp_path / "labelled.json"
+    path.write_text(_label_document(f"a{character}b"))
+    assert main([*command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f'error: {path}: "label" has control character U+{ord(character):04X} at index 1\n'
+    )
+
+
+@pytest.mark.parametrize("label", ["a b", "seal(x=0.5) éè → \U0001f600", "\x80\x9f", ""])
+def test_printable_labels_are_kept(tmp_path, capsys, label):
+    path = tmp_path / "labelled.json"
+    path.write_text(_label_document(label))
+    assert main(["validate-channel", str(path)]) == 0
+    assert f"\nlabel = {label}\n" in capsys.readouterr().out
+
+
+def _count_validations(monkeypatch) -> list:
+    """Replace ``validate_channel`` in every sealsim module that binds it by a counting wrapper."""
+    calls = []
+    validate = qubit.validate_channel
+
+    def counting(ch):
+        calls.append(ch)
+        return validate(ch)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sealsim") and getattr(module, "validate_channel", None) is validate:
+            monkeypatch.setattr(module, "validate_channel", counting)
+    return calls
+
+
+@pytest.mark.parametrize("channel", [seal_channel(0.5), random_kraus_channel(np.random.default_rng(8), 3)])
+def test_validate_channel_validates_the_channel_once(tmp_path, monkeypatch, capsys, channel):
+    path = tmp_path / "channel.json"
+    save_channel(channel, path)
+    calls = _count_validations(monkeypatch)
+    assert main(["validate-channel", str(path), "--pa", "0.5"]) == 0
+    assert len(calls) == 1
+    assert "expected_mi_bits = " in capsys.readouterr().out
+
+
+def test_simulate_validates_the_channel_for_the_report_and_the_sampler(monkeypatch, capsys):
+    calls = _count_validations(monkeypatch)
+    assert main(["simulate", "--channel", "seal", "--x", "0.5", "--trials", "3"]) == 0
+    assert len(calls) == 2  # the report's, and the shot sampler's own
+    assert "mismatch_conditional" in capsys.readouterr().out
