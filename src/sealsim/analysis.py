@@ -27,9 +27,9 @@ into a store of at most ``_BLOCK_CELLS`` cells, and the logarithms of a
 whole store are taken in one pass; each length's sum is still one
 ``np.add.reduce`` over its own cells.  Every result is, bit for bit, that
 of the walk on growing arrays, one step and one length at a time.  Memory
-is the lattice at the longest length, k^2 cells at length k (2k + 1 on a
-line), once for the lattice and once for each move's products, plus the
-store.
+is the lattice at the longest length k, about k^2 cells (2k + 1 on a line),
+once for the lattice, once per move for its products (and, for a stack of
+rows, per move for its weights), plus the store.
 
 The evaluator walks a stack of distributions that share a collapse
 pattern at once, each row with the numbers it would get alone.  A sweep
@@ -66,7 +66,8 @@ from sealsim.qubit import (
 _DISTRIBUTION_TOL = 1e-12
 _DEFAULT_TAIL_TOL = 1e-12
 # Lattice cells, at the longest kept length, of one block of rows walked
-# together: each array of a block's walk is at most 128 KiB.
+# together, and the cells of the store that kept lengths are read out from:
+# a block's lattice, and each move's slab of products, take about 128 KiB.
 _BLOCK_CELLS = 1 << 14
 # Cells of arithmetic a walk step may spend beyond its lattice, so that a
 # narrow walk re-slices its views every few steps: slicing a step's views
