@@ -34,9 +34,11 @@ rows, per move for its weights), plus the store.
 The evaluator walks a stack of distributions that share a collapse
 pattern at once, each row with the numbers it would get alone.  A sweep
 of the damping family computes the binomial weights and kept lengths once
-and walks its whole x grid in blocks of bounded size, and its mismatch
-column comes from the Born tables of the stacked channels
-(``qubit.born_tables``).
+and walks its whole x grid in blocks of bounded size.  Its mismatch
+column takes the grid's Kraus operators as one stacked array
+(``qubit.damping_stack``), in blocks of bounded size, and forms only the
+four Born cells a mismatch reads (``qubit.born_cells``), the same
+evaluator :func:`mismatch_probability` runs on a single channel.
 
 All logarithms are base 2, so information is in bits and the one-bit
 message bounds every result by 1.  0 * log 0 is 0 throughout.
@@ -57,9 +59,9 @@ from sealsim.qubit import (
     MeasurementBasis,
     MeasurementResult,
     ProtocolPureState,
-    born_table,
-    born_tables,
-    seal_channel,
+    born_cells,
+    damping_stack,
+    require_complete,
     validate_channel,
 )
 
@@ -612,13 +614,18 @@ _MISMATCH_EVENTS = (
 _MISMATCH_CELLS = tuple(
     tuple(list(type(member)).index(member) for member in event) for event in _MISMATCH_EVENTS
 )
+# Complex entries of one two-operator channel's operator products over the
+# four preparation states: a block of the mismatch grid takes
+# _BLOCK_CELLS // _MISMATCH_ROW_CELLS channels.
+_MISMATCH_ROW_CELLS = 32
 
 
-def _mismatch_per_shot(tables: np.ndarray) -> np.ndarray:
-    """The per-shot mismatch of each (..., 4, 2, 2) Born table, events summed in order."""
-    per_shot = np.zeros(tables.shape[:-3])
-    for cell in _MISMATCH_CELLS:
-        per_shot += 0.125 * tables[(..., *cell)]
+def _mismatch_per_shot(stacks: np.ndarray) -> np.ndarray:
+    """The per-shot mismatch of each complete (..., m, 2, 2) operator stack, events summed in order."""
+    probs = born_cells(stacks, _MISMATCH_CELLS)
+    per_shot = np.zeros(probs.shape[:-1])
+    for event in range(len(_MISMATCH_CELLS)):
+        per_shot += 0.125 * probs[..., event]
     return per_shot
 
 
@@ -635,18 +642,26 @@ def mismatch_probability(
     just on its action on the maximally mixed state.  ``report`` is the
     channel's :func:`validate_channel` report, when the caller has it.
     """
-    per_shot = float(_mismatch_per_shot(born_table(eve, report)))
+    require_complete(eve, report)
+    per_shot = float(_mismatch_per_shot(eve.stack[None])[0])
     return MismatchProbability(per_shot, 2.0 * per_shot)
 
 
 def seal_mismatch_probability_grid(x_grid) -> list[MismatchProbability]:
     """:func:`mismatch_probability` of the damping channel at every strength of ``x_grid``.
 
-    The Born tables of the grid's channels are computed together (one set
-    of array calls per operator count), and each result equals, bit for
-    bit, the single-channel one.
+    The strengths' Kraus operators are built as one stack per block of at
+    most ``_BLOCK_CELLS // _MISMATCH_ROW_CELLS`` strengths and go through
+    the single-channel evaluator together.  A strength whose channel keeps
+    one operator has a zero second operator in the stack, which adds exact
+    zeros, so each result equals, bit for bit, the single-channel one.
     """
-    per_shot = _mismatch_per_shot(born_tables([seal_channel(x) for x in x_grid]))
+    xs = np.asarray(x_grid, dtype=float)
+    per_shot = np.empty(len(xs))
+    block = max(1, _BLOCK_CELLS // _MISMATCH_ROW_CELLS)
+    for first in range(0, len(xs), block):
+        rows = slice(first, first + block)
+        per_shot[rows] = _mismatch_per_shot(damping_stack(xs[rows]))
     return [MismatchProbability(p, 2.0 * p) for p in per_shot.tolist()]
 
 

@@ -2,7 +2,10 @@
 
 Layout: ``{"label": str, "operators": [M, ...]}`` where each M is a 2x2
 nested array of ``[re, im]`` pairs, row-major.  The label may not contain
-control characters (below U+0020, or U+007F).
+control characters (below U+0020, or U+007F) or lone surrogates.  Files
+are UTF-8, as JSON requires; every malformed document, including one too
+deeply nested or with a number too large to read, raises
+:class:`ChannelFormatError`.
 """
 
 from __future__ import annotations
@@ -18,6 +21,9 @@ from sealsim.qubit import KrausChannel
 # Labels are printed into line-based outputs (reports, transcript comments),
 # so no character of one may end or rewrite a line: C0 controls and DEL.
 _CONTROL = re.compile(r"[\x00-\x1f\x7f]")
+# A JSON escape such as "\ud800" with no partner decodes to a lone surrogate,
+# which no output stream can encode.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 class ChannelFormatError(ValueError):
@@ -38,7 +44,10 @@ def _entry(value, where: str) -> complex:
         or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in value)
     ):
         raise ChannelFormatError(f"{where}: expected an [re, im] number pair, got {value!r}")
-    return complex(value[0], value[1])
+    try:
+        return complex(value[0], value[1])
+    except OverflowError as exc:
+        raise ChannelFormatError(f"{where}: number out of range") from exc
 
 
 def parse_channel(text: str) -> KrausChannel:
@@ -46,6 +55,10 @@ def parse_channel(text: str) -> KrausChannel:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ChannelFormatError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
+    except ValueError as exc:  # an integer literal beyond int's digit limit
+        raise ChannelFormatError("invalid JSON: an integer has too many digits") from exc
+    except RecursionError as exc:
+        raise ChannelFormatError("invalid JSON: nested too deeply") from exc
 
     if not isinstance(doc, dict):
         raise ChannelFormatError("top level must be an object")
@@ -56,6 +69,11 @@ def parse_channel(text: str) -> KrausChannel:
     if control:
         raise ChannelFormatError(
             f'"label" has control character U+{ord(control.group()):04X} at index {control.start()}'
+        )
+    surrogate = _SURROGATE.search(label)
+    if surrogate:
+        raise ChannelFormatError(
+            f'"label" has lone surrogate U+{ord(surrogate.group()):04X} at index {surrogate.start()}'
         )
     raw_ops = doc.get("operators")
     if not isinstance(raw_ops, list) or not raw_ops:
@@ -81,7 +99,11 @@ def parse_channel(text: str) -> KrausChannel:
 
 
 def load_channel(path: str | Path) -> KrausChannel:
-    return parse_channel(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ChannelFormatError(f"not UTF-8: {exc.reason} at byte {exc.start}") from exc
+    return parse_channel(text)
 
 
 def channel_to_json(ch: KrausChannel) -> str:

@@ -11,7 +11,10 @@ preparation states and the Born table of every (preparation, basis,
 result) cell each take a few array calls over that array, in the same
 order of operations as mapping one state at a time, so the numbers agree
 bit for bit.  The Born table builds no ``DensityMatrix``; the functions
-that return density matrices still validate each one.
+that return density matrices still validate each one.  The damping
+family's operators are written once, as a stack for any number of
+strengths (``damping_stack``), and ``born_cells`` evaluates chosen Born
+cells of many stacks at once.
 
 All values are immutable after construction and every function is pure,
 so everything here is safe to share across threads.
@@ -259,10 +262,9 @@ def _operator_sum(stacks: np.ndarray, states: np.ndarray) -> np.ndarray:
     return (ops @ states @ ops.conj().swapaxes(-1, -2)).sum(axis=-3 - extra)
 
 
-def _completeness_deviation(stack: np.ndarray) -> float:
-    """Frobenius norm of sum_i E_i^dag E_i - I for one (m, 2, 2) stack."""
-    total = (stack.conj().swapaxes(-1, -2) @ stack).sum(axis=0)
-    return float(np.linalg.norm(total - IDENTITY))
+def _completeness_error(stacks: np.ndarray) -> np.ndarray:
+    """sum_i E_i^dag E_i - I for each (..., m, 2, 2) operator stack."""
+    return (stacks.conj().swapaxes(-1, -2) @ stacks).sum(axis=-3) - IDENTITY
 
 
 def validate_channel(ch: KrausChannel) -> ChannelValidation:
@@ -272,7 +274,7 @@ def validate_channel(ch: KrausChannel) -> ChannelValidation:
     channel fixes the maximally mixed state (zero Bloch radius of the image
     up to the completeness tolerance).
     """
-    deviation = _completeness_deviation(ch.stack)
+    deviation = float(np.linalg.norm(_completeness_error(ch.stack)))
     passes = deviation <= COMPLETENESS_TOL
     if not passes:
         return ChannelValidation(deviation, False, None, False)
@@ -284,16 +286,16 @@ def validate_channel(ch: KrausChannel) -> ChannelValidation:
     return ChannelValidation(deviation, True, bloch, bloch.lam <= COMPLETENESS_TOL)
 
 
-def _incomplete(ch: KrausChannel, deviation: float) -> ValueError:
-    return ValueError(f"channel {ch.label!r} fails completeness (deviation {deviation:.3e})")
+def _incomplete(label: str, deviation: float) -> ValueError:
+    return ValueError(f"channel {label!r} fails completeness (deviation {deviation:.3e})")
 
 
-def _require_complete(ch: KrausChannel, report: ChannelValidation | None = None) -> None:
+def require_complete(ch: KrausChannel, report: ChannelValidation | None = None) -> None:
     """Raise unless ``ch`` is complete; ``report``, when given, is its :func:`validate_channel`."""
     if report is None:
         report = validate_channel(ch)
     if not report.passes:
-        raise _incomplete(ch, report.deviation)
+        raise _incomplete(ch.label, report.deviation)
 
 
 def _map_states(stacks: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -310,7 +312,7 @@ def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     The result is re-hermitized and trace-normalized, which only moves
     entries at the scale of the channel's completeness deviation.
     """
-    _require_complete(ch)
+    require_complete(ch)
     return DensityMatrix(_map_states(ch.stack, rho.matrix))
 
 
@@ -320,7 +322,7 @@ def preparation_images(ch: KrausChannel) -> dict[ProtocolPureState, DensityMatri
     Equal to :func:`apply_channel` on each state, but the channel is
     validated once for all four.
     """
-    _require_complete(ch)
+    require_complete(ch)
     images = _map_states(ch.stack, _STATE_STACK)
     return {s: DensityMatrix(image) for s, image in zip(ProtocolPureState, images)}
 
@@ -334,13 +336,18 @@ def measurement_prob(
     return min(max(p, 0.0), 1.0)
 
 
-def _born(stacks: np.ndarray) -> np.ndarray:
-    """The (..., 4, 2, 2) Born tables of complete (..., m, 2, 2) operator stacks."""
-    images = _map_states(stacks, _STATE_STACK)[..., None, None, :, :]
-    probs = (0.5 * np.trace(_BORN_OPERATORS @ images, axis1=-2, axis2=-1)).real
+def _born_probabilities(operators: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """Half the trace of each Born operator times its image, clamped to [0, 1]."""
+    probs = (0.5 * np.trace(operators @ images, axis1=-2, axis2=-1)).real
     # clamped as measurement_prob's min(max(p, 0.0), 1.0), which keeps -0.0 and NaN
     probs = np.where(probs < 0.0, 0.0, probs)
     return np.where(probs > 1.0, 1.0, probs)
+
+
+def _born(stacks: np.ndarray) -> np.ndarray:
+    """The (..., 4, 2, 2) Born tables of complete (..., m, 2, 2) operator stacks."""
+    images = _map_states(stacks, _STATE_STACK)[..., None, None, :, :]
+    return _born_probabilities(_BORN_OPERATORS, images)
 
 
 def born_table(ch: KrausChannel, report: ChannelValidation | None = None) -> np.ndarray:
@@ -352,51 +359,68 @@ def born_table(ch: KrausChannel, report: ChannelValidation | None = None) -> np.
     :func:`preparation_images` entry.  The channel is validated once, or
     not at all when the caller passes its :func:`validate_channel` report.
     """
-    _require_complete(ch, report)
+    require_complete(ch, report)
     table = _born(ch.stack)
     table.setflags(write=False)
     return table
 
 
-def born_tables(channels) -> np.ndarray:
-    """:func:`born_table` of each channel, as one read-only (n, 4, 2, 2) array.
+def born_cells(stacks: np.ndarray, cells) -> np.ndarray:
+    """Chosen cells of the Born tables of complete (..., m, 2, 2) operator stacks.
 
-    Each channel's completeness deviation is checked against the same
-    tolerance, with the same message, as :func:`born_table` checks it, and
-    channels with the same number of operators share one set of array calls
-    over their stacked operators.
+    ``cells`` are (preparation, basis, result) indices of :func:`born_table`;
+    the result is a (..., len(cells)) array whose entries are the floats
+    that :func:`born_table` holds in those cells.  Only the cells'
+    preparation states are mapped, and only their Born products formed.
+    The stacks are not validated.
     """
-    counts = []
-    for ch in channels:
-        deviation = _completeness_deviation(ch.stack)
-        if not deviation <= COMPLETENESS_TOL:
-            raise _incomplete(ch, deviation)
-        counts.append(len(ch.operators))
-    tables = np.empty((len(counts), 4, 2, 2))
-    counts = np.array(counts)
-    for m in set(counts.tolist()):
-        rows = np.flatnonzero(counts == m)
-        tables[rows] = _born(np.stack([channels[i].stack for i in rows]))
-    tables.setflags(write=False)
-    return tables
+    prep, basis, result = np.array(cells).T
+    images = _map_states(stacks, _STATE_STACK[prep])
+    return _born_probabilities(_BORN_OPERATORS[basis, result], images)
 
 
 def identity_channel() -> KrausChannel:
     return KrausChannel((IDENTITY,), label="identity")
 
 
+def damping_stack(xs) -> np.ndarray:
+    """Kraus operators of the damping family at each strength of ``xs``.
+
+    A read-only (P, 2, 2, 2) array of {diag(1, sqrt(1-x)), sqrt(x)|0><1|}
+    per strength.  An e1 that :class:`KrausChannel` would drop (Frobenius
+    norm at most ``ZERO_OPERATOR_TOL``, so x up to about 1e-28) is zero, so
+    it adds exact zeros to every operator sum.  Raises for a strength
+    outside [0, 1] (NaN included) and, with :func:`born_table`'s message,
+    for a stack that fails the completeness gate.
+    """
+    xs = np.asarray(xs, dtype=float)
+    outside = ~((xs >= 0.0) & (xs <= 1.0))
+    if outside.any():
+        raise ValueError(f"damping strength must lie in [0, 1], got {float(xs[outside][0])}")
+    stack = np.zeros((len(xs), 2, 2, 2), dtype=complex)
+    stack[:, 0, 0, 0] = 1.0
+    stack[:, 0, 1, 1] = np.sqrt(1.0 - xs)
+    stack[:, 1, 0, 1] = np.sqrt(xs)
+    dropped = np.linalg.norm(stack[:, 1], axis=(-2, -1)) <= ZERO_OPERATOR_TOL
+    stack[dropped, 1] = 0.0
+    deviation = np.linalg.norm(_completeness_error(stack), axis=(-2, -1))
+    failed = np.flatnonzero(~(deviation <= COMPLETENESS_TOL))
+    if failed.size:
+        first = failed[0]
+        raise _incomplete(f"seal(x={xs[first]:g})", deviation[first])
+    stack.setflags(write=False)
+    return stack
+
+
 def seal_channel(x: float) -> KrausChannel:
     """The one-parameter damping family used as the worked eavesdropper.
 
-    Kraus operators {diag(1, sqrt(1-x)), sqrt(x)|0><1|}: strength x=0 is the
-    identity (a purely passive listener) and x=1 sends every input to |0><0|.
+    Kraus operators {diag(1, sqrt(1-x)), sqrt(x)|0><1|} (:func:`damping_stack`):
+    strength x=0 is the identity (a purely passive listener) and x=1 sends
+    every input to |0><0|.
     """
     x = float(x)
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"damping strength must lie in [0, 1], got {x}")
-    e0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - x)]], dtype=complex)
-    e1 = np.array([[0.0, math.sqrt(x)], [0.0, 0.0]], dtype=complex)
-    return KrausChannel((e0, e1) if x > 0.0 else (e0,), label=f"seal(x={x:g})")
+    return KrausChannel(tuple(damping_stack([x])[0]), label=f"seal(x={x:g})")
 
 
 def depolarizing_channel(p: float) -> KrausChannel:

@@ -5,6 +5,12 @@ from hypothesis import strategies as st
 
 from sealsim.qubit import BlochVector, KrausChannel, density_from_bloch
 
+# The largest damping strength whose second Kraus operator, sqrt(x)|0><1|,
+# KrausChannel drops (its Frobenius norm sqrt(x) is at most
+# ZERO_OPERATOR_TOL, 1e-14); one ulp above, the operator is kept.
+LAST_DROPPED_STRENGTH = float.fromhex("0x1.fb0f6be50601ap-94")
+FIRST_KEPT_STRENGTH = math.nextafter(LAST_DROPPED_STRENGTH, 1.0)
+
 
 def sphere_point(u: float, w: float) -> tuple[float, float, float]:
     """Map (u, w) in the unit square to a unit 3-vector."""

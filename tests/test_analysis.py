@@ -3,11 +3,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
-from conftest import random_kraus_channel, rotated_channel
+from conftest import (
+    FIRST_KEPT_STRENGTH,
+    LAST_DROPPED_STRENGTH,
+    random_kraus_channel,
+    rotated_channel,
+)
 from oracles import (
     mi_bruteforce,
     mi_by_length_stepwise,
@@ -507,12 +512,46 @@ def test_grid_is_the_per_point_evaluation(n, pa, grid):
         assert got.matched_basis_conditional.hex() == want.matched_basis_conditional.hex()
 
 
+# Strengths where the stacked mismatch column could part from the
+# per-channel one: the ends, the smallest subnormal, and the two sides of
+# the second operator's drop, one ulp apart.
+EDGE_STRENGTHS = [0.0, 1.0, 5e-324, LAST_DROPPED_STRENGTH, FIRST_KEPT_STRENGTH]
+
+
+@st.composite
+def mismatch_grids(draw):
+    """Strengths in [0, 1], edge strengths mixed in, some of them repeated, in any order."""
+    points = draw(st.lists(st.one_of(unit, st.sampled_from(EDGE_STRENGTHS)), max_size=12))
+    return points + draw(st.lists(st.sampled_from(points), max_size=4)) if points else points
+
+
+@settings(max_examples=150, deadline=None)
+@given(mismatch_grids())
+@example(EDGE_STRENGTHS + [1e-30, 1e-16, 1.0 - 1e-16, 0.5, 0.5, 0.0])
+def test_mismatch_grid_is_the_per_point_evaluation(grid):
+    got = seal_mismatch_probability_grid(grid)
+    assert len(got) == len(grid)
+    for x, point in zip(grid, got):
+        want = mismatch_probability(seal_channel(x))
+        assert point.per_shot.hex() == want.per_shot.hex()
+        assert point.matched_basis_conditional.hex() == want.matched_basis_conditional.hex()
+
+
+@pytest.mark.parametrize("x", [-0.1, 1.5, math.nan])
+def test_mismatch_grid_rejects_a_strength_outside_0_1(x):
+    with pytest.raises(ValueError, match="damping strength"):
+        seal_mismatch_probability_grid([0.0, 0.5, x])
+    assert seal_mismatch_probability_grid([]) == []
+
+
 @pytest.mark.parametrize("block_cells", [1, 100])
 def test_grid_blocks_do_not_change_the_numbers(monkeypatch, block_cells):
     grid = [0.0, 1e-300, 0.05, 0.3, 0.3, 0.75, 1.0]
     want = [seal_expected_mutual_information(x, 60, 0.5) for x in grid]
+    mismatch = [mismatch_probability(seal_channel(x)) for x in grid]
     monkeypatch.setattr(analysis, "_BLOCK_CELLS", block_cells)
     assert seal_expected_mutual_information_grid(grid, 60, 0.5) == want
+    assert seal_mismatch_probability_grid(grid) == mismatch
 
 
 def test_rows_of_a_general_channel_walk_as_they_walk_alone():
@@ -653,3 +692,23 @@ def test_grid_memory_does_not_grow_with_the_grid():
     a 101-point one plus its own results and input rows (about 200 bytes a
     point); walked all at once, its lattices alone would take over 20 MB."""
     assert _grid_peak_bytes(10_001) <= _grid_peak_bytes(101) + 3 * 2**20
+
+
+def _mismatch_grid_peak_bytes(points: int) -> int:
+    grid = [i / (points - 1) for i in range(points)]
+    tracemalloc.start()
+    try:
+        column = seal_mismatch_probability_grid(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(column) == points
+    return peak
+
+
+def test_mismatch_grid_memory_does_not_grow_with_the_grid():
+    """The strengths' operators are stacked and evaluated in blocks: a grid of
+    10001 points peaks at the memory of a 101-point one plus its own results
+    and input (about 130 bytes a point); stacked all at once, its operator
+    products alone would take over 10 MB."""
+    assert _mismatch_grid_peak_bytes(10_001) <= _mismatch_grid_peak_bytes(101) + 2 * 2**20

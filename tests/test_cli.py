@@ -183,6 +183,11 @@ PINNED_SWEEPS = [
         "36c80951c9a86fbeb779cf5d83ff9ada3f4b4b87a3edfc6f15c33817e81093a0",
         id="n800-pa1",
     ),
+    pytest.param(
+        ["--grid-step", "1e-4"],
+        "1c0ab2817953c7a27bf5b745925b513cf8ffeb487e4961266156baf4f32b67c8",
+        id="step1e-4",
+    ),
 ]
 
 
@@ -689,6 +694,44 @@ def test_a_label_with_a_control_character_exits_2(tmp_path, capsys, character, c
     assert captured.err == (
         f'error: {path}: "label" has control character U+{ord(character):04X} at index 1\n'
     )
+
+
+def _cell_document(cell: str) -> str:
+    """A channel document whose top-left entry is the given JSON text."""
+    return '{"label": "c", "operators": [[[%s, [0, 0]], [[0, 0], [1, 0]]]]}' % cell
+
+
+# Malformed channel files that the JSON reader, the number conversion or the
+# output encoding would otherwise end in a traceback, as bytes on disk.
+MALFORMED_FILES = [
+    pytest.param(_cell_document("[1" + "0" * 400 + ", 0]").encode(), id="integer-beyond-float"),
+    pytest.param(_cell_document("[1" + "0" * 5000 + ", 0]").encode(), id="integer-of-5001-digits"),
+    pytest.param(b"[" * 100_000, id="nested-100000-deep"),
+    pytest.param(_cell_document("[1, 0]").encode().replace(b'"c"', b'"caf\xe9"'), id="not-utf-8"),
+    pytest.param(_label_document("a\ud800b").encode(), id="lone-surrogate-label"),
+]
+
+
+@pytest.mark.parametrize("document", MALFORMED_FILES)
+@pytest.mark.parametrize("command", [["validate-channel"], ["simulate", "--trials", "2", "--channel-file"]])
+def test_a_malformed_channel_file_exits_2_without_a_traceback(tmp_path, document, command):
+    path = tmp_path / "malformed.json"
+    path.write_bytes(document)
+    src = str(Path(sealsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sealsim", *command, str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith(f"error: {path}: ")
 
 
 @pytest.mark.parametrize("label", ["a b", "seal(x=0.5) éè → \U0001f600", "\x80\x9f", ""])

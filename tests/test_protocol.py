@@ -16,7 +16,7 @@ from oracles import (
     tally_by_loop,
     transcript_lines_by_record,
 )
-from sealsim import protocol, qubit
+from sealsim import analysis, protocol, qubit
 from sealsim.analysis import bit_announcement_probs, mismatch_probability
 from sealsim.protocol import (
     BIT_ANNOUNCEMENT_ALPHABET,
@@ -130,6 +130,10 @@ def channels(draw):
     return random_kraus_channel(np.random.default_rng(seed), draw(st.integers(1, 4)))
 
 
+# Every (preparation, basis, result) cell of a Born table, in C order.
+BORN_CELLS = list(np.ndindex(4, 2, 2))
+
+
 @settings(max_examples=300, deadline=None)
 @given(channels())
 def test_born_table_is_the_per_state_path(channel):
@@ -138,23 +142,31 @@ def test_born_table_is_the_per_state_path(channel):
     want = born_table_by_state(channel)
     assert ShotSampler(channel)._p_plus.tobytes() == np.ascontiguousarray(want[:, :, 0]).tobytes()
     assert qubit.born_table(channel).tobytes() == want.tobytes()
-    assert qubit.born_tables([channel, seal_channel(0.5)])[0].tobytes() == want.tobytes()
+    stacked = np.stack([channel.stack, channel.stack[::-1]])
+    assert qubit.born_cells(stacked, BORN_CELLS)[0].tobytes() == want.tobytes()
     assert abs(mismatch_probability(channel).per_shot - mismatch_by_state(channel)) <= 1e-15
 
 
-def test_born_tables_group_channels_by_operator_count():
-    mixed = [
-        seal_channel(0.0),
-        random_kraus_channel(np.random.default_rng(1), 3),
-        seal_channel(0.3),
-        depolarizing_channel(0.2),
-        seal_channel(1.0),
+def test_born_cells_of_stacked_channels_are_each_channels_table():
+    """Channels with the same number of operators, stacked, each get the
+    floats of their own per-state table, in any choice and order of cells."""
+    rng = np.random.default_rng(1)
+    by_count = [
+        [seal_channel(0.0), identity_channel()],
+        [seal_channel(0.3), dephasing_channel(), seal_channel(1.0), random_kraus_channel(rng, 2)],
+        [random_kraus_channel(rng, 3)],
+        [depolarizing_channel(0.2), random_kraus_channel(rng, 4)],
     ]
-    tables = qubit.born_tables(mixed)
-    assert tables.shape == (5, 4, 2, 2) and not tables.flags.writeable
-    for channel, table in zip(mixed, tables):
-        assert table.tobytes() == born_table_by_state(channel).tobytes()
-    assert qubit.born_tables([]).shape == (0, 4, 2, 2)
+    picked = [(3, 1, 0), (0, 0, 1), (3, 1, 0)]
+    for channels in by_count:
+        stacks = np.stack([channel.stack for channel in channels])
+        cells = qubit.born_cells(stacks, BORN_CELLS)
+        assert cells.shape == (len(channels), 16)
+        for channel, row in zip(channels, cells):
+            assert row.tobytes() == born_table_by_state(channel).tobytes()
+        some = qubit.born_cells(stacks, picked)
+        assert some.tobytes() == cells[:, [14, 1, 14]].tobytes()
+        assert qubit.born_cells(stacks[:0], BORN_CELLS).shape == (0, 16)
 
 
 def test_born_table_rejects_an_incomplete_channel_as_before():
@@ -165,7 +177,23 @@ def test_born_table_rejects_an_incomplete_channel_as_before():
         lambda: ShotSampler(half),
         lambda: mismatch_probability(half),
         lambda: qubit.born_table(half),
-        lambda: qubit.born_tables([seal_channel(0.5), half]),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_the_stacked_damping_gate_rejects_with_born_tables_message(monkeypatch):
+    """The mismatch grid checks one completeness deviation per stacked row
+    and raises born_table's message for the first row that fails.  No
+    damping channel fails the gate, so the tolerance is lowered below all
+    of their deviations."""
+    channel = seal_channel(0.25)
+    monkeypatch.setattr(qubit, "COMPLETENESS_TOL", -1.0)
+    message = r"channel 'seal\(x=0.25\)' fails completeness \(deviation \d\.\d{3}e[+-]\d+\)"
+    for call in (
+        lambda: qubit.born_table(channel),
+        lambda: qubit.damping_stack([0.25, 0.5]),
+        lambda: analysis.seal_mismatch_probability_grid([0.25, 0.5]),
     ):
         with pytest.raises(ValueError, match=message):
             call()

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bloch_vectors, density_matrices, random_density, random_kraus_channel
+from conftest import (
+    FIRST_KEPT_STRENGTH,
+    LAST_DROPPED_STRENGTH,
+    bloch_vectors,
+    density_matrices,
+    random_density,
+    random_kraus_channel,
+)
 from oracles import apply_coupling, coupling_unitary
 from sealsim.qubit import (
     IDENTITY,
@@ -20,6 +27,7 @@ from sealsim.qubit import (
     ProtocolPureState,
     apply_channel,
     bloch_from_density,
+    damping_stack,
     density_from_bloch,
     dephasing_channel,
     depolarizing_channel,
@@ -179,6 +187,30 @@ def test_seal_channel_endpoints():
         seal_channel(1.2)
     with pytest.raises(ValueError):
         seal_channel(-0.1)
+
+
+def test_seal_channel_drops_its_second_operator_up_to_the_zero_operator_tolerance():
+    assert len(seal_channel(LAST_DROPPED_STRENGTH).operators) == 1
+    assert len(seal_channel(FIRST_KEPT_STRENGTH).operators) == 2
+
+
+def test_damping_stack_rows_are_the_seal_channels():
+    """Each row holds the channel's kept operators, then zeros for a dropped one."""
+    xs = [0.0, -0.0, 5e-324, 1e-30, LAST_DROPPED_STRENGTH, FIRST_KEPT_STRENGTH, 1e-16, 0.5, 1.0]
+    stack = damping_stack(xs)
+    assert stack.shape == (len(xs), 2, 2, 2) and not stack.flags.writeable
+    for x, row in zip(xs, stack):
+        kept = seal_channel(x).stack
+        assert row[: len(kept)].tobytes() == kept.tobytes()
+        assert not row[len(kept) :].any()
+    assert damping_stack([]).shape == (0, 2, 2, 2)
+
+
+@pytest.mark.parametrize("x", [-0.1, 1.5, math.nan, -math.inf])
+def test_damping_stack_rejects_a_strength_outside_0_1(x):
+    for call in (lambda: damping_stack([0.5, x, 2.0]), lambda: seal_channel(x)):
+        with pytest.raises(ValueError, match=f"damping strength must lie in \\[0, 1\\], got {x}"):
+            call()
 
 
 def test_seal_channel_matches_coupling_oracle():
