@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import re
+import reprlib
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,9 @@ def _entry(value, where: str) -> complex:
         or len(value) != 2
         or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in value)
     ):
-        raise ChannelFormatError(f"{where}: expected an [re, im] number pair, got {value!r}")
+        # reprlib cuts a long or deeply nested value down to a few dozen characters
+        got = reprlib.repr(value)
+        raise ChannelFormatError(f"{where}: expected an [re, im] number pair, got {got}")
     try:
         return complex(value[0], value[1])
     except OverflowError as exc:

@@ -177,7 +177,7 @@ def cmd_simulate(
     print("\n".join(lines))
 
     if transcript_path is not None:
-        shots, _, _ = protocol.run_protocol(params, channel, stream=0)
+        keys, _ = protocol.run_keys(params, channel, stream=0)
         comments = (
             "sealsim transcript (stream 0)",
             f"channel = {channel.label}",
@@ -187,10 +187,7 @@ def cmd_simulate(
             f"seed = {params.seed}",
         )
         try:
-            protocol.export_transcript(shots, transcript_path, public=False, comments=comments)
-            protocol.export_transcript(
-                shots, transcript_path + ".public", public=True, comments=comments
-            )
+            protocol.write_transcripts(keys, transcript_path, comments=comments)
         except OSError as exc:
             print(f"error: cannot write transcript: {exc}", file=sys.stderr)
             return 3

@@ -40,26 +40,33 @@ each read from its offset in the stream, and its counts are summed before
 it is decoded, so memory grows with neither the trial count nor N.
 Blocking only batches the tally, so counts do not depend on the block size.
 
-Every record carries its key, computed once when it is made, and the
+A run's shots leave the engine as one key column.  ``run_keys`` returns a
+run's keys and its outcome, and ``write_transcripts`` writes both
+transcript files, the full one and its public projection, from that column,
+so ``simulate --transcript`` builds no per-shot object and reads no key
+back.  Every record carries its key, computed once when it is made, and the
 64 records, their public (basis, announcement) entries and their transcript
-fields are tables indexed by key.  ``run_protocol`` tallies its one run and
-picks its records and public entries from those tables; ``bob_decode`` and
-``tally_mismatches`` tally the keys of the records they are given, so a
-hand-built record counts and prints like any other.
+fields are tables indexed by key.  ``run_protocol`` picks a run's records
+and public entries from those tables by its key column; ``bob_decode``,
+``tally_mismatches``, ``export_transcript`` and ``transcript_lines`` read
+the keys of the records they are given, so a hand-built record counts and
+prints like any other.
 
-A transcript is built as bytes with no Python work per line beyond reading
-each record's key.  A (64, width) uint8 table holds each key's
-``",<fields>\n"`` padded with NUL.  Each row of one block over a byte
-buffer gets its shot index's digits, NUL-padded on the left, then its key's
-row of that table, and the padding is deleted from the buffer.
-``export_transcript`` writes the comments, the header and those bytes
-atomically, and ``transcript_lines`` is the header followed by their lines.
+A transcript body is built as bytes with no Python work per line.  The shot
+indices' digits are n fixed-width byte strings, NUL-padded on the left,
+computed once for both files of a column.  A table of 64 fixed-width byte
+strings holds each key's ``",<fields>\n"``, padded with NUL.  Each line is
+one (index, fields) record over a byte buffer, and the padding is deleted
+from the buffer.  A file is the comments, the header and those bytes,
+written atomically, and ``transcript_lines`` is the header followed by
+their lines.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -261,14 +268,13 @@ _HEADERS = (
 
 
 def _line_table(fields) -> np.ndarray:
-    """A (keys, width) uint8 table: row k is ``",<fields[k]>\n"``, NUL-padded."""
+    """A table of fixed-width byte strings: item k is ``",<fields[k]>\n"``, NUL-padded."""
     rows = [f",{f}\n".encode() for f in fields]
     width = max(map(len, rows))
-    table = b"".join(row.ljust(width, b"\0") for row in rows)
-    return np.frombuffer(table, dtype=np.uint8).reshape(len(rows), width)
+    return np.frombuffer(b"".join(row.ljust(width, b"\0") for row in rows), dtype=f"V{width}")
 
 
-# _LINE_TABLES[public][key]: _LINE_FIELDS as padded bytes, one row per key
+# _LINE_TABLES[public][key]: _LINE_FIELDS as padded bytes, one item per key
 _LINE_TABLES = tuple(map(_line_table, _LINE_FIELDS))
 _DIGITS = np.frombuffer(b"0123456789", dtype=np.uint8)
 
@@ -661,16 +667,17 @@ def _run_counts(params: ProtocolParams, eve: KrausChannel, trials: int, parity: 
         yield t, _counts(sampler._keys(pa, bits[:, None], *_run_columns(words[: len(t)], n)))
 
 
-def run_protocol(
+def run_keys(
     params: ProtocolParams, eve: KrausChannel, stream: int = 0
-) -> tuple[list[ShotRecord], PublicTranscript, RunOutcome]:
-    """One full run of ``params.n_shots`` shots.
+) -> tuple[np.ndarray, RunOutcome]:
+    """The key column of one run of ``params.n_shots`` shots, and its outcome.
 
     Deterministic in (params, eve, stream): the run's four variate columns
     are read from its stream's raw words in one fixed layout, so shot s
     always sees the same four variates no matter how the run is scheduled.
     ``stream`` selects a substream of the root seed, a non-negative integer
-    below 2**64; Monte Carlo trial t uses stream t.
+    below 2**64; Monte Carlo trial t uses stream t.  Key s is the ``_key``
+    of shot s's record.
     """
     stream = operator.index(stream)
     if not 0 <= stream < 2**64:
@@ -682,15 +689,21 @@ def run_protocol(
     columns = _run_columns(streams.words(state, 0, 3 * n)[None], n)
     keys = sampler._keys(params.p_announce, params.message_bit, *columns)
     tally = _tally(_counts(keys))
-    shots = _RECORDS[keys[0]].tolist()
-    entries = tuple(_PUBLIC_ENTRIES[keys[0]].tolist())
     outcome = RunOutcome(
         _decoded_bit(tally.decoded[0]),
         int(tally.votes[0]),
         int(tally.matched_result_announcements[0]),
         int(tally.mismatches[0]),
     )
-    return shots, PublicTranscript(entries), outcome
+    return keys[0], outcome
+
+
+def run_protocol(
+    params: ProtocolParams, eve: KrausChannel, stream: int = 0
+) -> tuple[list[ShotRecord], PublicTranscript, RunOutcome]:
+    """One full run: :func:`run_keys` as records, public entries and outcome."""
+    keys, outcome = run_keys(params, eve, stream)
+    return _RECORDS[keys].tolist(), PublicTranscript(tuple(_PUBLIC_ENTRIES[keys].tolist())), outcome
 
 
 def _freq_and_se(count: int, total: int) -> tuple[float, float]:
@@ -810,39 +823,43 @@ def information_density(
     return values
 
 
-def _write_index_digits(block: np.ndarray) -> None:
-    """Fill an (n, width) uint8 block with the digits of 0 .. n-1, NUL-padded on the left.
+def _index_digits(n: int) -> np.ndarray:
+    """The digits of 0 .. n-1, NUL-padded on the left, as n fixed-width byte strings.
 
-    Column j holds the digits of place ``width - 1 - j``: a cycle of
+    Byte j of each holds the digits of place ``width - 1 - j``: a cycle of
     "0".."9", each repeated 10**place times.  A row below 10**place has no
     digit there, which is NUL.
     """
-    n, width = block.shape
+    width = len(str(max(n - 1, 0)))
+    block = np.empty((n, width), dtype=np.uint8)
     for place in range(width):
         run = 10**place
         column = block[:, width - 1 - place]
         column[:] = np.tile(np.repeat(_DIGITS, run), -(-n // (10 * run)))[:n]
         if place:
             column[:run] = 0
+    return block.view(f"V{width}")[:, 0]
 
 
-def _transcript_body(shots, public: bool) -> bytearray:
+def _transcript_body(keys: np.ndarray, index: np.ndarray, public: bool) -> bytearray:
     """The CSV lines after the header, each ending in a newline, as one buffer.
 
-    A line is its shot index's digits followed by the record's row of
-    ``_LINE_TABLES``.  Both are written, NUL-padded, into the rows of one
-    (n, width) block over the buffer, and the padding is deleted.
+    A line is its shot's item of ``index`` (:func:`_index_digits`) followed
+    by its key's item of ``_LINE_TABLES``.  Both are written, NUL-padded,
+    into one record per line over the buffer, and the padding is deleted.
     """
-    keys = _record_keys(shots)
     table = _LINE_TABLES[public]
-    n = len(keys)
-    digits = len(str(n - 1)) if n else 0
-    width = digits + table.shape[1]
-    buffer = bytearray(n * width)
-    block = np.frombuffer(buffer, dtype=np.uint8).reshape(n, width)
-    _write_index_digits(block[:, :digits])
-    block[:, digits:] = table.take(keys, axis=0)
+    buffer = bytearray(len(index) * (index.itemsize + table.itemsize))
+    lines = np.frombuffer(buffer, dtype=[("index", index.dtype), ("fields", table.dtype)])
+    lines["index"] = index
+    lines["fields"] = table.take(keys)
     return buffer.translate(None, b"\0")
+
+
+def _write_transcript(path, keys: np.ndarray, index: np.ndarray, public: bool, comments) -> None:
+    """Write ``#`` comment lines, the header and the body atomically, as one byte string."""
+    head = "".join(f"# {c}\n" for c in comments) + _HEADERS[public] + "\n"
+    write_atomic(path, head.encode() + _transcript_body(keys, index, public))
 
 
 def transcript_lines(shots, public: bool = False) -> list[str]:
@@ -850,7 +867,9 @@ def transcript_lines(shots, public: bool = False) -> list[str]:
 
     The header, then the lines of the bytes :func:`export_transcript` writes.
     """
-    return [_HEADERS[public], *_transcript_body(shots, public).decode().splitlines()]
+    keys = _record_keys(shots)
+    body = _transcript_body(keys, _index_digits(len(keys)), public)
+    return [_HEADERS[public], *body.decode().splitlines()]
 
 
 def export_transcript(shots, path: str | Path, public: bool = False, comments=()) -> None:
@@ -858,5 +877,16 @@ def export_transcript(shots, path: str | Path, public: bool = False, comments=()
 
     The file is one byte string: the comments and header, then the body.
     """
-    head = "".join(f"# {c}\n" for c in comments) + _HEADERS[public] + "\n"
-    write_atomic(path, head.encode() + _transcript_body(shots, public))
+    keys = _record_keys(shots)
+    _write_transcript(path, keys, _index_digits(len(keys)), public, comments)
+
+
+def write_transcripts(keys: np.ndarray, path: str | Path, comments=()) -> None:
+    """Write a key column's full transcript to ``path`` and its public one to ``path + ".public"``.
+
+    The files are the ones :func:`export_transcript` writes for the records
+    of those keys; the shot-index digits are computed once for both.
+    """
+    index = _index_digits(len(keys))
+    _write_transcript(path, keys, index, False, comments)
+    _write_transcript(f"{os.fspath(path)}.public", keys, index, True, comments)

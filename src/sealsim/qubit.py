@@ -228,10 +228,6 @@ def maximally_mixed() -> DensityMatrix:
     return DensityMatrix(0.5 * IDENTITY)
 
 
-def basis_matrix(basis: MeasurementBasis) -> np.ndarray:
-    return _BASIS_MATRICES[basis]
-
-
 def density_from_bloch(b: BlochVector) -> DensityMatrix:
     """Build rho = (I + lam * (v1 s1 + v2 s2 + v3 s3)) / 2."""
     v1, v2, v3 = b.v

@@ -363,26 +363,37 @@ PINNED_TRANSCRIPTS = [
 
 
 @pytest.mark.parametrize("options, want", PINNED_TRANSCRIPTS)
-def test_transcript_files_are_pinned(tmp_path, monkeypatch, capsys, options, want):
-    """Both files keep their bytes, and the run's public entries are the
-    projection of its records."""
+def test_transcript_files_are_pinned(tmp_path, capsys, options, want):
+    """Both files keep their bytes.  (That the run's public entries are the
+    projection of its records is checked in tests/test_protocol.py, over
+    these settings.)"""
     if RANDOM_3OP in options:
         channel_path = tmp_path / "random3.json"
         save_channel(random_kraus_channel(np.random.default_rng(123), 3), channel_path)
         options = [str(channel_path) if o == RANDOM_3OP else o for o in options]
-    runs = []
-    run_protocol = protocol.run_protocol
-
-    def recorded_run(*args, **kwargs):
-        runs.append(run_protocol(*args, **kwargs))
-        return runs[-1]
-
-    monkeypatch.setattr(protocol, "run_protocol", recorded_run)
     transcript = tmp_path / "run.csv"
     assert main(["simulate", *options, "--trials", "10", "--transcript", str(transcript)]) == 0
     capsys.readouterr()
-    [(shots, public, _)] = runs
-    assert public == protocol.public_transcript(shots)
+    digests = tuple(
+        hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (transcript, tmp_path / "run.csv.public")
+    )
+    assert digests == want
+
+
+def test_simulate_transcript_builds_no_records_and_reads_no_keys_back(tmp_path, monkeypatch, capsys):
+    """The CLI writes both files from one key column: it never runs the
+    record-building ``run_protocol`` nor reads keys out of records."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate --transcript went through the per-shot records")
+
+    monkeypatch.setattr(protocol, "run_protocol", refuse)
+    monkeypatch.setattr(protocol, "_record_keys", refuse)
+    options, want = PINNED_TRANSCRIPTS[-1].values
+    transcript = tmp_path / "run.csv"
+    assert main(["simulate", *options, "--trials", "2", "--transcript", str(transcript)]) == 0
+    capsys.readouterr()
     digests = tuple(
         hashlib.sha256(path.read_bytes()).hexdigest()
         for path in (transcript, tmp_path / "run.csv.public")
@@ -732,6 +743,35 @@ def test_a_malformed_channel_file_exits_2_without_a_traceback(tmp_path, document
     assert proc.stdout == ""
     (line,) = proc.stderr.splitlines()
     assert line.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize(
+    "cell, shown",
+    [
+        pytest.param("[" * 980 + "]" * 980, "[[[[[[[...]]]]]]]", id="980-nested-arrays"),
+        pytest.param(json.dumps(list(range(10_000))), "[0, 1, 2, 3, 4, 5, ...]", id="10000-numbers"),
+        pytest.param(json.dumps("x" * 10_000), "'xxxxxxxxxxxx...xxxxxxxxxxxxx'", id="10000-chars"),
+    ],
+)
+@pytest.mark.parametrize("command", [["validate-channel"], ["simulate", "--trials", "2", "--channel-file"]])
+def test_a_large_malformed_cell_is_shown_cut_short(tmp_path, cell, shown, command):
+    path = tmp_path / "large-cell.json"
+    path.write_text(_cell_document(cell))
+    src = str(Path(sealsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sealsim", *command, str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"error: {path}: operators[0][0][0]: expected an [re, im] number pair, got {shown}\n"
+    )
 
 
 @pytest.mark.parametrize("label", ["a b", "seal(x=0.5) éè → \U0001f600", "\x80\x9f", ""])

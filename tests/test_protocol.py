@@ -17,6 +17,7 @@ from oracles import (
     transcript_lines_by_record,
 )
 from sealsim import analysis, protocol, qubit
+from sealsim.channel_file import channel_to_json, parse_channel
 from sealsim.analysis import bit_announcement_probs, mismatch_probability
 from sealsim.protocol import (
     BIT_ANNOUNCEMENT_ALPHABET,
@@ -409,6 +410,85 @@ def test_transcript_is_projection_without_private_fields():
         assert not isinstance(ann, ProtocolPureState)
         if isinstance(ann, BitAnnouncement):
             assert not hasattr(ann, "m")
+
+
+def _file_channel(channel: KrausChannel) -> KrausChannel:
+    """The channel as ``simulate --channel-file`` reads it back from a saved file."""
+    return parse_channel(channel_to_json(channel))
+
+
+# The settings of tests/test_cli.py::PINNED_TRANSCRIPTS, as the CLI runs them
+# (defaults: N=119, p_announce 0.05, message bit 0, seed 0).
+TRANSCRIPT_SETTINGS = [
+    pytest.param(ProtocolParams(1, 1.0, 0, 3), seal_channel(0.5), id="n1-pa1"),
+    pytest.param(ProtocolParams(119, 0.0, 1, 5), depolarizing_channel(0.3), id="pa0-bit1"),
+    pytest.param(
+        ProtocolParams(119, 0.2, 0, 99),
+        _file_channel(random_kraus_channel(np.random.default_rng(123), 3)),
+        id="random3op",
+    ),
+    pytest.param(ProtocolParams(50000, 0.5, 0, 7), seal_channel(0.5), id="n50000"),
+]
+
+
+@pytest.mark.parametrize("params, channel", TRANSCRIPT_SETTINGS)
+def test_public_entries_are_the_projection_of_the_records(params, channel):
+    """The stream-0 run behind each pinned transcript: its public entries
+    are the projection of its records."""
+    shots, public, _ = run_protocol(params, channel, stream=0)
+    assert public == public_transcript(shots)
+
+
+RUN_KEY_CHANNELS = [
+    pytest.param(identity_channel(), id="identity"),
+    pytest.param(seal_channel(0.3), id="seal0.3"),
+    pytest.param(depolarizing_channel(0.4), id="depolarizing0.4"),
+    pytest.param(dephasing_channel(), id="dephasing"),
+    pytest.param(random_kraus_channel(np.random.default_rng(5), 3), id="random3op"),
+]
+
+
+@pytest.mark.parametrize("channel", RUN_KEY_CHANNELS)
+@pytest.mark.parametrize(
+    "params",
+    [
+        ProtocolParams(1, 1.0, 0, 3),
+        ProtocolParams(119, 0.3, 1, 8),
+        ProtocolParams(9000, 0.05, 0, 2),
+    ],
+    ids=["n1", "n119-bit1", "n9000"],
+)
+def test_run_keys_are_the_keys_and_outcome_of_run_protocol(params, channel):
+    for stream in (0, 1, 17, 2**32, 2**64 - 1):
+        keys, outcome = protocol.run_keys(params, channel, stream)
+        shots, _, want = run_protocol(params, channel, stream)
+        assert keys.shape == (params.n_shots,)
+        assert np.array_equal(keys, protocol._record_keys(shots))
+        assert outcome == want
+
+
+@pytest.mark.parametrize("n", [1, 9, 10, 11, 100, 101, 50000])
+def test_write_transcripts_files_are_export_transcript_of_the_records(tmp_path, n):
+    channel = random_kraus_channel(np.random.default_rng(n), 3)
+    keys, _ = protocol.run_keys(ProtocolParams(n, 0.5, n % 2, n), channel)
+    shots = protocol._RECORDS[keys].tolist()
+    comments = ("sealsim transcript (stream 0)", f"n_shots = {n}")
+    export_transcript(shots, tmp_path / "want.csv", public=False, comments=comments)
+    export_transcript(shots, tmp_path / "want.csv.public", public=True, comments=comments)
+    protocol.write_transcripts(keys, str(tmp_path / "got.csv"), comments=comments)
+    for suffix in ("csv", "csv.public"):
+        got, want = (tmp_path / f"{side}.{suffix}" for side in ("got", "want"))
+        assert got.read_bytes() == want.read_bytes()
+
+
+def test_write_transcripts_takes_a_path_and_an_empty_key_column(tmp_path):
+    protocol.write_transcripts(np.empty(0, dtype=np.intp), tmp_path / "empty.csv", comments=("c",))
+    assert (tmp_path / "empty.csv").read_bytes() == (
+        b"# c\nshot_index,prep,basis,result,announcement_kind,announced_value\n"
+    )
+    assert (tmp_path / "empty.csv.public").read_bytes() == (
+        b"# c\nshot_index,basis,announcement_kind,announced_value\n"
+    )
 
 
 def test_transcript_lines_formats():
