@@ -381,7 +381,9 @@ def test_transcript_files_are_pinned(tmp_path, capsys, options, want):
     assert digests == want
 
 
-def test_simulate_transcript_builds_no_records_and_reads_no_keys_back(tmp_path, monkeypatch, capsys):
+def test_simulate_transcript_builds_no_records_and_reads_no_keys_back(
+    tmp_path, monkeypatch, capsys
+):
     """The CLI writes both files from one key column: it never runs the
     record-building ``run_protocol`` nor reads keys out of records."""
 
@@ -723,21 +725,26 @@ MALFORMED_FILES = [
 ]
 
 
+def _run_sealsim(args, cwd) -> subprocess.CompletedProcess:
+    """``python -m sealsim ARGS`` in a fresh interpreter, importing this checkout's sources."""
+    src = str(Path(sealsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run(
+        [sys.executable, "-m", "sealsim", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=cwd,
+        timeout=120,
+    )
+
+
 @pytest.mark.parametrize("document", MALFORMED_FILES)
 @pytest.mark.parametrize("command", [["validate-channel"], ["simulate", "--trials", "2", "--channel-file"]])
 def test_a_malformed_channel_file_exits_2_without_a_traceback(tmp_path, document, command):
     path = tmp_path / "malformed.json"
     path.write_bytes(document)
-    src = str(Path(sealsim.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "sealsim", *command, str(path)],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=tmp_path,
-        timeout=120,
-    )
+    proc = _run_sealsim([*command, str(path)], tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
@@ -749,7 +756,7 @@ def test_a_malformed_channel_file_exits_2_without_a_traceback(tmp_path, document
     "cell, shown",
     [
         pytest.param("[" * 980 + "]" * 980, "[[[[[[[...]]]]]]]", id="980-nested-arrays"),
-        pytest.param(json.dumps(list(range(10_000))), "[0, 1, 2, 3, 4, 5, ...]", id="10000-numbers"),
+        pytest.param(json.dumps(list(range(10_000))), "[0, 1, 2, 3, 4, 5, ...]", id="10000-ints"),
         pytest.param(json.dumps("x" * 10_000), "'xxxxxxxxxxxx...xxxxxxxxxxxxx'", id="10000-chars"),
     ],
 )
@@ -757,16 +764,7 @@ def test_a_malformed_channel_file_exits_2_without_a_traceback(tmp_path, document
 def test_a_large_malformed_cell_is_shown_cut_short(tmp_path, cell, shown, command):
     path = tmp_path / "large-cell.json"
     path.write_text(_cell_document(cell))
-    src = str(Path(sealsim.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "sealsim", *command, str(path)],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=tmp_path,
-        timeout=120,
-    )
+    proc = _run_sealsim([*command, str(path)], tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == (

@@ -17,8 +17,8 @@ from oracles import (
     transcript_lines_by_record,
 )
 from sealsim import analysis, protocol, qubit
-from sealsim.channel_file import channel_to_json, parse_channel
 from sealsim.analysis import bit_announcement_probs, mismatch_probability
+from sealsim.channel_file import channel_to_json, parse_channel
 from sealsim.protocol import (
     BIT_ANNOUNCEMENT_ALPHABET,
     BitAnnouncement,
