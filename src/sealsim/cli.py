@@ -18,6 +18,8 @@ import os
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from sealsim import analysis, protocol
 from sealsim.channel_file import ChannelFormatError, load_channel
 from sealsim.qubit import (
@@ -137,7 +139,9 @@ def cmd_simulate(
         )
         return 1
 
-    stats = protocol.monte_carlo(params, channel, trials)
+    # stream 0's key column comes from the pass that tallies trial 0
+    keys = None if transcript_path is None else np.empty(params.n_shots, dtype=np.int64)
+    stats = protocol.monte_carlo(params, channel, trials, keys=keys)
     dist = analysis.bit_announcement_probs(channel, report)
     predicted = dist.probs_given_b[params.message_bit]
     mismatch = analysis.mismatch_probability(channel, report)
@@ -177,7 +181,6 @@ def cmd_simulate(
     print("\n".join(lines))
 
     if transcript_path is not None:
-        keys, _ = protocol.run_keys(params, channel, stream=0)
         comments = (
             "sealsim transcript (stream 0)",
             f"channel = {channel.label}",

@@ -21,33 +21,44 @@ One column source computes those columns from the stream's raw 64-bit
 words, with no ``Generator``: the first N words hold 2N uint32 halves, low
 half first, whose top two bits (halves [0, N)) are the preparations and top
 bit (halves [N, 2N)) the bases; words [N, 2N) and [2N, 3N) give the result
-and announcement variates as ``(word >> 11) * 2**-53``.  The stream seeds
-are derived for a chunk of streams at a time in uint32 array operations,
-and each stream's state is set on one reused ``PCG64`` that reads its
-words.  The contract is unchanged: the tests compare the source with the
-columns numpy's own ``Generator`` draws.
+and announcement variates, whose ``Generator`` doubles are
+``(word >> 11) * 2**-53``.  The stream seeds are derived for a chunk of
+streams at a time in uint32 array operations, and each stream's state is
+set on one reused ``PCG64`` that reads its words.  The contract is
+unchanged: the tests compare the source with the columns numpy's own
+``Generator`` draws.
+
+No variate is turned into a double.  A shot's result is +1 when its
+variate falls below Pr(+1), and it is a bit-announcement when its other
+variate falls below ``p_announce``; both compare the 53-bit integer
+``word >> 11`` with the integer threshold ``ceil(p * 2**53)``, which for
+every double p in [0, 1] is true exactly when ``(word >> 11) * 2**-53 < p``
+is.
 
 The engine is columnar.  A shot becomes one of 64 small integer keys, one
 for each value a ``ShotRecord`` can take: preparation, basis, whether the
 result was -1, announcement kind and announced value.  One tally turns a
 block of runs -- one row of keys per run -- into per-run counts of
 bit-announcements, votes, usable result-announcements and mismatches, with
-a histogram per row and a table of what each key contributes.
-``monte_carlo`` and ``information_density`` fill a reused block of about
-``_BLOCK_CELLS`` keys with consecutive trials, each from its own stream,
-and tally it.  A run longer than the block is tallied in chunks of shots,
-each read from its offset in the stream, and its counts are summed before
-it is decoded, so memory grows with neither the trial count nor N.
+a histogram per row and a table of what each key contributes.  One engine
+reads and keys every run: it fills a reused block of about
+``_BLOCK_CELLS`` keys with consecutive runs, each from its own stream, and
+tallies it.  A run longer than the block is keyed and tallied in chunks of
+shots, each read from its offset in the stream, and its counts are summed
+before it is decoded, so memory grows with neither the trial count nor N.
 Blocking only batches the tally, so counts do not depend on the block size.
 
-A run's shots leave the engine as one key column.  ``run_keys`` returns a
-run's keys and its outcome, and ``write_transcripts`` writes both
-transcript files, the full one and its public projection, from that column,
-so ``simulate --transcript`` builds no per-shot object and reads no key
-back.  Every record carries its key, computed once when it is made, and the
-64 records, their public (basis, announcement) entries and their transcript
-fields are tables indexed by key.  ``run_protocol`` picks a run's records
-and public entries from those tables by its key column; ``bob_decode``,
+A run's shots leave the engine as one key column, written chunk by chunk
+when the caller asks for it.  ``run_keys`` returns a run's keys and its
+outcome; ``monte_carlo`` writes trial 0's keys into an array the caller
+passes, so ``simulate --transcript`` reads and keys stream 0 once, in the
+pass that tallies it.  ``write_transcripts`` writes both transcript files,
+the full one and its public projection, from that column, so the command
+builds no per-shot object and reads no key back.  Every record carries its
+key, computed once when it is made, and the 64 records, their public
+(basis, announcement) entries and their transcript fields are tables
+indexed by key.  ``run_protocol`` picks a run's records and public
+entries from those tables by its key column; ``bob_decode``,
 ``tally_mismatches``, ``export_transcript`` and ``transcript_lines`` read
 the keys of the records they are given, so a hand-built record counts and
 prints like any other.
@@ -78,10 +89,7 @@ from sealsim.qubit import (
     MeasurementBasis,
     MeasurementResult,
     ProtocolPureState,
-    apply_channel,
     born_table,
-    measurement_prob,
-    state_density,
 )
 from sealsim.textfile import write_atomic
 
@@ -348,83 +356,48 @@ def _tally_records(shots) -> _Tally:
     return _tally(_counts(_record_keys(shots).reshape(1, -1)))
 
 
-def _shot_keys(cell, p_plus, u_result, u_announce, message_bit, p_announce):
-    """Shot keys from preparation-basis cells and variates (arrays or scalars).
+# The Generator's doubles are 53-bit integers over 2**53.
+_VARIATE_BITS = 53
 
-    ``cell`` is 2 * preparation index + basis index and ``p_plus`` its Pr(+1).
-    A shot's result is +1 when its result variate falls below Pr(+1), and it
-    is a bit-announcement when its announcement variate falls below
-    ``p_announce``.  ``message_bit`` may be an array that broadcasts against
-    the columns.
+
+def _threshold(p):
+    """``ceil(p * 2**53)`` clipped to [0, 2**53], as uint64 (an array or a scalar).
+
+    For a 53-bit integer m and a double p in [0, 1], ``m < _threshold(p)``
+    exactly when ``m * 2**-53 < p``: scaling by a power of two is exact, and
+    an integer lies below a real number exactly when it lies below its
+    ceiling.
     """
-    minus = u_result >= p_plus
-    is_bit = u_announce < p_announce
-    # the twist bit is the message bit on a bit-announcement and 0 otherwise
-    return cell * 8 + minus * 4 + is_bit * (2 + message_bit)
+    scaled = np.ceil(np.multiply(p, 2.0**_VARIATE_BITS))
+    return np.clip(scaled, 0.0, 2.0**_VARIATE_BITS).astype(np.uint64)
 
 
 class ShotSampler:
-    """Per-channel sampler with the eight Born probabilities precomputed."""
+    """Per-channel sampler: the eight Born Pr(+1) as integer thresholds on variates."""
 
     def __init__(self, eve: KrausChannel):
         self.channel = eve
-        # Pr(+1) indexed by (preparation, basis), in _STATES and _BASES order
-        self._p_plus = np.ascontiguousarray(born_table(eve)[:, :, 0])
+        # threshold of Pr(+1) indexed by cell = 2 * preparation index + basis
+        # index, in _STATES and _BASES order
+        self._result_thresholds = _threshold(born_table(eve)[:, :, 0].ravel())
 
-    def _keys(self, p_announce, message_bit, preps, bases, u_result, u_announce):
-        """Shot keys from variate columns (arrays of one shape, or scalars)."""
+    def keys(self, columns, announce_threshold, message_bit) -> np.ndarray:
+        """Shot keys (int64) from integer variate columns of one shape.
+
+        ``columns`` are the preparation and basis indices and the 53-bit
+        result and announcement variates, as :func:`_run_columns` gives
+        them.  A shot's result is -1 when its result variate reaches its
+        cell's threshold, and it is a bit-announcement when its
+        announcement variate falls below ``announce_threshold``, the
+        threshold of ``p_announce``.  ``message_bit`` may be an array that
+        broadcasts against the columns.
+        """
+        preps, bases, results, announces = columns
         cell = preps * 2 + bases
-        p_plus = self._p_plus.take(cell)
-        return _shot_keys(cell, p_plus, u_result, u_announce, message_bit, p_announce)
-
-    def from_variates(
-        self,
-        prep_idx: int,
-        basis_idx: int,
-        u_result: float,
-        u_announce: float,
-        message_bit: int,
-        p_announce: float,
-    ) -> ShotRecord:
-        key = self._keys(p_announce, message_bit, prep_idx, basis_idx, u_result, u_announce)
-        return _RECORDS[int(key)]
-
-    def sample(self, rng: np.random.Generator, message_bit: int, p_announce: float) -> ShotRecord:
-        return self.from_variates(
-            int(rng.integers(4)),
-            int(rng.integers(2)),
-            float(rng.random()),
-            float(rng.random()),
-            message_bit,
-            p_announce,
-        )
-
-
-def run_shot(
-    rng: np.random.Generator,
-    message_bit: int,
-    p_announce: float,
-    eve: KrausChannel,
-) -> ShotRecord:
-    """One protocol shot, drawing from the given generator.
-
-    The channel acts between preparation and measurement: the result is
-    sampled from the Born rule on the evolved state by comparing one uniform
-    variate against Pr(+1).  Draw order per shot is fixed: preparation,
-    basis, result variate, announcement-type variate.  Only the drawn
-    preparation is mapped through the channel, so the record is the one
-    ``ShotSampler(eve).sample`` gives for the same draws.
-    """
-    if message_bit not in (0, 1):
-        raise ValueError("message bit must be 0 or 1")
-    if not 0.0 <= p_announce <= 1.0:
-        raise ValueError(f"announcement probability must lie in [0, 1], got {p_announce}")
-    prep_idx, basis_idx = int(rng.integers(4)), int(rng.integers(2))
-    u_result, u_announce = float(rng.random()), float(rng.random())
-    image = apply_channel(eve, state_density(_STATES[prep_idx]))
-    p_plus = measurement_prob(image, _BASES[basis_idx], MeasurementResult.PLUS)
-    cell = prep_idx * 2 + basis_idx
-    return _RECORDS[_shot_keys(cell, p_plus, u_result, u_announce, message_bit, p_announce)]
+        minus = results >= self._result_thresholds.take(cell)
+        is_bit = announces < announce_threshold
+        # the twist bit is the message bit on a bit-announcement and 0 otherwise
+        return cell * 8 + minus * 4 + is_bit * (2 + message_bit)
 
 
 def _decoded_bit(decoded) -> int | None:
@@ -549,27 +522,28 @@ def _halves(words: np.ndarray) -> np.ndarray:
     return words.astype("<u8", copy=False).view("<u4")
 
 
-def _uniforms(words: np.ndarray) -> np.ndarray:
-    """``Generator.random``'s doubles from raw words: the top 53 bits over 2**53."""
-    return (words >> 11) * 2.0**-53
+def _variates(words: np.ndarray) -> np.ndarray:
+    """The 53-bit variates of raw words: ``Generator.random`` gives ``m * 2**-53``."""
+    return words >> (64 - _VARIATE_BITS)
 
 
 def _run_columns(words: np.ndarray, n: int):
-    """The four variate columns of whole n-shot runs, one run per row.
+    """The four integer variate columns of whole n-shot runs, one run per row.
 
     ``words`` is a C-contiguous block of each run's first 3n raw words,
     which is viewed as uint32 halves in place.  The first n words hold 2n
     uint32 halves: the preparation is the top two bits of halves [0, n) and
     the basis the top bit of halves [n, 2n), which is what
-    ``Generator.integers`` gives for 4 and 2 outcomes.  The result and
-    announcement variates come from words [n, 2n) and [2n, 3n).
+    ``Generator.integers`` gives for 4 and 2 outcomes.  The 53-bit result
+    and announcement variates (:func:`_variates`) come from words [n, 2n)
+    and [2n, 3n).
     """
     halves = _halves(words)
     return (
         halves[:, :n] >> 30,
         halves[:, n : 2 * n] >> 31,
-        _uniforms(words[:, n : 2 * n]),
-        _uniforms(words[:, 2 * n :]),
+        _variates(words[:, n : 2 * n]),
+        _variates(words[:, 2 * n :]),
     )
 
 
@@ -620,7 +594,7 @@ class _Streams:
         return halves[first % 2 : first % 2 + count]
 
     def chunk_columns(self, state: tuple[int, int], n: int, first: int):
-        """The variate columns of the ``_BLOCK_CELLS`` shots of an n-shot run from ``first``.
+        """The integer columns of the ``_BLOCK_CELLS`` shots of an n-shot run from ``first``.
 
         The last chunk of a run may be shorter.  Each column is read from its
         own offset in the stream, as laid out in :func:`_run_columns`.
@@ -629,33 +603,48 @@ class _Streams:
         return (
             self._read_halves(state, first, count) >> 30,
             self._read_halves(state, n + first, count) >> 31,
-            _uniforms(self.words(state, n + first, count)),
-            _uniforms(self.words(state, 2 * n + first, count)),
+            _variates(self.words(state, n + first, count)),
+            _variates(self.words(state, 2 * n + first, count)),
         )
 
 
-def _run_counts(params: ProtocolParams, eve: KrausChannel, trials: int, parity: int = 0):
+def _run_counts(
+    params: ProtocolParams,
+    eve: KrausChannel,
+    trials: int,
+    parity: int = 0,
+    first_stream: int = 0,
+    keys: np.ndarray | None = None,
+):
     """Yield (trial indices, counts): the tally columns of whole runs, one row each.
 
-    Trial t runs stream t and sends message bit
+    Trial t runs stream ``first_stream + t`` and sends message bit
     ``params.message_bit ^ (t & parity)``.  Runs of up to ``_BLOCK_CELLS``
     shots come in blocks of whole runs, read into one reused array.  A
-    longer run is tallied in chunks of ``_BLOCK_CELLS`` shots and its
-    chunks' counts are summed, so memory grows with neither the trial count
-    nor N.
+    longer run is keyed and tallied in chunks of ``_BLOCK_CELLS`` shots and
+    its chunks' counts are summed, so memory grows with neither the trial
+    count nor N.  When ``keys`` is given, trial 0's keys are written into
+    it as they are computed.
     """
-    n, pa = params.n_shots, params.p_announce
+    n = params.n_shots
+    announce = _threshold(params.p_announce)
     sampler = ShotSampler(eve)
     streams = _Streams(params.seed)
-    states = streams.states(0, trials)
+    states = streams.states(first_stream, first_stream + trials)
     if n > _BLOCK_CELLS:
+
+        def chunk_counts(state, first, bit, out):
+            chunk = sampler.keys(streams.chunk_columns(state, n, first), announce, bit)
+            if out is not None:
+                out[first : first + len(chunk)] = chunk
+            return _counts(chunk[None])
+
         for t, state in enumerate(states):
             bit = params.message_bit ^ (t & parity)
-            counts = sum(
-                _counts(sampler._keys(pa, bit, *streams.chunk_columns(state, n, first))[None])
-                for first in range(0, n, _BLOCK_CELLS)
+            out = keys if t == 0 else None
+            yield np.array([t]), sum(
+                chunk_counts(state, first, bit, out) for first in range(0, n, _BLOCK_CELLS)
             )
-            yield np.array([t]), counts
         return
     rows = min(_BLOCK_CELLS // n, trials)
     words = np.empty((rows, 3 * n), dtype=np.uint64)
@@ -664,7 +653,10 @@ def _run_counts(params: ProtocolParams, eve: KrausChannel, trials: int, parity: 
         for row, state in zip(range(len(t)), states):
             words[row] = streams.words(state, 0, 3 * n)
         bits = params.message_bit ^ (t & parity)
-        yield t, _counts(sampler._keys(pa, bits[:, None], *_run_columns(words[: len(t)], n)))
+        block = sampler.keys(_run_columns(words[: len(t)], n), announce, bits[:, None])
+        if keys is not None and start == 0:
+            keys[:] = block[0]
+        yield t, _counts(block)
 
 
 def run_keys(
@@ -677,25 +669,23 @@ def run_keys(
     always sees the same four variates no matter how the run is scheduled.
     ``stream`` selects a substream of the root seed, a non-negative integer
     below 2**64; Monte Carlo trial t uses stream t.  Key s is the ``_key``
-    of shot s's record.
+    of shot s's record.  The run is read and keyed by the Monte Carlo's
+    engine, in the same chunks, so its memory beside the key column does
+    not grow with N.
     """
     stream = operator.index(stream)
     if not 0 <= stream < 2**64:
         raise ValueError(f"stream must be a non-negative integer below 2**64, got {stream}")
-    n = params.n_shots
-    sampler = ShotSampler(eve)
-    streams = _Streams(params.seed)
-    (state,) = streams.states(stream, stream + 1)
-    columns = _run_columns(streams.words(state, 0, 3 * n)[None], n)
-    keys = sampler._keys(params.p_announce, params.message_bit, *columns)
-    tally = _tally(_counts(keys))
+    keys = np.empty(params.n_shots, dtype=np.int64)
+    ((_, counts),) = _run_counts(params, eve, 1, first_stream=stream, keys=keys)
+    tally = _tally(counts)
     outcome = RunOutcome(
         _decoded_bit(tally.decoded[0]),
         int(tally.votes[0]),
         int(tally.matched_result_announcements[0]),
         int(tally.mismatches[0]),
     )
-    return keys[0], outcome
+    return keys, outcome
 
 
 def run_protocol(
@@ -770,13 +760,22 @@ class SimStats:
         return _freq_and_se(self.decode_correct_count, self.decode_success_count)[1]
 
 
-def monte_carlo(params: ProtocolParams, eve: KrausChannel, trials: int) -> SimStats:
-    """Run ``trials`` independent runs and aggregate order-independent counts."""
+def monte_carlo(
+    params: ProtocolParams, eve: KrausChannel, trials: int, *, keys: np.ndarray | None = None
+) -> SimStats:
+    """Run ``trials`` independent runs and aggregate order-independent counts.
+
+    ``keys``, when given, is an array of ``params.n_shots`` integers that
+    receives trial 0's key column, the one :func:`run_keys` gives for stream
+    0, from the same pass that tallies it.
+    """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if keys is not None and keys.shape != (params.n_shots,):
+        raise ValueError(f"keys must have shape ({params.n_shots},), got {keys.shape}")
     ba_counts = np.zeros(4, dtype=np.int64)
     matched_ra = mismatches = successes = correct = 0
-    for _, counts in _run_counts(params, eve, trials):
+    for _, counts in _run_counts(params, eve, trials, keys=keys):
         tally = _tally(counts)
         ba_counts += tally.bit_announcements.sum(axis=0)
         matched_ra += int(tally.matched_result_announcements.sum())

@@ -810,3 +810,46 @@ def test_simulate_validates_the_channel_for_the_report_and_the_sampler(monkeypat
     assert main(["simulate", "--channel", "seal", "--x", "0.5", "--trials", "3"]) == 0
     assert len(calls) == 2  # the report's, and the shot sampler's own
     assert "mismatch_conditional" in capsys.readouterr().out
+
+
+def test_simulate_transcript_validates_the_channel_for_the_report_and_one_sampler(
+    tmp_path, monkeypatch, capsys
+):
+    """The transcript's keys come from the Monte Carlo's own sampler."""
+    calls = _count_validations(monkeypatch)
+    transcript = tmp_path / "run.csv"
+    argv = ["simulate", "--channel", "seal", "--x", "0.5", "--trials", "3"]
+    assert main([*argv, "--transcript", str(transcript)]) == 0
+    assert len(calls) == 2  # the report's, and the shot sampler's own
+    assert "mismatch_conditional" in capsys.readouterr().out
+    assert transcript.exists()
+
+
+@pytest.mark.parametrize("case", [-1, 1], ids=["n50000", "random3op"])
+def test_simulate_transcript_reads_stream_0_once(tmp_path, monkeypatch, capsys, case):
+    """Stream 0 is read and keyed once, in the Monte Carlo pass that
+    tallies trial 0, whether its run is keyed in chunks (N = 50000) or as
+    a row of a block of whole runs (N = 119), and both files keep their
+    pinned bytes."""
+    options, want = PINNED_TRANSCRIPTS[case].values
+    if RANDOM_3OP in options:
+        channel_path = tmp_path / "random3.json"
+        save_channel(random_kraus_channel(np.random.default_rng(123), 3), channel_path)
+        options = [str(channel_path) if o == RANDOM_3OP else o for o in options]
+    read = []
+    states = protocol._Streams.states
+
+    def spy(self, start, stop):
+        read.append((start, stop))
+        return states(self, start, stop)
+
+    monkeypatch.setattr(protocol._Streams, "states", spy)
+    transcript = tmp_path / "run.csv"
+    assert main(["simulate", *options, "--trials", "3", "--transcript", str(transcript)]) == 0
+    capsys.readouterr()
+    assert read == [(0, 3)]
+    digests = tuple(
+        hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (transcript, tmp_path / "run.csv.public")
+    )
+    assert digests == want

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_kraus_channel, rotated_channel
@@ -36,7 +36,7 @@ from sealsim.protocol import (
     predicted_result,
     public_transcript,
     run_protocol,
-    run_shot,
+    run_keys,
     tally_mismatches,
     transcript_lines,
 )
@@ -79,27 +79,114 @@ def test_matching_basis_and_prediction():
 
 
 # ---------------------------------------------------------------------------
-# Single shots
+# Single shots: integer thresholds on raw words
 # ---------------------------------------------------------------------------
+
+# 53-bit variates: Generator.random gives m * 2**-53
+M_MAX = 2**53 - 1
+
+
+def _shot(sampler, prep, basis, result_word, announce_word=2**64 - 1, bit=0, pa=0.05):
+    """The record of one shot read from raw words: the preparation and basis
+    indices in the top bits of their uint32 halves, and the result and
+    announcement variates in the top 53 bits of their words."""
+    columns = (
+        np.array([prep << 30], dtype=np.uint32) >> 30,
+        np.array([basis << 31], dtype=np.uint32) >> 31,
+        protocol._variates(np.array([result_word], dtype=np.uint64)),
+        protocol._variates(np.array([announce_word], dtype=np.uint64)),
+    )
+    return protocol._RECORDS[sampler.keys(columns, protocol._threshold(pa), bit)[0]]
+
+
+def _word(m, low=0):
+    """A raw word whose 53-bit variate is m; its low 11 bits are discarded."""
+    return m << 11 | low
 
 
 def test_sampler_born_table_identity():
     sampler = ShotSampler(identity_channel())
-    # eigenstates are deterministic on the matched basis
-    assert sampler.from_variates(0, 1, 0.999999, 0.9, 0, 0.05).result is UP  # |0>, sigma3
-    assert sampler.from_variates(1, 1, 0.999999, 0.9, 0, 0.05).result is DOWN  # |1>, sigma3
-    assert sampler.from_variates(2, 0, 0.999999, 0.9, 0, 0.05).result is UP  # |+>, sigma1
+    # eigenstates are deterministic on the matched basis, even at the largest variate
+    assert _shot(sampler, 0, 1, _word(M_MAX, 0x7FF)).result is UP  # |0>, sigma3
+    assert _shot(sampler, 1, 1, _word(0)).result is DOWN  # |1>, sigma3
+    assert _shot(sampler, 2, 0, _word(M_MAX, 0x7FF)).result is UP  # |+>, sigma1
     # unmatched basis splits evenly: the threshold sits exactly at 1/2
-    assert sampler.from_variates(2, 1, 0.4999, 0.9, 0, 0.05).result is UP
-    assert sampler.from_variates(2, 1, 0.5001, 0.9, 0, 0.05).result is DOWN
+    assert _shot(sampler, 2, 1, _word(2**52 - 1, 0x7FF)).result is UP
+    assert _shot(sampler, 2, 1, _word(2**52)).result is DOWN
 
 
 def test_sampler_born_table_seal():
     x = 0.37
     sampler = ShotSampler(seal_channel(x))
-    # |1> measured in sigma3 flips to +1 with probability exactly x
-    assert sampler.from_variates(1, 1, x - 1e-9, 0.9, 0, 0.05).result is UP
-    assert sampler.from_variates(1, 1, x + 1e-9, 0.9, 0, 0.05).result is DOWN
+    # |1> measured in sigma3 flips to +1 with probability exactly x: words
+    # whose variates lie 1e-9 on either side of it, and the two variates
+    # next to the threshold
+    below, above = math.floor((x - 1e-9) * 2**53), math.ceil((x + 1e-9) * 2**53)
+    assert _shot(sampler, 1, 1, _word(below, 0x7FF)).result is UP
+    assert _shot(sampler, 1, 1, _word(above)).result is DOWN
+    threshold = int(sampler._result_thresholds[1 * 2 + 1])
+    assert below < threshold < above
+    assert _shot(sampler, 1, 1, _word(threshold - 1, 0x7FF)).result is UP
+    assert _shot(sampler, 1, 1, _word(threshold)).result is DOWN
+
+
+def test_announcement_threshold_on_words():
+    sampler = ShotSampler(identity_channel())
+    threshold = int(protocol._threshold(0.05))
+    for bit in (0, 1):
+        below = _shot(sampler, 0, 1, 0, _word(threshold - 1, 0x7FF), bit, 0.05)
+        assert below.announcement == BitAnnouncement(bit)
+        at = _shot(sampler, 0, 1, 0, _word(threshold), bit, 0.05)
+        assert at.announcement == ResultAnnouncement(UP)
+    # p_announce 0 never announces a bit and 1 always does
+    assert isinstance(_shot(sampler, 0, 1, 0, 0, 0, 0.0).announcement, ResultAnnouncement)
+    assert isinstance(_shot(sampler, 0, 1, 0, 2**64 - 1, 0, 1.0).announcement, BitAnnouncement)
+
+
+# Doubles where a threshold could slip: the smallest subnormal, one variate
+# step, either side of 1/2 and just below 1.
+THRESHOLD_EDGES = [
+    0.0,
+    5e-324,
+    2.0**-53,
+    float(np.nextafter(0.5, 0.0)),
+    0.5,
+    float(np.nextafter(0.5, 1.0)),
+    float(np.nextafter(1.0, 0.0)),
+    1.0,
+]
+
+
+def _assert_threshold_is_the_double_comparison(m, p):
+    threshold = int(protocol._threshold(p))
+    assert 0 <= threshold <= 2**53
+    for variate in (m, threshold - 1, threshold, threshold + 1, 0, M_MAX):
+        if 0 <= variate <= M_MAX:
+            assert (variate < threshold) == (variate * 2.0**-53 < p)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(min_value=0, max_value=M_MAX), st.floats(min_value=0.0, max_value=1.0))
+@example(0, 0.0)
+@example(1, 5e-324)
+@example(1, 2.0**-53)
+@example(2**52, float(np.nextafter(0.5, 0.0)))
+@example(2**52, float(np.nextafter(0.5, 1.0)))
+@example(M_MAX, float(np.nextafter(1.0, 0.0)))
+@example(M_MAX, 1.0)
+def test_integer_threshold_is_the_double_comparison(m, p):
+    """A 53-bit variate m lies below T(p) exactly when m * 2**-53 < p,
+    checked at m and at T - 1, T and T + 1."""
+    _assert_threshold_is_the_double_comparison(m, p)
+
+
+def test_integer_thresholds_at_the_edges():
+    for p in THRESHOLD_EDGES:
+        _assert_threshold_is_the_double_comparison(0, p)
+    thresholds = protocol._threshold(np.array(THRESHOLD_EDGES))
+    assert thresholds.dtype == np.uint64
+    assert thresholds.tolist() == [int(protocol._threshold(p)) for p in THRESHOLD_EDGES]
+    assert thresholds.tolist() == [0, 1, 1, 2**52, 2**52, 2**52 + 1, 2**53 - 1, 2**53]
 
 
 def test_sampler_validates_the_channel_once(monkeypatch):
@@ -139,9 +226,10 @@ BORN_CELLS = list(np.ndindex(4, 2, 2))
 @given(channels())
 def test_born_table_is_the_per_state_path(channel):
     """The stacked Born table is the per-state one bit for bit: the Monte
-    Carlo compares its variates against these very floats."""
+    Carlo compares its variates against the thresholds of these very floats."""
     want = born_table_by_state(channel)
-    assert ShotSampler(channel)._p_plus.tobytes() == np.ascontiguousarray(want[:, :, 0]).tobytes()
+    thresholds = ShotSampler(channel)._result_thresholds
+    assert thresholds.tobytes() == protocol._threshold(want[:, :, 0].ravel()).tobytes()
     assert qubit.born_table(channel).tobytes() == want.tobytes()
     stacked = np.stack([channel.stack, channel.stack[::-1]])
     assert qubit.born_cells(stacked, BORN_CELLS)[0].tobytes() == want.tobytes()
@@ -200,50 +288,35 @@ def test_the_stacked_damping_gate_rejects_with_born_tables_message(monkeypatch):
             call()
 
 
-def test_run_shot_coding_rule():
-    rng = np.random.default_rng(5)
+def test_coding_rule_in_run_keys():
+    """At p_announce 1 every shot announces c = b xor (result = -1)."""
     for b in (0, 1):
-        for _ in range(300):
-            rec = run_shot(rng, b, 1.0, seal_channel(0.6))
+        keys, _ = run_keys(ProtocolParams(600, 1.0, b, 5), seal_channel(0.6))
+        results = set()
+        for rec in protocol._RECORDS[keys]:
             assert isinstance(rec.announcement, BitAnnouncement)
             assert rec.announcement.c == b ^ (rec.result is DOWN)
+            results.add(rec.result)
+        assert results == {UP, DOWN}
 
 
-def test_run_shot_validation():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        run_shot(rng, 2, 0.5, identity_channel())
-    with pytest.raises(ValueError):
-        run_shot(rng, 0, 1.5, identity_channel())
-
-
-@pytest.mark.parametrize(
-    "channel", [seal_channel(0.6), depolarizing_channel(0.3)], ids=["seal06", "depolarizing03"]
-)
-@pytest.mark.parametrize("bit", [0, 1])
-def test_run_shot_is_the_sampler_shot(channel, bit):
-    """On twin generators run_shot returns the very record the sampler does."""
-    ours, twin = np.random.default_rng(31), np.random.default_rng(31)
-    sampler = ShotSampler(channel)
-    for _ in range(400):
-        assert run_shot(ours, bit, 0.5, channel) is sampler.sample(twin, bit, 0.5)
-    assert ours.random() == twin.random()  # both drew the same four variates per shot
-
-
-def test_run_shot_rejects_incomplete_channel_like_the_sampler():
+def test_runs_reject_an_incomplete_channel_like_the_sampler():
     half = KrausChannel((np.diag([1.0, 0.5]),), label="half")
     message = r"channel 'half' fails completeness \(deviation 7.500e-01\)"
-    with pytest.raises(ValueError, match=message):
-        ShotSampler(half)
-    with pytest.raises(ValueError, match=message):
-        run_shot(np.random.default_rng(0), 0, 0.5, half)
+    for call in (
+        lambda: ShotSampler(half),
+        lambda: run_keys(PARAMS, half),
+        lambda: run_protocol(PARAMS, half),
+        lambda: monte_carlo(PARAMS, half, 3),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_shot_frequencies_uniform():
-    rng = np.random.default_rng(99)
     n = 20000
-    sampler = ShotSampler(identity_channel())
-    shots = [sampler.sample(rng, 0, 0.5) for _ in range(n)]
+    keys, _ = run_keys(ProtocolParams(n, 0.5, 0, 99), identity_channel())
+    shots = protocol._RECORDS[keys].tolist()
     se = 5 * math.sqrt(0.25 * 0.75 / n)
     for s in ProtocolPureState:
         assert abs(sum(r.prep is s for r in shots) / n - 0.25) <= se
@@ -465,6 +538,72 @@ def test_run_keys_are_the_keys_and_outcome_of_run_protocol(params, channel):
         assert keys.shape == (params.n_shots,)
         assert np.array_equal(keys, protocol._record_keys(shots))
         assert outcome == want
+
+
+def _generator_keys(params, channel, stream):
+    """Shot keys by the contract's definition: numpy's Generator draws, whose
+    doubles are compared with the per-state Born floats and p_announce."""
+    preps, bases, u_result, u_announce = _draw(params, stream)
+    cell = preps * 2 + bases
+    minus = u_result >= born_table_by_state(channel)[:, :, 0].ravel()[cell]
+    is_bit = u_announce < params.p_announce
+    return cell * 8 + minus * 4 + is_bit * (2 + params.message_bit)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    channels(),
+    st.integers(min_value=1, max_value=300),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=1),
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.integers(min_value=0, max_value=2**40 - 1),
+)
+def test_run_keys_are_the_generator_keys(channel, n, p_announce, bit, seed, stream):
+    """Integer thresholds on raw words key every shot as the doubles do."""
+    params = ProtocolParams(n, p_announce, bit, seed)
+    keys, _ = run_keys(params, channel, stream)
+    assert np.array_equal(keys, _generator_keys(params, channel, stream))
+
+
+def test_run_keys_in_chunks_are_the_run_and_trial_0():
+    """At the real block size a 20000-shot run is keyed in three chunks, the
+    last one short, and its keys and counts are those of the whole run."""
+    params = ProtocolParams(20000, 0.5, 1, 41)
+    channel = random_kraus_channel(np.random.default_rng(41), 3)
+    assert 2 * protocol._BLOCK_CELLS < params.n_shots < 3 * protocol._BLOCK_CELLS
+    keys, outcome = run_keys(params, channel)
+    shots, _, want = run_protocol(params, channel)
+    assert np.array_equal(keys, protocol._record_keys(shots))
+    assert outcome == want
+    assert np.array_equal(keys, _generator_keys(params, channel, 0))
+    column = np.full(params.n_shots, -1, dtype=np.int64)
+    stats = monte_carlo(params, channel, 1, keys=column)
+    assert np.array_equal(column, keys)
+    assert stats == monte_carlo(params, channel, 1)
+    tally = protocol._tally_records(shots)
+    assert stats.bit_announcement_counts == tuple(tally.bit_announcements[0].tolist())
+    assert stats.matched_result_announcements == outcome.matched_result_announcements
+    assert stats.mismatch_count == outcome.mismatch_count
+    assert stats.decode_success_count == (outcome.decoded_bit is not None)
+    assert stats.decode_correct_count == (outcome.decoded_bit == params.message_bit)
+
+
+@pytest.mark.parametrize("n, trials", [(1, 9000), (119, 3), (119, 200), (9000, 2)])
+def test_monte_carlo_writes_trial_0_keys(n, trials):
+    """Whole-run blocks and chunked runs hand back stream 0's keys, and the
+    counts do not change."""
+    params = ProtocolParams(n, 0.3, 1, n)
+    channel = seal_channel(0.4)
+    column = np.full(n, -1, dtype=np.int64)
+    stats = monte_carlo(params, channel, trials, keys=column)
+    assert stats == monte_carlo(params, channel, trials)
+    assert np.array_equal(column, run_keys(params, channel, 0)[0])
+
+
+def test_monte_carlo_rejects_a_key_column_of_the_wrong_length():
+    with pytest.raises(ValueError, match=r"keys must have shape \(119,\), got \(118,\)"):
+        monte_carlo(PARAMS, identity_channel(), 2, keys=np.empty(118, dtype=np.int64))
 
 
 @pytest.mark.parametrize("n", [1, 9, 10, 11, 100, 101, 50000])
@@ -811,8 +950,23 @@ def test_one_trial_memory_does_not_grow_with_n(make):
     assert large <= small + 32 * 1024
 
 
+def test_run_keys_memory_is_its_key_column():
+    """A run is keyed in chunks into its key column: at N = 10**6 the peak
+    is the 8 MB column and less than 1 MiB more."""
+    channel = seal_channel(0.5)
+    run_keys(ProtocolParams(10**4, 0.5, 0, 3), channel)  # first-call allocations out of the way
+    tracemalloc.start()
+    try:
+        keys, _ = run_keys(ProtocolParams(10**6, 0.5, 0, 3), channel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert keys.nbytes == 8 * 10**6
+    assert peak <= keys.nbytes + 2**20
+
+
 def _source_columns(params, stream):
-    """One run's variate columns as the package's raw-word source reads them."""
+    """One run's integer columns as the package's raw-word source reads them."""
     streams = protocol._Streams(params.seed)
     (state,) = streams.states(stream, stream + 1)
     words = streams.words(state, 0, 3 * params.n_shots)[None]
@@ -820,9 +974,16 @@ def _source_columns(params, stream):
 
 
 def _assert_same_columns(got, want):
-    for ours, theirs in zip(got, want, strict=True):
+    """The indices are the Generator's integers, and the 53-bit variates
+    times 2**-53 are its doubles, byte for byte."""
+    preps, bases, *variates = got
+    want_preps, want_bases, *doubles = want
+    for ours, theirs in ((preps, want_preps), (bases, want_bases)):
         assert ours.shape == theirs.shape
         assert np.array_equal(ours, theirs)
+    for ours, theirs in zip(variates, doubles, strict=True):
+        assert ours.dtype == np.uint64 and ours.shape == theirs.shape
+        assert (ours * 2.0**-53).tobytes() == theirs.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 119, 120, 1001])
@@ -831,7 +992,9 @@ def _assert_same_columns(got, want):
 def test_raw_word_columns_are_the_generator_draws(n, seed, stream):
     """The column layout and stream seeding equal numpy's Generator, bit for bit.
 
-    Streams from 2**32 on take a two-word spawn key.  A numpy release that
+    The result and announcement columns are 53-bit integers, whose doubles
+    over 2**53 must be the Generator's own.  Streams from 2**32 on take a
+    two-word spawn key.  A numpy release that
     changed ``Generator.integers`` or ``Generator.random`` would fail here.
     """
     params = ProtocolParams(n_shots=n, p_announce=0.5, message_bit=0, seed=seed)
@@ -872,13 +1035,17 @@ def test_chunk_columns_are_slices_of_the_run(monkeypatch, n, stream):
 
 @pytest.mark.parametrize("block", [7, 50])
 def test_counts_do_not_depend_on_the_block_size(monkeypatch, block):
-    """Runs tallied in chunks of shots give the pinned counts and densities."""
+    """Runs tallied in chunks of shots give the pinned counts and densities,
+    and a run keyed in chunks its keys and outcome."""
     params, channel, trials, want = GOLDEN_RUNS[3].values
     probs = bit_announcement_probs(channel).probs_given_b
     densities = information_density(params, channel, trials, probs)
+    keys = run_keys(params, channel, 5)
     monkeypatch.setattr(protocol, "_BLOCK_CELLS", block)
     assert _stats_tuple(monte_carlo(params, channel, trials)) == want
     assert np.array_equal(information_density(params, channel, trials, probs), densities)
+    chunked = run_keys(params, channel, 5)
+    assert np.array_equal(chunked[0], keys[0]) and chunked[1] == keys[1]
 
 
 @pytest.mark.parametrize("stream", [-1, 1.5])
