@@ -87,12 +87,11 @@ M_MAX = 2**53 - 1
 
 
 def _shot(sampler, prep, basis, result_word, announce_word=2**64 - 1, bit=0, pa=0.05):
-    """The record of one shot read from raw words: the preparation and basis
-    indices in the top bits of their uint32 halves, and the result and
-    announcement variates in the top 53 bits of their words."""
+    """The record of one shot from its preparation and basis indices and the
+    raw words of its result and announcement variates."""
     columns = (
-        np.array([prep << 30], dtype=np.uint32) >> 30,
-        np.array([basis << 31], dtype=np.uint32) >> 31,
+        np.array([prep], dtype=np.uint32),
+        np.array([basis], dtype=np.uint32),
         protocol._variates(np.array([result_word], dtype=np.uint64)),
         protocol._variates(np.array([announce_word], dtype=np.uint64)),
     )
