@@ -70,7 +70,9 @@ strings holds each key's ``",<fields>\n"``, padded with NUL.  Each line is
 one (index, fields) record over a byte buffer, and the padding is deleted
 from the buffer.  A file is the comments, the header and those bytes,
 written atomically, and ``transcript_lines`` is the header followed by
-their lines.
+their lines.  ``write_transcripts`` writes the full file on a second
+thread while it builds the public file's bytes, and writes the public file
+only once the full one is in place.
 """
 
 from __future__ import annotations
@@ -78,6 +80,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -855,10 +858,11 @@ def _transcript_body(keys: np.ndarray, index: np.ndarray, public: bool) -> bytea
     return buffer.translate(None, b"\0")
 
 
-def _write_transcript(path, keys: np.ndarray, index: np.ndarray, public: bool, comments) -> None:
-    """Write ``#`` comment lines, the header and the body atomically, as one byte string."""
-    head = "".join(f"# {c}\n" for c in comments) + _HEADERS[public] + "\n"
-    write_atomic(path, head.encode() + _transcript_body(keys, index, public))
+def _transcript_file(keys: np.ndarray, index: np.ndarray, public: bool, comments) -> bytearray:
+    """A whole transcript file: ``#`` comment lines, the header, then the body."""
+    data = _transcript_body(keys, index, public)
+    data[:0] = ("".join(f"# {c}\n" for c in comments) + _HEADERS[public] + "\n").encode()
+    return data
 
 
 def transcript_lines(shots, public: bool = False) -> list[str]:
@@ -877,15 +881,38 @@ def export_transcript(shots, path: str | Path, public: bool = False, comments=()
     The file is one byte string: the comments and header, then the body.
     """
     keys = _record_keys(shots)
-    _write_transcript(path, keys, _index_digits(len(keys)), public, comments)
+    write_atomic(path, _transcript_file(keys, _index_digits(len(keys)), public, comments))
 
 
 def write_transcripts(keys: np.ndarray, path: str | Path, comments=()) -> None:
     """Write a key column's full transcript to ``path`` and its public one to ``path + ".public"``.
 
     The files are the ones :func:`export_transcript` writes for the records
-    of those keys; the shot-index digits are computed once for both.
+    of those keys; the shot-index digits are computed once for both.  The
+    public file is written only once the full one is in place: if the full
+    file cannot be written, an existing public file keeps its old bytes.
+
+    A second thread writes the full file while this one builds the public
+    file's bytes; the write is mostly system calls, which run without the
+    GIL.  The thread is joined on every path, and an exception it raised
+    is raised here unchanged.
     """
     index = _index_digits(len(keys))
-    _write_transcript(path, keys, index, False, comments)
-    _write_transcript(f"{os.fspath(path)}.public", keys, index, True, comments)
+    full = _transcript_file(keys, index, False, comments)
+    failure: list[BaseException] = []
+
+    def write_full() -> None:
+        try:
+            write_atomic(path, full)
+        except BaseException as exc:
+            failure.append(exc)
+
+    writer = threading.Thread(target=write_full, name="sealsim-transcript-writer")
+    writer.start()
+    try:
+        public = _transcript_file(keys, index, True, comments)
+    finally:
+        writer.join()
+    if failure:
+        raise failure[0]
+    write_atomic(f"{os.fspath(path)}.public", public)

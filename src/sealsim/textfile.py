@@ -7,10 +7,11 @@ import tempfile
 from pathlib import Path
 
 
-def write_atomic(path: str | Path, data: str | bytes) -> None:
+def write_atomic(path: str | Path, data: str | bytes | bytearray | memoryview) -> None:
     """Write ``data`` to a temporary file beside ``path``, then rename it.
 
-    ``bytes`` are written as they are; ``str`` is written in text mode.
+    ``str`` is written in text mode; any other data (``bytes``,
+    ``bytearray``, ``memoryview``) is written as it is.
 
     On any failure the temporary file is removed and the exception
     propagates; an existing file at ``path`` keeps its old contents.
@@ -18,7 +19,7 @@ def write_atomic(path: str | Path, data: str | bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sealsim-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as handle:
+        with os.fdopen(fd, "w" if isinstance(data, str) else "wb") as handle:
             handle.write(data)
         os.replace(tmp, path)
     except BaseException:

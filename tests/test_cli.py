@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -412,6 +414,93 @@ def test_simulate_transcript_io_failure_exit_3(tmp_path, capsys):
     assert "Traceback" not in err
     assert not transcript.exists()
     assert list(tmp_path.rglob(".sealsim-*.tmp")) == []
+
+
+def _refuse_replace_onto(monkeypatch, target):
+    """Make ``os.replace`` fail for renames onto ``target`` only."""
+    replace = os.replace
+
+    def refuse(src, dst):
+        if os.fspath(dst) == os.fspath(target):
+            raise OSError(f"rename onto {os.path.basename(dst)} refused")
+        return replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+
+
+def test_simulate_transcript_full_file_failure_keeps_the_public_file(
+    tmp_path, monkeypatch, capsys
+):
+    """The full file is written on a second thread; its error reaches the
+    CLI unchanged, and the public file is not written before the full one
+    is in place."""
+    options, _ = PINNED_TRANSCRIPTS[-1].values
+    transcript = tmp_path / "run.csv"
+    public = tmp_path / "run.csv.public"
+    public.write_bytes(b"old public\n")
+    _refuse_replace_onto(monkeypatch, transcript)
+    threads = threading.active_count()
+    assert main(["simulate", *options, "--trials", "2", "--transcript", str(transcript)]) == 3
+    assert threading.active_count() == threads
+    err = capsys.readouterr().err
+    assert err == "error: cannot write transcript: rename onto run.csv refused\n"
+    assert not transcript.exists()
+    assert public.read_bytes() == b"old public\n"
+    assert list(tmp_path.glob(".sealsim-*.tmp")) == []
+
+
+def test_simulate_transcript_public_file_failure_keeps_the_full_file(
+    tmp_path, monkeypatch, capsys
+):
+    options, (full, _) = PINNED_TRANSCRIPTS[-1].values
+    transcript = tmp_path / "run.csv"
+    public = tmp_path / "run.csv.public"
+    _refuse_replace_onto(monkeypatch, public)
+    threads = threading.active_count()
+    assert main(["simulate", *options, "--trials", "2", "--transcript", str(transcript)]) == 3
+    assert threading.active_count() == threads
+    err = capsys.readouterr().err
+    assert err == "error: cannot write transcript: rename onto run.csv.public refused\n"
+    assert hashlib.sha256(transcript.read_bytes()).hexdigest() == full
+    assert not public.exists()
+    assert list(tmp_path.glob(".sealsim-*.tmp")) == []
+
+
+def test_simulate_transcript_joins_the_writer_before_a_build_failure_propagates(
+    tmp_path, monkeypatch, capsys
+):
+    """An error while building the public file's bytes propagates only
+    after the thread writing the full file has finished."""
+    options, (full, _) = PINNED_TRANSCRIPTS[-1].values
+    transcript = tmp_path / "run.csv"
+    building = threading.Event()
+    written = []
+    write_atomic = protocol.write_atomic
+    transcript_body = protocol._transcript_body
+
+    def slow_write(path, data):
+        building.wait(timeout=5)  # the public body is being built
+        time.sleep(0.05)
+        write_atomic(path, data)
+        written.append(os.fspath(path))
+
+    def fail_public(keys, index, public):
+        if public:
+            building.set()
+            raise RuntimeError("public body failed")
+        return transcript_body(keys, index, public)
+
+    monkeypatch.setattr(protocol, "write_atomic", slow_write)
+    monkeypatch.setattr(protocol, "_transcript_body", fail_public)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="public body failed"):
+        main(["simulate", *options, "--trials", "2", "--transcript", str(transcript)])
+    assert written == [str(transcript)]
+    assert threading.active_count() == threads
+    capsys.readouterr()
+    assert hashlib.sha256(transcript.read_bytes()).hexdigest() == full
+    assert not (tmp_path / "run.csv.public").exists()
+    assert list(tmp_path.glob(".sealsim-*.tmp")) == []
 
 
 def test_simulate_invalid_channel_file_exit_1(tmp_path, capsys):

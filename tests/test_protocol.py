@@ -658,8 +658,12 @@ def test_export_transcript_keeps_the_old_file_when_the_write_fails(tmp_path, mon
     assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
 
 
-def test_write_atomic_keeps_the_old_file_when_a_bytes_write_fails(tmp_path, monkeypatch):
+@pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+def test_write_atomic_keeps_the_old_file_when_a_bytes_write_fails(tmp_path, monkeypatch, kind):
+    """Every bytes-like object is written as it is, never in text mode."""
     path = tmp_path / "run.csv"
+    write_atomic(path, kind(b"old\r\n\x00"))
+    assert path.read_bytes() == b"old\r\n\x00"
     path.write_bytes(b"old\n")
 
     def refuse(src, dst):
@@ -667,7 +671,7 @@ def test_write_atomic_keeps_the_old_file_when_a_bytes_write_fails(tmp_path, monk
 
     monkeypatch.setattr(os, "replace", refuse)
     with pytest.raises(OSError, match="rename refused"):
-        write_atomic(path, b"new\n")
+        write_atomic(path, kind(b"new\n"))
     assert path.read_bytes() == b"old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
 
