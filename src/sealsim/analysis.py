@@ -15,21 +15,22 @@ evaluator serves every channel: it walks string lengths upward on the
 each step, and reads off the per-length information at the lengths the
 binomial weighting keeps.  A basis whose two symbols are equally likely
 carries no information, and its axis collapses: the damping family walks a
-line, unital channels a single cell.
+line.  With both axes collapsed (a unital channel) the two message values
+give the same string distribution, so every length carries exactly 0 bits
+and nothing is walked.
 
 The walk allocates nothing per step.  The lattice lives in one flat buffer
 sized for the longest kept length, with a buffer of products beside it: a
 step is one multiply of the lattice's window by every move's weight and
 one add per further move, each on a contiguous range (a line of the
-damping family is three numpy calls a step), and a single cell's walk is
-one ``np.multiply.accumulate``.  The lattice at each kept length is copied
-into a store of at most ``_BLOCK_CELLS`` cells, and the logarithms of a
-whole store are taken in one pass; each length's sum is still one
-``np.add.reduce`` over its own cells.  Every result is, bit for bit, that
-of the walk on growing arrays, one step and one length at a time.  Memory
-is the lattice at the longest length k, about k^2 cells (2k + 1 on a line),
-once for the lattice, once per move for its products (and, for a stack of
-rows, per move for its weights), plus the store.
+damping family is three numpy calls a step).  The lattice at each kept
+length is copied into a store of at most ``_BLOCK_CELLS`` cells, and the
+logarithms of a whole store are taken in one pass; each length's sum is
+still one ``np.add.reduce`` over its own cells.  Every result is, bit for
+bit, that of the walk on growing arrays, one step and one length at a
+time.  Memory is the lattice at the longest length k, about k^2 cells
+(2k + 1 on a line), once for the lattice, once per move for its products
+(and, for a stack of rows, per move for its weights), plus the store.
 
 The evaluator walks a stack of distributions that share a collapse
 pattern at once, each row with the numbers it would get alone.  A sweep
@@ -46,7 +47,6 @@ message bounds every result by 1.  0 * log 0 is 0 throughout.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -61,6 +61,7 @@ from sealsim.qubit import (
     ProtocolPureState,
     born_cells,
     damping_stack,
+    damping_strengths,
     require_complete,
     validate_channel,
 )
@@ -203,20 +204,18 @@ def _walk_moves(moving1: bool, moving3: bool) -> tuple[tuple[int, ...], ...]:
     axis collapses, s1 + s3 has the parity of k, and the lattice is kept in
     the coordinates u = (k + s1 + s3)/2, v = (k + s1 - s3)/2 so that no cell
     of the wrong parity is stored; a symbol moves (u, v) by 0 or 1 on each.
-    With both axes collapsed the lattice is one cell, and every move stays.
+    At least one axis moves.
     """
     if moving1 and moving3:
         return ((1, 1), (0, 0), (1, 0), (0, 1))
     if moving1:
         return ((1,), (-1,), (0,), (0,))
-    if moving3:
-        return ((0,), (0,), (1,), (-1,))
-    return ((),) * 4
+    return ((0,), (0,), (1,), (-1,))
 
 
 def _cells(axes: int, k: int) -> int:
-    """Lattice cells of one row at length k, with ``axes`` moving axes."""
-    return (2 * k + 1, (k + 1) ** 2)[axes - 1] if axes else 1
+    """Lattice cells of one row at length k, with ``axes`` (1 or 2) moving axes."""
+    return (2 * k + 1, (k + 1) ** 2)[axes - 1]
 
 
 def _read_out(p: np.ndarray, ratio: np.ndarray, segments, out: np.ndarray) -> None:
@@ -247,31 +246,6 @@ def _read_out(p: np.ndarray, ratio: np.ndarray, segments, out: np.ndarray) -> No
     by_column = out.T if len(out) > 1 else out[0]
     for column, cells in segments:
         by_column[column] = np.add.reduce(cells, axis=-1)
-
-
-def _walk_cell(weight: np.ndarray, lengths: list[int], out: np.ndarray) -> None:
-    """:func:`_mi_by_length` when both axes collapse: the lattice is one cell a row.
-
-    Every move stays, so a step multiplies the cell by the row's total
-    weight, and ``np.multiply.accumulate`` forms those products in the
-    walk's order, in runs of at most ``_BLOCK_CELLS`` cells.  At s = 0,
-    p0(s) / (p0(s) + p0(-s)) is exactly 1/2, so a row's information is
-    exactly 1 - p0(0).
-    """
-    rows = len(weight)
-    run = max(1, _BLOCK_CELLS // rows)
-    cell = np.ones(rows)
-    first = column = 0  # the length ``cell`` holds, and the next column to fill
-    while column < len(lengths):
-        steps = min(lengths[-1] - first, run)
-        walked = np.empty((rows, steps + 1))
-        walked[:, 0] = cell
-        walked[:, 1:] = weight[:, None]
-        np.multiply.accumulate(walked, axis=1, out=walked)
-        stop = bisect.bisect_right(lengths, first + steps, column)
-        out[:, column:stop] = walked[:, [k - first for k in lengths[column:stop]]]
-        cell, first, column = walked[:, -1], first + steps, stop
-    np.subtract(1.0, out, out=out)
 
 
 def _walk_lattice(moves: dict, lengths: list[int], out: np.ndarray) -> None:
@@ -391,13 +365,17 @@ def _mi_by_length(probs: np.ndarray, lengths: list[int]) -> np.ndarray:
     each step with the single-announcement distribution (see
     :func:`_walk_moves`); negating (s1, s3) reverses both lattice axes.
     Memory is rows times the lattice at the largest length, plus a store of
-    ``_BLOCK_CELLS`` cells for the read-out.
+    ``_BLOCK_CELLS`` cells for the read-out.  Rows with no moving axis give
+    both message values one string distribution, so they read exactly 0.
     """
     if lengths[0] < 0:
         raise ValueError("string length must be non-negative")
     moving = probs[:, ::2] != probs[:, 1::2]
     if (moving != moving[0]).any():
         raise ValueError("rows must share one collapse pattern")
+    out = np.zeros((len(probs), len(lengths)))
+    if not moving[0].any():
+        return out
     symbol_moves = _walk_moves(*moving[0].tolist())
     # a symbol without positive weight adds exact zeros, in every row
     weights = np.maximum(probs, 0.0)
@@ -407,12 +385,7 @@ def _mi_by_length(probs: np.ndarray, lengths: list[int]) -> np.ndarray:
         if taken[column]:
             weight = weights[:, column]
             moves[move] = moves[move] + weight if move in moves else weight
-
-    out = np.empty((len(probs), len(lengths)))
-    if not symbol_moves[0]:
-        _walk_cell(moves.get((), np.zeros(len(probs))), lengths, out)
-    else:
-        _walk_lattice(moves, lengths, out)
+    _walk_lattice(moves, lengths, out)
     return out
 
 
@@ -475,12 +448,13 @@ def _expected_mi_rows(
     ``_BLOCK_CELLS`` lattice cells at the longest length (and at least one
     row), so memory does not grow with the number of rows.  Each row's sum
     runs over the kept lengths in ascending order, so a row's result does
-    not depend on the other rows.
+    not depend on the other rows.  Rows with no moving axis leak exactly 0
+    bits and walk nothing.
     """
-    mi = np.empty(len(probs))
+    mi = np.zeros(len(probs))
     moving = probs[:, ::2] != probs[:, 1::2]
     pattern = moving[:, 0] + 2 * moving[:, 1]
-    for value in set(pattern.tolist()):
+    for value in set(pattern.tolist()) - {0}:
         rows = np.flatnonzero(pattern == value)
         cells = _cells(bool(value & 1) + bool(value & 2), lengths[-1])
         block = max(1, _BLOCK_CELLS // cells)
@@ -509,14 +483,12 @@ def expected_mutual_information(
     return _expected_mi_rows(_unit_rows(dist.probs_given_b[0]), *kept)[0]
 
 
-def _check_damping(x: float) -> None:
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"damping strength must lie in [0, 1], got {x}")
-
-
 def _damping_rows(xs) -> np.ndarray:
-    """Announcement distributions given b = 0 of the damping family: r1 = 0, r3 = x."""
-    xs = np.asarray(xs, dtype=float)
+    """Announcement distributions given b = 0 of the damping family: r1 = 0, r3 = x.
+
+    Raises for a strength outside [0, 1] (:func:`qubit.damping_strengths`).
+    """
+    xs = damping_strengths(xs)
     probs = np.full((len(xs), 4), 0.25)
     probs[:, 2] *= 1 + xs
     probs[:, 3] *= 1 - xs
@@ -534,8 +506,7 @@ def seal_class_masses(
     strings conditioned on each message value: the class string count times
     (1/4)^k (1 +/- x)^d3 (1 -/+ x)^d4.  Summed over classes each column is 1.
     """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"damping strength must lie in [0, 1], got {x}")
+    damping_strengths([x])
     if k < 0:
         raise ValueError("string length must be non-negative")
     lf = _log_factorials(k)
@@ -563,7 +534,6 @@ def seal_mutual_information_k(x: float, k: int) -> float:
     The sigma1 symbols are equally likely under both message values, so
     the walk runs on the sigma3 net vote alone.
     """
-    _check_damping(x)
     return float(_mi_by_length(_damping_rows([x]), [k])[0, 0])
 
 
@@ -574,9 +544,8 @@ def seal_expected_mutual_information(
     tail_tol: float = _DEFAULT_TAIL_TOL,
 ) -> MIResult:
     """:func:`expected_mutual_information` for the damping family at strength x."""
-    _check_damping(x)
-    kept = _kept_lengths(n_shots, p_announce, tail_tol)
-    return _expected_mi_rows(_damping_rows([x]), *kept)[0]
+    rows = _damping_rows([x])
+    return _expected_mi_rows(rows, *_kept_lengths(n_shots, p_announce, tail_tol))[0]
 
 
 def seal_expected_mutual_information_grid(
@@ -589,19 +558,12 @@ def seal_expected_mutual_information_grid(
 
     The binomial weights and the kept lengths depend only on
     (n_shots, p_announce, tail_tol), so they are computed once, and the
-    strengths x > 0 walk the sigma3 line together in blocks of bounded
-    size.  x = 0 is the identity channel and leaks exactly 0 bits.  Each
-    result equals, bit for bit, the one the single-strength function gives.
+    strengths walk the sigma3 line together in blocks of bounded size;
+    x = 0 is the identity channel and walks nothing.  Each result equals,
+    bit for bit, the one the single-strength function gives.
     """
-    xs = [float(x) for x in x_grid]
-    for x in xs:
-        _check_damping(x)
-    kept = _kept_lengths(n_shots, p_announce, tail_tol)
-    _, lengths, truncation_mass = kept
-    moving = [x for x in xs if x > 0.0]
-    walked = iter(_expected_mi_rows(_damping_rows(moving), *kept) if moving else [])
-    still = MIResult(0.0, len(lengths), truncation_mass)
-    return [next(walked) if x > 0.0 else still for x in xs]
+    rows = _damping_rows(x_grid)
+    return _expected_mi_rows(rows, *_kept_lengths(n_shots, p_announce, tail_tol))
 
 
 _MISMATCH_EVENTS = (

@@ -379,6 +379,15 @@ def identity_channel() -> KrausChannel:
     return KrausChannel((IDENTITY,), label="identity")
 
 
+def damping_strengths(xs) -> np.ndarray:
+    """``xs`` as a float array, raising for the first strength outside [0, 1] (NaN included)."""
+    xs = np.asarray(xs, dtype=float)
+    outside = ~((xs >= 0.0) & (xs <= 1.0))
+    if outside.any():
+        raise ValueError(f"damping strength must lie in [0, 1], got {float(xs[outside][0])}")
+    return xs
+
+
 def damping_stack(xs) -> np.ndarray:
     """Kraus operators of the damping family at each strength of ``xs``.
 
@@ -386,13 +395,11 @@ def damping_stack(xs) -> np.ndarray:
     per strength.  An e1 that :class:`KrausChannel` would drop (Frobenius
     norm at most ``ZERO_OPERATOR_TOL``, so x up to about 1e-28) is zero, so
     it adds exact zeros to every operator sum.  Raises for a strength
-    outside [0, 1] (NaN included) and, with :func:`born_table`'s message,
-    for a stack that fails the completeness gate.
+    outside [0, 1] (:func:`damping_strengths`) and, with
+    :func:`born_table`'s message, for a stack that fails the completeness
+    gate.
     """
-    xs = np.asarray(xs, dtype=float)
-    outside = ~((xs >= 0.0) & (xs <= 1.0))
-    if outside.any():
-        raise ValueError(f"damping strength must lie in [0, 1], got {float(xs[outside][0])}")
+    xs = damping_strengths(xs)
     stack = np.zeros((len(xs), 2, 2, 2), dtype=complex)
     stack[:, 0, 0, 0] = 1.0
     stack[:, 0, 1, 1] = np.sqrt(1.0 - xs)

@@ -296,9 +296,9 @@ def lattice_mi_stepwise(lattice: np.ndarray) -> np.ndarray:
     """
     rows = len(lattice)
     if lattice.size == rows:
-        # one cell, s = 0: p0(s) / (p0(s) + p0(-s)) is exactly 1/2, so a
-        # row's information is exactly 1 - p0(0)
-        return 1.0 - lattice.reshape(rows)
+        # one cell: no axis moves, so both message values give one string
+        # distribution, and a row's information is exactly 0
+        return np.zeros(rows)
     p = lattice.reshape(rows, -1)
     q = lattice[:, ::-1, ::-1].reshape(rows, -1)
     seen = p > 0.0

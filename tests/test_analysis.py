@@ -568,32 +568,18 @@ def test_rows_of_a_general_channel_walk_as_they_walk_alone():
         analysis._mi_by_length(np.vstack([rows[:1], analysis._damping_rows([0.5])]), lengths)
 
 
-def test_a_single_cell_reads_as_the_general_formula():
-    """A unital channel's lattice is one cell a row, read as 1 - p0(0).
-
-    Rows whose bases both collapse keep one cell, which each step multiplies
-    by the row's total weight; the totals here make the cell 1, 0.75, 0.3,
-    1e-300, a subnormal and 0 at the walked lengths.
-    """
-    rows = np.array(
-        [
-            [0.5, 0.5, 0.0, 0.0],
-            [0.375, 0.375, 0.0, 0.0],
-            [0.15, 0.15, 0.0, 0.0],
-            [5e-151, 5e-151, 0.0, 0.0],
-            [5e-324, 5e-324, 0.0, 0.0],
-        ]
-    )
-    lengths = [0, 1, 2, 3]
-    p = np.empty((len(rows), len(lengths)))
-    cell = np.ones(len(rows))
-    for k in range(lengths[-1] + 1):
-        p[:, k] = cell
-        cell = rows.sum(axis=1) * cell
-    assert {0.75, 0.3, 1e-300, 1e-323, 0.0} <= set(p.ravel().tolist())
-    ratio = np.divide(p, p + p, out=np.ones_like(p), where=p > 0.0)
-    want = 1.0 + p * np.log2(ratio)
-    assert analysis._mi_by_length(rows, lengths).tobytes() == want.tobytes()
+def test_no_moving_axis_leaks_exactly_nothing():
+    """Equal symbols within each basis give both message values one string
+    distribution, so every length reads exactly 0 bits, also when the two
+    bases carry unequal mass and the row's rounded total is not 1."""
+    dist = AnnouncementDistribution(((0.15, 0.15, 0.35, 0.35), (0.15, 0.15, 0.35, 0.35)))
+    assert mutual_information_k(dist, 100_000) == 0.0
+    assert expected_mutual_information(dist, 100_000, 1.0).mi_bits == 0.0
+    assert expected_mutual_information(dist, N_DEFAULT, 1.0).mi_bits == 0.0
+    rows = analysis._unit_rows([dist.probs_given_b[0], (0.5, 0.5, 0.0, 0.0)])
+    assert analysis._mi_by_length(rows, [0, 1, 7, 500]).tolist() == [[0.0] * 4] * 2
+    with pytest.raises(ValueError, match="non-negative"):
+        mutual_information_k(dist, -1)
 
 
 def test_a_line_with_one_move_is_the_stepwise_walk():
@@ -613,8 +599,10 @@ def collapse_stacks(draw):
     The pattern is drawn first: a collapsed basis has r = 0, a moving one a
     drawn r, with +-1 (a symbol of zero weight, so empty lattice cells) and
     1e-300 (a basis that collapses in floating point) among the choices.
-    Lines (one moving axis, or a damping strength x) walk up to N = 2000,
-    the plane up to N = 300, with fewer rows as N grows.
+    Each row's sigma1 basis carries a drawn mass m and its sigma3 basis
+    1 - m, so the two bases need not be equally likely.  Lines (one moving
+    axis, or a damping strength x) walk up to N = 2000, the plane up to
+    N = 300, with fewer rows as N grows.
     """
     moving1, moving3 = draw(st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1)]))
     damping = moving3 and not moving1 and draw(st.booleans())
@@ -635,11 +623,14 @@ def collapse_stacks(draw):
         )
         rows = analysis._damping_rows(xs)
     else:
+        mass = st.one_of(st.sampled_from([0.5, 0.3]), st.floats(min_value=0.01, max_value=0.99))
         probs = []
         for _ in range(count):
+            m = draw(mass)
+            a, b = 0.5 * m, 0.5 * (1.0 - m)
             r1 = draw(strength) if moving1 else 0.0
             r3 = draw(strength) if moving3 else 0.0
-            probs.append((0.25 * (1 + r1), 0.25 * (1 - r1), 0.25 * (1 + r3), 0.25 * (1 - r3)))
+            probs.append((a * (1 + r1), a * (1 - r1), b * (1 + r3), b * (1 - r3)))
         rows = analysis._unit_rows(probs)
     pa = draw(st.floats(min_value=0.0, max_value=1.0))
     _, lengths, _ = analysis._kept_lengths(n_shots, pa, 1e-12)

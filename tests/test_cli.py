@@ -503,6 +503,24 @@ def test_simulate_transcript_joins_the_writer_before_a_build_failure_propagates(
     assert list(tmp_path.glob(".sealsim-*.tmp")) == []
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)], ids=["022", "027"])
+def test_output_files_get_the_mode_the_umask_gives(tmp_path, capsys, umask, mode):
+    """The sweep CSV and both transcripts are created as ``open(path, "w")``
+    would create them: 0o666 less the umask, also for the file written on
+    the writer thread."""
+    curves, transcript = tmp_path / "curves.csv", tmp_path / "run.csv"
+    old = os.umask(umask)
+    try:
+        assert main(["sweep", "--out", str(curves)]) == 0
+        argv = ["simulate", "--channel", "seal", "--x", "0.3", "--trials", "2"]
+        assert main(argv + ["--transcript", str(transcript)]) == 0
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+    for path in (curves, transcript, tmp_path / "run.csv.public"):
+        assert oct(path.stat().st_mode & 0o7777) == oct(mode), path.name
+
+
 def test_simulate_invalid_channel_file_exit_1(tmp_path, capsys):
     bad = tmp_path / "incomplete.json"
     bad.write_text(

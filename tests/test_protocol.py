@@ -684,6 +684,17 @@ def test_write_atomic_writes_bytes_as_they_are(tmp_path):
     assert (tmp_path / "text").read_bytes() == b"a,b\nc\n"
 
 
+@pytest.mark.parametrize("data", ["new\n", b"new\n"], ids=["str", "bytes"])
+def test_write_atomic_keeps_the_mode_of_a_file_it_replaces(tmp_path, data):
+    path = tmp_path / "run.csv"
+    path.write_text("old\n")
+    path.chmod(0o640)
+    write_atomic(path, data)
+    assert path.read_bytes() == b"new\n"
+    assert oct(path.stat().st_mode & 0o7777) == oct(0o640)
+    assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
+
+
 # the 64 record values, indexed by key; run_protocol and ShotSampler return
 # these objects
 _INTERNED_RECORDS = list(protocol._RECORDS)
