@@ -139,8 +139,9 @@ def cmd_simulate(
         )
         return 1
 
-    # stream 0's key column comes from the pass that tallies trial 0
-    keys = None if transcript_path is None else np.empty(params.n_shots, dtype=np.int64)
+    # stream 0's key column comes from the pass that tallies trial 0; all 64
+    # keys fit in a byte
+    keys = None if transcript_path is None else np.empty(params.n_shots, dtype=np.uint8)
     stats = protocol.monte_carlo(params, channel, trials, keys=keys)
     dist = analysis.bit_announcement_probs(channel, report)
     predicted = dist.probs_given_b[params.message_bit]

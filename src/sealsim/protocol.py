@@ -48,8 +48,8 @@ shots, each read from its offset in the stream, and its counts are summed
 before it is decoded, so memory grows with neither the trial count nor N.
 Blocking only batches the tally, so counts do not depend on the block size.
 
-A run's shots leave the engine as one key column, written chunk by chunk
-when the caller asks for it.  ``run_keys`` returns a run's keys and its
+A run's shots leave the engine as one key column, a byte a shot, written
+chunk by chunk when the caller asks for it.  ``run_keys`` returns a run's keys and its
 outcome; ``monte_carlo`` writes trial 0's keys into an array the caller
 passes, so ``simulate --transcript`` reads and keys stream 0 once, in the
 pass that tallies it.  ``write_transcripts`` writes both transcript files,
@@ -63,16 +63,19 @@ entries from those tables by its key column; ``bob_decode``,
 the keys of the records they are given, so a hand-built record counts and
 prints like any other.
 
-A transcript body is built as bytes with no Python work per line.  The shot
-indices' digits are n fixed-width byte strings, NUL-padded on the left,
-computed once for both files of a column.  A table of 64 fixed-width byte
-strings holds each key's ``",<fields>\n"``, padded with NUL.  Each line is
-one (index, fields) record over a byte buffer, and the padding is deleted
-from the buffer.  A file is the comments, the header and those bytes,
-written atomically, and ``transcript_lines`` is the header followed by
-their lines.  ``write_transcripts`` writes the full file on a second
-thread while it builds the public file's bytes, and writes the public file
-only once the full one is in place.
+A transcript is built as bytes with no Python work per line, and streamed
+in chunks of ``_BLOCK_CELLS`` lines, so its memory does not grow with N.
+A chunk's shot indices are fixed-width byte strings, NUL-padded on the
+left: the last four digits are rows of a table of 0 .. 9999, the ones
+before them the digits of ``index // 10**4``.  A table of 64 fixed-width
+byte strings holds each key's ``",<fields>\n"``, padded with NUL.  Each
+line is one (index, fields) record over a byte buffer, and the padding is
+deleted from the buffer.  A file is the comments and the header, then its
+chunks, written atomically, and ``transcript_lines`` is the header
+followed by their lines.  ``write_transcripts`` hands the full file's
+chunks to a writer thread as it builds them, then builds and writes the
+public file while the writer finishes, and renames the public file only
+once the full one is in place.
 """
 
 from __future__ import annotations
@@ -106,9 +109,9 @@ BIT_ANNOUNCEMENT_ALPHABET: tuple[tuple[MeasurementBasis, int], ...] = (
 )
 
 # Shots per block of the Monte Carlo: whole runs, at least one, or a chunk
-# of a longer run.  Each block costs a few dozen array calls whatever its
-# size, which a block of this size makes a small part of a trial's cost
-# next to reading its stream.
+# of a longer run; also lines per chunk of a transcript file.  Each block
+# costs a few dozen array calls whatever its size, which a block of this
+# size makes a small part of a trial's cost next to reading its stream.
 _BLOCK_CELLS = 1 << 13
 
 _STATES = tuple(ProtocolPureState)
@@ -672,14 +675,14 @@ def run_keys(
     always sees the same four variates no matter how the run is scheduled.
     ``stream`` selects a substream of the root seed, a non-negative integer
     below 2**64; Monte Carlo trial t uses stream t.  Key s is the ``_key``
-    of shot s's record.  The run is read and keyed by the Monte Carlo's
+    of shot s's record, as ``uint8``.  The run is read and keyed by the Monte Carlo's
     engine, in the same chunks, so its memory beside the key column does
     not grow with N.
     """
     stream = operator.index(stream)
     if not 0 <= stream < 2**64:
         raise ValueError(f"stream must be a non-negative integer below 2**64, got {stream}")
-    keys = np.empty(params.n_shots, dtype=np.int64)
+    keys = np.empty(params.n_shots, dtype=np.uint8)
     ((_, counts),) = _run_counts(params, eve, 1, first_stream=stream, keys=keys)
     tally = _tally(counts)
     outcome = RunOutcome(
@@ -825,26 +828,50 @@ def information_density(
     return values
 
 
-def _index_digits(n: int) -> np.ndarray:
-    """The digits of 0 .. n-1, NUL-padded on the left, as n fixed-width byte strings.
+def _digit_table(places: int) -> np.ndarray:
+    """The digits of 0 .. 10**places - 1, NUL-padded on the left.
 
-    Byte j of each holds the digits of place ``width - 1 - j``: a cycle of
-    "0".."9", each repeated 10**place times.  A row below 10**place has no
-    digit there, which is NUL.
+    A (10**places, places) array of ASCII bytes: byte j of row i is the
+    digit of place ``places - 1 - j``, or NUL where i has no digit there.
     """
-    width = len(str(max(n - 1, 0)))
-    block = np.empty((n, width), dtype=np.uint8)
-    for place in range(width):
-        run = 10**place
-        column = block[:, width - 1 - place]
-        column[:] = np.tile(np.repeat(_DIGITS, run), -(-n // (10 * run)))[:n]
-        if place:
-            column[:run] = 0
+    rows = np.arange(10**places)[:, None]
+    scale = 10 ** np.arange(places - 1, -1, -1)
+    return np.where((rows >= scale) | (scale == 1), _DIGITS[rows // scale % 10], 0).astype(np.uint8)
+
+
+# An index's last _LOW_PLACES digits are its row of _LOW_DIGITS, zero-padded;
+# an index below 10**_LOW_PLACES is its row of _FIRST_DIGITS, NUL-padded.
+_LOW_PLACES = 4
+_FIRST_DIGITS = _digit_table(_LOW_PLACES)
+_LOW_DIGITS = np.maximum(_FIRST_DIGITS, _DIGITS[0])
+
+
+def _index_digits(start: int, stop: int) -> np.ndarray:
+    """The digits of start .. stop-1, NUL-padded on the left, as fixed-width byte strings.
+
+    An index's last ``_LOW_PLACES`` digits are copied from a table, and the
+    digits before them are those of ``index // 10**_LOW_PLACES``, which is
+    the same over each run of ``10**_LOW_PLACES`` indices: a range costs a
+    few slice copies per run it meets, wherever it starts.
+    """
+    width = max(len(str(max(stop - 1, 0))), _LOW_PLACES)
+    low = width - _LOW_PLACES
+    block = np.zeros((stop - start, width), dtype=np.uint8)
+    run = 10**_LOW_PLACES
+    for high in range(start // run, -(-stop // run)):
+        first, last = max(start, high * run), min(stop, (high + 1) * run)
+        rows = block[first - start : last - start]
+        if high:
+            rows[:, low:] = _LOW_DIGITS[first - high * run : last - high * run]
+            prefix = np.frombuffer(str(high).encode(), dtype=np.uint8)
+            rows[:, low - len(prefix) : low] = prefix
+        else:
+            rows[:, low:] = _FIRST_DIGITS[first:last]
     return block.view(f"V{width}")[:, 0]
 
 
 def _transcript_body(keys: np.ndarray, index: np.ndarray, public: bool) -> bytearray:
-    """The CSV lines after the header, each ending in a newline, as one buffer.
+    """The CSV lines of ``keys``, each ending in a newline, as one buffer.
 
     A line is its shot's item of ``index`` (:func:`_index_digits`) followed
     by its key's item of ``_LINE_TABLES``.  Both are written, NUL-padded,
@@ -858,11 +885,16 @@ def _transcript_body(keys: np.ndarray, index: np.ndarray, public: bool) -> bytea
     return buffer.translate(None, b"\0")
 
 
-def _transcript_file(keys: np.ndarray, index: np.ndarray, public: bool, comments) -> bytearray:
-    """A whole transcript file: ``#`` comment lines, the header, then the body."""
-    data = _transcript_body(keys, index, public)
-    data[:0] = ("".join(f"# {c}\n" for c in comments) + _HEADERS[public] + "\n").encode()
-    return data
+def _transcript_chunks(keys: np.ndarray, public: bool, comments):
+    """Yield a transcript file's bytes in order.
+
+    First the ``#`` comment lines and the header, then the body in chunks of
+    ``_BLOCK_CELLS`` lines, each with the shot-index digits of its rows.
+    """
+    yield ("".join(f"# {c}\n" for c in comments) + _HEADERS[public] + "\n").encode()
+    for start in range(0, len(keys), _BLOCK_CELLS):
+        stop = min(start + _BLOCK_CELLS, len(keys))
+        yield _transcript_body(keys[start:stop], _index_digits(start, stop), public)
 
 
 def transcript_lines(shots, public: bool = False) -> list[str]:
@@ -870,49 +902,60 @@ def transcript_lines(shots, public: bool = False) -> list[str]:
 
     The header, then the lines of the bytes :func:`export_transcript` writes.
     """
-    keys = _record_keys(shots)
-    body = _transcript_body(keys, _index_digits(len(keys)), public)
-    return [_HEADERS[public], *body.decode().splitlines()]
+    chunks = _transcript_chunks(_record_keys(shots), public, ())
+    return b"".join(chunks).decode().splitlines()
 
 
 def export_transcript(shots, path: str | Path, public: bool = False, comments=()) -> None:
     """Write ``#`` comment lines, then :func:`transcript_lines`, atomically.
 
-    The file is one byte string: the comments and header, then the body.
+    The file is written in chunks of ``_BLOCK_CELLS`` lines, so beside the
+    records only a chunk's bytes are held at a time.
     """
-    keys = _record_keys(shots)
-    write_atomic(path, _transcript_file(keys, _index_digits(len(keys)), public, comments))
+    write_atomic(path, _transcript_chunks(_record_keys(shots), public, comments))
 
 
 def write_transcripts(keys: np.ndarray, path: str | Path, comments=()) -> None:
     """Write a key column's full transcript to ``path`` and its public one to ``path + ".public"``.
 
     The files are the ones :func:`export_transcript` writes for the records
-    of those keys; the shot-index digits are computed once for both.  The
-    public file is written only once the full one is in place: if the full
-    file cannot be written, an existing public file keeps its old bytes.
+    of those keys, streamed in the same chunks, so memory beside ``keys``
+    does not grow with their length.  The public file is renamed into place
+    only once the full one is: if the full file cannot be written, an
+    existing public file keeps its old bytes.
 
-    A second thread writes the full file while this one builds the public
-    file's bytes; the write is mostly system calls, which run without the
-    GIL.  The thread is joined on every path, and an exception it raised
-    is raised here unchanged.
+    A transcript of more than one chunk is written by two threads: a writer
+    thread builds and writes the full file while this one builds and writes
+    the public file; writing is mostly system calls, which run without the
+    GIL.  The writer is joined on every path,
+    and an exception it raised is raised here unchanged.
     """
-    index = _index_digits(len(keys))
-    full = _transcript_file(keys, index, False, comments)
+    path = os.fspath(path)
+    public = f"{path}.public"
+    if len(keys) <= _BLOCK_CELLS:
+        write_atomic(path, _transcript_chunks(keys, False, comments))
+        write_atomic(public, _transcript_chunks(keys, True, comments))
+        return
     failure: list[BaseException] = []
 
     def write_full() -> None:
         try:
-            write_atomic(path, full)
+            write_atomic(path, _transcript_chunks(keys, False, comments))
         except BaseException as exc:
             failure.append(exc)
+
+    def public_chunks():
+        for chunk in _transcript_chunks(keys, True, comments):
+            if failure:  # the full file failed: the public one is not needed
+                break
+            yield chunk
+        writer.join()
+        if failure:
+            raise failure[0]
 
     writer = threading.Thread(target=write_full, name="sealsim-transcript-writer")
     writer.start()
     try:
-        public = _transcript_file(keys, index, True, comments)
+        write_atomic(public, public_chunks())
     finally:
         writer.join()
-    if failure:
-        raise failure[0]
-    write_atomic(f"{os.fspath(path)}.public", public)

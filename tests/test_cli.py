@@ -1,4 +1,6 @@
+import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -6,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -428,12 +431,70 @@ def _refuse_replace_onto(monkeypatch, target):
     monkeypatch.setattr(os, "replace", refuse)
 
 
+@pytest.fixture
+def writer_threads(monkeypatch):
+    """The transcript writer threads started during the test; each is checked
+    at teardown to have been joined."""
+    started, joined = [], []
+    start, join = threading.Thread.start, threading.Thread.join
+
+    def spy_start(self):
+        if self.name == "sealsim-transcript-writer":
+            started.append(self)
+        start(self)
+
+    def spy_join(self, timeout=None):
+        join(self, timeout)
+        if not self.is_alive():
+            joined.append(self)
+
+    monkeypatch.setattr(threading.Thread, "start", spy_start)
+    monkeypatch.setattr(threading.Thread, "join", spy_join)
+    yield started
+    assert all(thread in joined for thread in started)
+
+
+@pytest.mark.parametrize("n, threads", [(119, 0), (50000, 1)])
+def test_simulate_transcript_starts_a_writer_only_past_one_chunk(
+    tmp_path, capsys, writer_threads, n, threads
+):
+    """A transcript of one chunk (``defaults``) is written on this thread;
+    a longer one (``heavy``) starts one writer, which is joined."""
+    assert (n > protocol._BLOCK_CELLS) == bool(threads)
+    argv = ["simulate", "--channel", "seal", "--x", "0.5", "--pa", "0.5", "--n", str(n)]
+    transcript = tmp_path / "run.csv"
+    assert main(argv + ["--trials", "2", "--transcript", str(transcript)]) == 0
+    capsys.readouterr()
+    assert len(writer_threads) == threads
+    assert len(transcript.read_text().splitlines()) == 7 + n
+
+
+def test_simulate_transcript_memory_is_flat_in_n(tmp_path, capsys):
+    """Both files are streamed in chunks: at N = 10**6 the peak is the
+    1 MB key column and at most 4 MiB more."""
+    argv = ["simulate", "--channel", "seal", "--x", "0.5", "--pa", "0.5", "--trials", "1"]
+    transcript = tmp_path / "run.csv"
+    assert main(argv + ["--n", "50000", "--transcript", str(transcript)]) == 0  # first calls
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--n", str(10**6), "--transcript", str(transcript)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak <= 10**6 + 4 * 2**20
+    for path, last in ((transcript, b"\n999999,"), (tmp_path / "run.csv.public", b"\n999999,")):
+        with path.open("rb") as handle:
+            handle.seek(-40, os.SEEK_END)
+            assert last in handle.read()
+
+
 def test_simulate_transcript_full_file_failure_keeps_the_public_file(
-    tmp_path, monkeypatch, capsys
+    tmp_path, monkeypatch, capsys, writer_threads
 ):
     """The full file is written on a second thread; its error reaches the
-    CLI unchanged, and the public file is not written before the full one
-    is in place."""
+    CLI unchanged, and the public file is not renamed into place before the
+    full one is."""
     options, _ = PINNED_TRANSCRIPTS[-1].values
     transcript = tmp_path / "run.csv"
     public = tmp_path / "run.csv.public"
@@ -442,6 +503,7 @@ def test_simulate_transcript_full_file_failure_keeps_the_public_file(
     threads = threading.active_count()
     assert main(["simulate", *options, "--trials", "2", "--transcript", str(transcript)]) == 3
     assert threading.active_count() == threads
+    assert len(writer_threads) == 1
     err = capsys.readouterr().err
     assert err == "error: cannot write transcript: rename onto run.csv refused\n"
     assert not transcript.exists()
@@ -450,7 +512,7 @@ def test_simulate_transcript_full_file_failure_keeps_the_public_file(
 
 
 def test_simulate_transcript_public_file_failure_keeps_the_full_file(
-    tmp_path, monkeypatch, capsys
+    tmp_path, monkeypatch, capsys, writer_threads
 ):
     options, (full, _) = PINNED_TRANSCRIPTS[-1].values
     transcript = tmp_path / "run.csv"
@@ -459,6 +521,7 @@ def test_simulate_transcript_public_file_failure_keeps_the_full_file(
     threads = threading.active_count()
     assert main(["simulate", *options, "--trials", "2", "--transcript", str(transcript)]) == 3
     assert threading.active_count() == threads
+    assert len(writer_threads) == 1
     err = capsys.readouterr().err
     assert err == "error: cannot write transcript: rename onto run.csv.public refused\n"
     assert hashlib.sha256(transcript.read_bytes()).hexdigest() == full
@@ -466,11 +529,60 @@ def test_simulate_transcript_public_file_failure_keeps_the_full_file(
     assert list(tmp_path.glob(".sealsim-*.tmp")) == []
 
 
-def test_simulate_transcript_joins_the_writer_before_a_build_failure_propagates(
-    tmp_path, monkeypatch, capsys
+class _DiskFullAfterOneChunk(io.BufferedWriter):
+    """A binary file whose third write, the one after the header and the
+    first chunk of lines, fails as a full disk does."""
+
+    writes = 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 3:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(data)
+
+
+def test_simulate_transcript_write_failure_after_a_chunk_exit_3(
+    tmp_path, monkeypatch, capsys, writer_threads
 ):
-    """An error while building the public file's bytes propagates only
-    after the thread writing the full file has finished."""
+    """A write that fails mid-file stops both threads, with no deadlock
+    between them, no temporary file left, and the old files' bytes kept."""
+    options, _ = PINNED_TRANSCRIPTS[-1].values
+    transcript, public = tmp_path / "run.csv", tmp_path / "run.csv.public"
+    transcript.write_bytes(b"old full\n")
+    public.write_bytes(b"old public\n")
+    fdopen = os.fdopen
+
+    def disk_full_fdopen(fd, mode="r", *args, **kwargs):
+        if mode == "wb":
+            return _DiskFullAfterOneChunk(io.FileIO(fd, "w"))
+        return fdopen(fd, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "fdopen", disk_full_fdopen)
+    threads = threading.active_count()
+    codes = []
+    argv = ["simulate", *options, "--trials", "2", "--transcript", str(transcript)]
+    runner = threading.Thread(target=lambda: codes.append(main(argv)), daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive(), "the transcript threads deadlocked"
+    assert codes == [3]
+    assert threading.active_count() == threads
+    assert len(writer_threads) == 1
+    err = capsys.readouterr().err
+    assert err == "error: cannot write transcript: [Errno 28] No space left on device\n"
+    assert transcript.read_bytes() == b"old full\n"
+    assert public.read_bytes() == b"old public\n"
+    assert list(tmp_path.glob(".sealsim-*.tmp")) == []
+
+
+def test_simulate_transcript_joins_the_writer_before_a_build_failure_propagates(
+    tmp_path, monkeypatch, capsys, writer_threads
+):
+    """An error while building the public file's chunks propagates only
+    after the thread writing the full file has finished: the writer holds
+    the full file open until the public build has failed, then renames it
+    into place."""
     options, (full, _) = PINNED_TRANSCRIPTS[-1].values
     transcript = tmp_path / "run.csv"
     building = threading.Event()
@@ -479,8 +591,8 @@ def test_simulate_transcript_joins_the_writer_before_a_build_failure_propagates(
     transcript_body = protocol._transcript_body
 
     def slow_write(path, data):
-        building.wait(timeout=5)  # the public body is being built
-        time.sleep(0.05)
+        if os.fspath(path) == str(transcript):
+            data = _then_wait(data, building)
         write_atomic(path, data)
         written.append(os.fspath(path))
 
@@ -497,10 +609,76 @@ def test_simulate_transcript_joins_the_writer_before_a_build_failure_propagates(
         main(["simulate", *options, "--trials", "2", "--transcript", str(transcript)])
     assert written == [str(transcript)]
     assert threading.active_count() == threads
+    assert len(writer_threads) == 1
     capsys.readouterr()
     assert hashlib.sha256(transcript.read_bytes()).hexdigest() == full
     assert not (tmp_path / "run.csv.public").exists()
     assert list(tmp_path.glob(".sealsim-*.tmp")) == []
+
+
+def _then_wait(chunks, event):
+    """Yield ``chunks``, then wait for ``event`` and a little longer."""
+    yield from chunks
+    event.wait(timeout=5)
+    time.sleep(0.05)
+
+
+def test_simulate_transcript_full_build_failure_renames_neither_file(
+    tmp_path, monkeypatch, capsys, writer_threads
+):
+    """An error while building the full file's chunks on the writer thread
+    reaches the caller unchanged, and neither file is renamed into place."""
+    options, _ = PINNED_TRANSCRIPTS[-1].values
+    transcript, public = tmp_path / "run.csv", tmp_path / "run.csv.public"
+    transcript.write_bytes(b"old full\n")
+    public.write_bytes(b"old public\n")
+    transcript_body = protocol._transcript_body
+    built = []
+
+    def fail_third_full(keys, index, is_public):
+        if not is_public:
+            if len(built) == 2:
+                raise RuntimeError("full body failed")
+            built.append(len(keys))
+        return transcript_body(keys, index, is_public)
+
+    monkeypatch.setattr(protocol, "_transcript_body", fail_third_full)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="full body failed"):
+        main(["simulate", *options, "--trials", "2", "--transcript", str(transcript)])
+    assert built == [protocol._BLOCK_CELLS] * 2
+    assert threading.active_count() == threads
+    assert len(writer_threads) == 1
+    capsys.readouterr()
+    assert transcript.read_bytes() == b"old full\n"
+    assert public.read_bytes() == b"old public\n"
+    assert list(tmp_path.glob(".sealsim-*.tmp")) == []
+
+
+def test_outputs_are_written_through_a_symlink(tmp_path, capsys):
+    """As with ``open(path, "w")``, an output path that is a symlink is
+    followed: the file it points to gets the new bytes and keeps its mode,
+    and the link stays a link."""
+    real = tmp_path / "real"
+    real.mkdir()
+    names = ("curves.csv", "run.csv", "run.csv.public")
+    for name in names:
+        (real / name).write_text("old\n")
+        (real / name).chmod(0o640)
+        (tmp_path / name).symlink_to(real / name)
+    assert main(["sweep", "--out", str(tmp_path / "curves.csv")]) == 0
+    options, want = PINNED_TRANSCRIPTS[-1].values
+    argv = ["simulate", *options, "--trials", "2", "--transcript", str(tmp_path / "run.csv")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    for name in names:
+        link = tmp_path / name
+        assert link.is_symlink() and os.readlink(link) == str(real / name)
+        assert oct((real / name).stat().st_mode & 0o7777) == oct(0o640)
+    assert (real / "curves.csv").read_text().startswith("# sealsim sweep")
+    digests = tuple(hashlib.sha256((real / name).read_bytes()).hexdigest() for name in names[1:])
+    assert digests == want
+    assert list(tmp_path.rglob(".sealsim-*.tmp")) == []
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)], ids=["022", "027"])

@@ -1,7 +1,12 @@
 import dataclasses
 import math
 import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -629,6 +634,76 @@ def test_write_transcripts_takes_a_path_and_an_empty_key_column(tmp_path):
     )
 
 
+def test_write_transcripts_stops_the_public_file_once_the_full_one_fails(tmp_path, monkeypatch):
+    """The public file's build stops at the first chunk after the writer
+    thread's file has failed, instead of going on to the end only to be
+    removed."""
+    keys = np.zeros(25 * protocol._BLOCK_CELLS, dtype=np.uint8)
+    failed = threading.Event()
+    transcript_body = protocol._transcript_body
+    public_chunks = []
+
+    def fail_second_full(keys, index, public):
+        if public:
+            public_chunks.append(len(keys))
+            if len(public_chunks) == 2:
+                failed.wait(timeout=5)
+                time.sleep(0.05)  # the writer unwinds and records its failure
+        elif bytes(index[0]).lstrip(b"\0") != b"0":
+            failed.set()
+            raise RuntimeError("full body failed")
+        return transcript_body(keys, index, public)
+
+    monkeypatch.setattr(protocol, "_transcript_body", fail_second_full)
+    with pytest.raises(RuntimeError, match="full body failed"):
+        protocol.write_transcripts(keys, tmp_path / "run.csv")
+    assert public_chunks == [protocol._BLOCK_CELLS] * 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("block", [7, 10, 100])
+def test_transcripts_in_small_chunks_are_the_records_export(tmp_path, monkeypatch, block):
+    """Chunk edges across the 9/10, 99/100 and 999/1000 digit steps change
+    no byte of either file, written from a key column or from records."""
+    params = ProtocolParams(1001, 0.5, 1, 1001)
+    channel = random_kraus_channel(np.random.default_rng(1001), 3)
+    shots, _, _ = run_protocol(params, channel)
+    comments = ("sealsim transcript (stream 0)", "n_shots = 1001")
+    assert params.n_shots <= protocol._BLOCK_CELLS  # one chunk
+    for side in ("want", "chunked"):
+        if side == "chunked":
+            monkeypatch.setattr(protocol, "_BLOCK_CELLS", block)
+        export_transcript(shots, tmp_path / f"{side}.csv", comments=comments)
+        export_transcript(shots, tmp_path / f"{side}.csv.public", public=True, comments=comments)
+    protocol.write_transcripts(run_keys(params, channel)[0], tmp_path / "got.csv", comments=comments)
+    for suffix in ("csv", "csv.public"):
+        want = (tmp_path / f"want.{suffix}").read_bytes()
+        assert (tmp_path / f"chunked.{suffix}").read_bytes() == want
+        assert (tmp_path / f"got.{suffix}").read_bytes() == want
+
+
+@pytest.mark.parametrize(
+    "start, stop",
+    [
+        (0, 0),
+        (0, 1),
+        (0, 11),
+        (7, 101),
+        (995, 1010),
+        (9990, 10010),
+        (0, 25000),
+        (99_998, 100_003),
+        (123_456_780, 123_456_800),
+        (10**10 - 2, 10**10 + 2),
+    ],
+)
+def test_index_digits_are_the_decimal_indices(start, stop):
+    """A range's digits are each index's decimal digits, NUL-padded on the
+    left, also where it crosses a digit step or a run of 10**4 indices."""
+    digits = protocol._index_digits(start, stop)
+    assert [bytes(d).lstrip(b"\0") for d in digits] == [b"%d" % i for i in range(start, stop)]
+
+
 def test_transcript_lines_formats():
     shots, _, _ = run_protocol(ProtocolParams(20, 0.5, 0, 3), identity_channel())
     private = list(transcript_lines(shots))
@@ -693,6 +768,58 @@ def test_write_atomic_keeps_the_mode_of_a_file_it_replaces(tmp_path, data):
     assert path.read_bytes() == b"new\n"
     assert oct(path.stat().st_mode & 0o7777) == oct(0o640)
     assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
+
+
+def test_write_atomic_streams_chunks_and_keeps_the_old_file_when_they_fail(tmp_path):
+    path = tmp_path / "run.csv"
+    write_atomic(path, iter([b"a,", bytearray(b"b\r\n"), memoryview(b"c\x00\n")]))
+    assert path.read_bytes() == b"a,b\r\nc\x00\n"
+
+    def failing():
+        yield b"new\n"
+        raise RuntimeError("build failed")
+
+    with pytest.raises(RuntimeError, match="build failed"):
+        write_atomic(path, failing())
+    assert path.read_bytes() == b"a,b\r\nc\x00\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
+
+
+@pytest.mark.parametrize("relative", [False, True], ids=["absolute", "relative"])
+def test_write_atomic_writes_through_a_symlink(tmp_path, relative):
+    """The file a link points to gets the bytes and keeps its mode; the
+    temporary file is made beside it, and the link stays a link."""
+    real = tmp_path / "real"
+    real.mkdir()
+    (real / "run.csv").write_text("old\n")
+    (real / "run.csv").chmod(0o640)
+    link = tmp_path / "run.csv"
+    link.symlink_to(Path("real", "run.csv") if relative else real / "run.csv")
+    write_atomic(link, b"new\n")
+    assert link.is_symlink()
+    assert (real / "run.csv").read_bytes() == b"new\n"
+    assert oct((real / "run.csv").stat().st_mode & 0o7777) == oct(0o640)
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["real", "run.csv", "run.csv"]
+
+
+def test_write_atomic_creates_the_target_of_a_dangling_symlink(tmp_path):
+    link = tmp_path / "run.csv"
+    link.symlink_to(tmp_path / "new.csv")
+    write_atomic(link, "new\n")
+    assert link.is_symlink() and (tmp_path / "new.csv").read_text() == "new\n"
+
+
+def test_importing_the_cli_imports_no_secrets_module():
+    """Temporary names come from ``os.urandom``, so ``import sealsim.cli``
+    does not load ``secrets`` and the ``hmac``/``hashlib`` modules behind it."""
+    src = str(Path(protocol.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, sealsim.cli; print(sorted({'secrets', 'hmac'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 # the 64 record values, indexed by key; run_protocol and ShotSampler return
@@ -966,7 +1093,7 @@ def test_one_trial_memory_does_not_grow_with_n(make):
 
 def test_run_keys_memory_is_its_key_column():
     """A run is keyed in chunks into its key column: at N = 10**6 the peak
-    is the 8 MB column and less than 1 MiB more."""
+    is the 1 MB column of byte keys and less than 1 MiB more."""
     channel = seal_channel(0.5)
     run_keys(ProtocolParams(10**4, 0.5, 0, 3), channel)  # first-call allocations out of the way
     tracemalloc.start()
@@ -975,7 +1102,7 @@ def test_run_keys_memory_is_its_key_column():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert keys.nbytes == 8 * 10**6
+    assert keys.dtype == np.uint8 and keys.nbytes == 10**6
     assert peak <= keys.nbytes + 2**20
 
 
