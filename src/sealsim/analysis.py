@@ -9,37 +9,49 @@ family.
 
 A string's likelihood ratio between the two message values depends only on
 its net vote per basis, s_i = #(sigma_i, c=0) - #(sigma_i, c=1), so the
-string carries exactly as much information as the pair (s1, s3).  One
-evaluator serves every channel: it walks string lengths upward on the
+string carries exactly as much information as the pair (s1, s3).  A basis
+whose two symbols are equally likely carries no information, and its axis
+collapses.  With both axes collapsed (a unital channel) the two message
+values give the same string distribution, so every length carries exactly
+0 bits and nothing is summed.
+
+A line (one moving axis, such as the damping family's sigma3) is a sum in
+closed form.  An announcement lands in the moving basis with probability
+m, that basis' mass, whatever the message is, so the count j of such
+announcements is Bin(N, p_announce m) and says nothing by itself; given j,
+the string carries J(j) bits, a sum over the j + 1 values of its net vote.
+So E[I] = sum_j Bin(j; N, p_announce m) J(j) over the counts the binomial
+keeps, evaluated in blocks of at most ``_BLOCK_CELLS`` cells.  J never
+decreases in j and never exceeds 1, so once J comes within ``tail_tol`` of
+1 every larger count uses 1.  On a line ``k_terms_used`` counts the kept
+counts j, and ``truncation_mass`` is their omitted binomial mass plus the
+bound on that stop's error.
+
+The plane (both axes moving) is walked: string lengths upward on the
 (s1, s3) lattice, convolving with the single-announcement distribution at
-each step, and reads off the per-length information at the lengths the
-binomial weighting keeps.  A basis whose two symbols are equally likely
-carries no information, and its axis collapses: the damping family walks a
-line.  With both axes collapsed (a unital channel) the two message values
-give the same string distribution, so every length carries exactly 0 bits
-and nothing is walked.
+each step, and reading off the per-length information at the lengths the
+binomial weighting keeps; ``k_terms_used`` counts those lengths and
+``truncation_mass`` is their omitted mass.  The walk allocates nothing per
+step.  The lattice lives in one flat buffer sized for the longest kept
+length, with a buffer of products beside it: a step is one multiply of
+the lattice's window by every move's weight and one add per further
+move, each on a contiguous range.  The lattice at each kept length is
+copied into a store of at most ``_BLOCK_CELLS`` cells, and the logarithms
+of a whole store are taken in one pass; each length's sum is still one
+``np.add.reduce`` over its own cells.  Every result is, bit for bit, that
+of the walk on growing arrays, one step and one length at a time.  Memory
+is the lattice at the longest length k, about k^2 cells, once for the
+lattice, once per move for its products (and, for a stack of rows, per
+move for its weights), plus the store.
 
-The walk allocates nothing per step.  The lattice lives in one flat buffer
-sized for the longest kept length, with a buffer of products beside it: a
-step is one multiply of the lattice's window by every move's weight and
-one add per further move, each on a contiguous range (a line of the
-damping family is three numpy calls a step).  The lattice at each kept
-length is copied into a store of at most ``_BLOCK_CELLS`` cells, and the
-logarithms of a whole store are taken in one pass; each length's sum is
-still one ``np.add.reduce`` over its own cells.  Every result is, bit for
-bit, that of the walk on growing arrays, one step and one length at a
-time.  Memory is the lattice at the longest length k, about k^2 cells
-(2k + 1 on a line), once for the lattice, once per move for its products
-(and, for a stack of rows, per move for its weights), plus the store.
-
-The evaluator walks a stack of distributions that share a collapse
-pattern at once, each row with the numbers it would get alone.  A sweep
-of the damping family computes the binomial weights and kept lengths once
-and walks its whole x grid in blocks of bounded size.  Its mismatch
-column takes the grid's Kraus operators as one stacked array
-(``qubit.damping_stack``), in blocks of bounded size, and forms only the
-four Born cells a mismatch reads (``qubit.born_cells``), the same
-evaluator :func:`mismatch_probability` runs on a single channel.
+Both evaluators take a stack of distributions at once, each row with the
+numbers it would get alone.  A sweep of the damping family computes the
+binomial weights and kept counts once and evaluates its whole x grid in
+blocks of bounded size.  Its mismatch column takes the grid's Kraus
+operators as one stacked array (``qubit.damping_stack``), in blocks of
+bounded size, and forms only the four Born cells a mismatch reads
+(``qubit.born_cells``), the same evaluator :func:`mismatch_probability`
+runs on a single channel.
 
 All logarithms are base 2, so information is in bits and the one-bit
 message bounds every result by 1.  0 * log 0 is 0 throughout.
@@ -71,6 +83,7 @@ _DEFAULT_TAIL_TOL = 1e-12
 # Lattice cells, at the longest kept length, of one block of rows walked
 # together, and the cells of the store that kept lengths are read out from:
 # a block's lattice, and each move's slab of products, take about 128 KiB.
+# A line's block of counts holds as many (row, count, symbol count) cells.
 _BLOCK_CELLS = 1 << 14
 # Cells of arithmetic a walk step may spend beyond its lattice, so that a
 # narrow walk re-slices its views every few steps: slicing a step's views
@@ -195,27 +208,10 @@ def _unit_rows(probs) -> np.ndarray:
     return probs / np.fromiter(map(math.fsum, probs), float, len(probs))[:, None]
 
 
-def _walk_moves(moving1: bool, moving3: bool) -> tuple[tuple[int, ...], ...]:
-    """Each symbol's move on the lattice's moving axes, in symbol order.
-
-    A basis whose two symbols are equally likely has a collapsed axis: it
-    never grows, and its announcements are "stay" moves.  On a line (one
-    moving axis) a symbol moves the net vote by +1, -1 or 0.  When neither
-    axis collapses, s1 + s3 has the parity of k, and the lattice is kept in
-    the coordinates u = (k + s1 + s3)/2, v = (k + s1 - s3)/2 so that no cell
-    of the wrong parity is stored; a symbol moves (u, v) by 0 or 1 on each.
-    At least one axis moves.
-    """
-    if moving1 and moving3:
-        return ((1, 1), (0, 0), (1, 0), (0, 1))
-    if moving1:
-        return ((1,), (-1,), (0,), (0,))
-    return ((0,), (0,), (1,), (-1,))
-
-
-def _cells(axes: int, k: int) -> int:
-    """Lattice cells of one row at length k, with ``axes`` (1 or 2) moving axes."""
-    return (2 * k + 1, (k + 1) ** 2)[axes - 1]
+# The plane's moves, in symbol order, in the coordinates u = (k + s1 + s3)/2,
+# v = (k + s1 - s3)/2: s1 + s3 has the parity of k, so no cell of the wrong
+# parity is stored, and a symbol moves (u, v) by 0 or 1 on each.
+_PLANE_MOVES = ((1, 1), (0, 0), (1, 0), (0, 1))
 
 
 def _read_out(p: np.ndarray, ratio: np.ndarray, segments, out: np.ndarray) -> None:
@@ -249,21 +245,21 @@ def _read_out(p: np.ndarray, ratio: np.ndarray, segments, out: np.ndarray) -> No
 
 
 def _walk_lattice(moves: dict, lengths: list[int], out: np.ndarray) -> None:
-    """:func:`_mi_by_length` on a line or on the plane of (u, v).
+    """:func:`_mi_by_length` on the plane of (u, v).
 
     The lattice lives in one flat buffer, cells first and rows last, that
     holds the cells of the longest length and one empty cell on each side a
-    move comes from: a line is centred on s = 0, and the plane is stored
-    row by row, u = v = -1 first, so a move is a fixed shift of the flat
-    index.  A step multiplies a window of the buffer by every move's weight
-    at once, into one buffer of products (one slab per move), then adds the
-    products shifted by their moves, in the order of ``moves``.  These are
-    exactly the sums of a walk on growing arrays: a move that misses a cell
-    adds w * 0 = +0 to a non-negative value, and a cell outside the lattice
-    (on the plane, also the cells between its rows) only ever sums such
-    zeros.  The window covers the lattice after the step and runs ahead of
-    it by at most about ``_AHEAD_CELLS`` cells of arithmetic, so a narrow
-    walk re-slices its views every few steps and a wide one every step.
+    move comes from: the plane is stored row by row, u = v = -1 first, so a
+    move is a fixed shift of the flat index.  A step multiplies a window of
+    the buffer by every move's weight at once, into one buffer of products
+    (one slab per move), then adds the products shifted by their moves, in
+    the order of ``moves``.  These are exactly the sums of a walk on growing
+    arrays: a move that misses a cell adds w * 0 = +0 to a non-negative
+    value, and a cell outside the lattice (also the cells between its rows)
+    only ever sums such zeros.  The window covers the lattice after the step
+    and runs ahead of it by at most about ``_AHEAD_CELLS`` cells of
+    arithmetic, so a narrow walk re-slices its views every few steps and a
+    wide one every step.
 
     Each kept length's cells p0(s) and the sums p0(s) + p0(-s) are copied,
     row by row, into a store of at most ``_BLOCK_CELLS`` cells and read out
@@ -271,39 +267,22 @@ def _walk_lattice(moves: dict, lengths: list[int], out: np.ndarray) -> None:
     overfill the store is read where it lies.
     """
     rows, top = out.shape[0], lengths[-1]
-    axes = len(next(iter(moves)))
     lead = (rows,) if rows > 1 else ()  # a lone row walks without a row axis
-    if axes == 1:
-        size, growth = 2 * top + 3, 2
-        shifts = [d for (d,) in moves]
-    else:
-        width = top + 2  # cells in a row of the plane
-        size, growth = width * width, width + 1
-        shifts = [du * width + dv for du, dv in moves]
+    width = top + 2  # cells in a row of the plane
+    size, growth = width * width, width + 1
+    shifts = [du * width + dv for du, dv in moves]
     lattice = np.zeros((size,) + lead)
-    # span(k): the flat range that holds the lattice at length k; cells(k): that lattice
-    if axes == 1:
+    plane = lattice.reshape((width, width) + lead)
 
-        def span(k: int) -> tuple[int, int]:
-            return top + 1 - k, top + 2 + k
-
-        def cells(k: int) -> np.ndarray:
-            return lattice[top + 1 - k : top + 2 + k]
-    else:
-        plane = lattice.reshape((width, width) + lead)
-
-        def span(k: int) -> tuple[int, int]:
-            return width + 1, (k + 1) * width + k + 2
-
-        def cells(k: int) -> np.ndarray:
-            return plane[1 : k + 2, 1 : k + 2]
+    def span(k: int) -> tuple[int, int]:
+        """The flat range that holds the lattice at length k."""
+        return width + 1, (k + 1) * width + k + 2
 
     lattice[span(0)[0]] = 1.0
     products = np.zeros((len(moves),) + lattice.shape)
     factors = np.array(list(moves.values())).reshape((len(moves), 1) + lead)
     if lead:  # one weight per cell, so no operand of the product broadcasts
         factors = np.repeat(factors, size, axis=1)
-    rows_first = (axes, *range(axes))
 
     def views(k: int):
         """The step's views, for lattices that fit the window of length k."""
@@ -312,7 +291,7 @@ def _walk_lattice(moves: dict, lengths: list[int], out: np.ndarray) -> None:
         shifted = [products[m, lo - d : hi - d] for m, d in enumerate(shifts)]
         return lattice[lo:hi], products[:, lo:hi], scale, shifted[0], shifted[1:]
 
-    flip = (slice(None),) * len(lead) + (slice(None, None, -1),) * axes
+    flip = (slice(None),) * len(lead) + (slice(None, None, -1),) * 2
     capacity = _BLOCK_CELLS // rows
     held = np.empty(lead + (capacity,))
     sums = np.empty(lead + (capacity,))
@@ -325,14 +304,13 @@ def _walk_lattice(moves: dict, lengths: list[int], out: np.ndarray) -> None:
                 reach = min(top, k + max(1, _AHEAD_CELLS // (rows * growth)))
                 grown, made, scale, first, rest = views(reach)
             np.multiply(scale, grown, out=made)
-            if rest:
-                np.add(first, rest[0], out=grown)
-                for more in rest[1:]:
-                    np.add(grown, more, out=grown)
-            else:
-                np.copyto(grown, first)
+            np.add(first, rest[0], out=grown)
+            for more in rest[1:]:
+                np.add(grown, more, out=grown)
             k += 1
-        p = cells(k).transpose(rows_first) if lead else cells(k)
+        p = plane[1 : k + 2, 1 : k + 2]
+        if lead:
+            p = p.transpose(2, 0, 1)
         count = p.size // rows
         if count > capacity:
             ratio = np.add(p, p[flip], order="C")
@@ -344,8 +322,7 @@ def _walk_lattice(moves: dict, lengths: list[int], out: np.ndarray) -> None:
             used = 0
         kept, summed = held[..., used : used + count], sums[..., used : used + count]
         pending.append((column, summed))
-        if axes == 2:
-            kept, summed = kept.reshape(p.shape), summed.reshape(p.shape)
+        kept, summed = kept.reshape(p.shape), summed.reshape(p.shape)
         kept[...] = p
         np.add(p, p[flip], out=summed)
         used += count
@@ -355,18 +332,19 @@ def _walk_lattice(moves: dict, lengths: list[int], out: np.ndarray) -> None:
 
 
 def _mi_by_length(probs: np.ndarray, lengths: list[int]) -> np.ndarray:
-    """I(announcement string : message) in bits at each of the ascending ``lengths``.
+    """I(announcement string : message) in bits at each of the ascending ``lengths``, on the plane.
 
     ``probs`` is a (rows, 4) array of single-announcement distributions given
-    b = 0 (from :func:`_unit_rows`) that share one collapse pattern; the
-    result is (rows, len(lengths)), and each row's numbers are the ones it
-    gets walking alone.  Walks k = 0, 1, ... up to the largest length on the
-    lattice of net votes (s1, s3) of every row at once, convolving it at
+    b = 0 (from :func:`_unit_rows`) whose bases all move, or none of them;
+    the result is (rows, len(lengths)), and each row's numbers are the ones
+    it gets walking alone.  Walks k = 0, 1, ... up to the largest length on
+    the lattice of net votes (s1, s3) of every row at once, convolving it at
     each step with the single-announcement distribution (see
-    :func:`_walk_moves`); negating (s1, s3) reverses both lattice axes.
+    ``_PLANE_MOVES``); negating (s1, s3) reverses both lattice axes.
     Memory is rows times the lattice at the largest length, plus a store of
     ``_BLOCK_CELLS`` cells for the read-out.  Rows with no moving axis give
     both message values one string distribution, so they read exactly 0.
+    A line (one moving axis) is not walked: see :func:`_line_expectation`.
     """
     if lengths[0] < 0:
         raise ValueError("string length must be non-negative")
@@ -376,17 +354,154 @@ def _mi_by_length(probs: np.ndarray, lengths: list[int]) -> np.ndarray:
     out = np.zeros((len(probs), len(lengths)))
     if not moving[0].any():
         return out
-    symbol_moves = _walk_moves(*moving[0].tolist())
+    if not moving[0].all():
+        raise ValueError("a line is summed over its moving basis' count, not walked")
     # a symbol without positive weight adds exact zeros, in every row
     weights = np.maximum(probs, 0.0)
     taken = (weights > 0.0).any(axis=0).tolist()
-    moves: dict[tuple[int, ...], np.ndarray] = {}
-    for column, move in enumerate(symbol_moves):
-        if taken[column]:
-            weight = weights[:, column]
-            moves[move] = moves[move] + weight if move in moves else weight
+    moves = {move: weights[:, col] for col, move in enumerate(_PLANE_MOVES) if taken[col]}
     _walk_lattice(moves, lengths, out)
     return out
+
+
+def _line_pairs(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(m, a, c) of each row with one moving basis: that basis' mass m and its two symbols over m.
+
+    a is the larger symbol: flipping the sign of a basis' tilt swaps its two
+    symbols, which leaves the information unchanged.
+    """
+    sigma1 = probs[:, 0] != probs[:, 1]
+    pair = np.where(sigma1[:, None], probs[:, :2], probs[:, 2:])
+    mass = pair[:, 0] + pair[:, 1]
+    return mass, pair.max(axis=1) / mass, pair.min(axis=1) / mass
+
+
+def _line_information(
+    a: np.ndarray, c: np.ndarray, js: np.ndarray, stop: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """J(j) in bits of each row at each of the ascending counts ``js``, and where each row stopped.
+
+    J(j) = I(message : s) for the net vote s = 2i - j of j announcements in
+    the moving basis, i of them the symbol of probability a given b = 0
+    (a >= c, a + c = 1 up to rounding).  Flipping the message negates s, so
+    J(j) = 1 - H(j) with H(j) = sum_i Bin(i; j, a) log2(1 + rho^(2i - j)) and
+    rho = c / a.  The binomial cells are exp((log j! - log i!) - log (j - i)!
+    + i ln a + (j - i) ln c), and H is their weighted sum over their own
+    sum, so the rounding of a + c and of log j! cancels.
+    log2(1 + rho^s) is np.logaddexp2(0, s log2 rho), which never overflows,
+    tabled once per row.  c = 0 is exact: one announcement of the moving
+    basis reveals the message, so J(j) = 1 for every j >= 1 (and J(0) = 0
+    in every row).
+
+    Every count has the cells i = 0..max(js), those past j empty (an exact
+    0), and each of its two sums is one ``np.add.reduce`` over them, so the
+    blocks of counts, at most ``_BLOCK_CELLS`` cells each (at least one
+    count), change no bit of J.
+
+    J never decreases in j and never exceeds 1.  A row whose J reaches
+    1 - ``stop`` at index t stops there: it reads 1 at every later index,
+    and ``stops`` holds t (``len(js)`` for a row that never stops).
+    """
+    rows, count = len(a), len(js)
+    info = np.empty((rows, count))
+    stops = np.full(rows, count)
+    exact = c == 0.0
+    info[exact] = js > 0
+    live = np.flatnonzero(~exact)
+    if not live.size:
+        return info, stops
+    top = int(js[-1])
+    i = np.arange(top + 1)
+    log_factorials = _log_factorials(top)
+    # log (j - i)! at index j - i + top: +inf where i > j, so that cell is empty
+    log_remainders = np.concatenate((np.full(top, np.inf), log_factorials))
+    log_a, log_c = np.log(a[live]), np.log(c[live])
+    # log2(1 + rho^s) at index s + top, for every s = 2i - j of a cell
+    table = np.logaddexp2(0.0, np.arange(-top, 2 * top + 1.0) * np.log2(c[live] / a[live])[:, None])
+    first = 0
+    while live.size and first < count:
+        last = first + max(1, _BLOCK_CELLS // (live.size * (top + 1)))
+        j = js[first:last, None]
+        k = j - i
+        p = log_factorials[j] - log_factorials[i] - log_remainders[k + top]
+        p = p + i * log_a[:, None, None]
+        p += k * log_c[:, None, None]
+        np.exp(p, out=p)
+        total = np.add.reduce(p, axis=-1)
+        p *= np.take(table, 2 * i + (top - j), axis=1)
+        block = 1.0 - np.add.reduce(p, axis=-1) / total
+        info[live, first:last] = block
+        reached = block >= 1.0 - stop
+        done = reached.any(axis=1)
+        if done.any():
+            stops[live[done]] = first + reached[done].argmax(axis=1)
+            live, log_a, log_c, table = (v[~done] for v in (live, log_a, log_c, table))
+        first = last
+    info[np.arange(count) > stops[:, None]] = 1.0
+    return info, stops
+
+
+def _line_expectation(
+    probs: np.ndarray, n_shots: int, p_announce: float, tail_tol: float | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mi_bits, k_terms_used, truncation_mass) of each row of ``probs``, which has one moving basis.
+
+    Each announcement is in the moving basis with probability m, that
+    basis' mass, whatever the message is, so the count j of such
+    announcements among N shots is Bin(N, p_announce m) and is ancillary;
+    given j, the string carries J(j) bits (:func:`_line_information`).
+    Hence E[I] = sum_j Bin(j; N, p_announce m) J(j), summed over the kept
+    counts (the most likely, until the omitted mass drops below
+    ``tail_tol``; ``k_terms_used`` is their number).  A row stops once its J
+    comes within ``tail_tol`` of 1 and uses 1 at every larger count; the
+    stop's error is at most (1 - J) at the stop times the kept mass past
+    it, and ``truncation_mass`` is that bound plus the omitted mass.  With
+    ``tail_tol`` None every count is kept and nothing stops short of J = 1.
+
+    Rows of one m share the weights and are evaluated together in blocks of
+    rows whose (rows, counts) information and tables fit ``_BLOCK_CELLS``;
+    each row's sum over its counts is one ``np.add.reduce``, so a row's
+    numbers do not depend on the other rows.
+    """
+    mass, a, c = _line_pairs(probs)
+    mi, truncation = np.empty(len(probs)), np.empty(len(probs))
+    terms = np.empty(len(probs), dtype=int)
+    for value in sorted(set(mass.tolist())):
+        group = np.flatnonzero(mass == value)
+        if tail_tol is None:
+            weights = _binomial_pmf(n_shots, p_announce * value)
+            js, omitted, stop = np.arange(n_shots + 1), 0.0, 0.0
+        else:
+            weights, kept, omitted = _kept_lengths(n_shots, p_announce * value, tail_tol)
+            js, stop = np.array(kept), tail_tol
+        weights = weights[js]
+        past = np.append(np.cumsum(weights[:0:-1])[::-1], 0.0)  # kept mass past each count
+        block = max(1, _BLOCK_CELLS // max(len(js), 3 * int(js[-1]) + 1))
+        for first in range(0, len(group), block):
+            rows = group[first : first + block]
+            info, stops = _line_information(a[rows], c[rows], js, stop)
+            mi[rows] = np.add.reduce(info * weights, axis=1)
+            bound = np.zeros(len(rows))
+            cut = stops < len(js)
+            bound[cut] = (1.0 - info[cut, stops[cut]]) * past[stops[cut]]
+            truncation[rows] = omitted + bound
+        terms[group] = len(js)
+    return mi, terms, truncation
+
+
+def _mi_at_length(probs: np.ndarray, k: int) -> float:
+    """I(announcement string : message) in bits at length k of the one row of ``probs``.
+
+    The plane is walked; a line is its sum over the moving basis' count at
+    N = k, p_announce = 1, with no truncation; a row with no moving axis
+    reads exactly 0.
+    """
+    if k < 0:
+        raise ValueError("string length must be non-negative")
+    axes = int((probs[0, ::2] != probs[0, 1::2]).sum())
+    if axes == 1:
+        return float(_line_expectation(probs, k, 1.0, None)[0][0])
+    return float(_mi_by_length(probs, [k])[0, 0])
 
 
 def mutual_information_k(dist: AnnouncementDistribution, k: int) -> float:
@@ -395,7 +510,7 @@ def mutual_information_k(dist: AnnouncementDistribution, k: int) -> float:
     Evaluated on the net votes (s1, s3), which carry all of the string's
     information about the message.
     """
-    return float(_mi_by_length(_unit_rows(dist.probs_given_b[0]), [k])[0, 0])
+    return _mi_at_length(_unit_rows(dist.probs_given_b[0]), k)
 
 
 def _binomial_pmf(n: int, p: float) -> np.ndarray:
@@ -415,6 +530,16 @@ def _binomial_pmf(n: int, p: float) -> np.ndarray:
     return pmf / math.fsum(pmf.tolist())
 
 
+def _check_expectation(n_shots: int, p_announce: float, tail_tol: float) -> None:
+    """Raise ValueError for arguments no binomially weighted sum accepts."""
+    if n_shots < 1:
+        raise ValueError("need at least one shot")
+    if not 0.0 <= p_announce <= 1.0:
+        raise ValueError(f"announcement probability must lie in [0, 1], got {p_announce}")
+    if not 0.0 < tail_tol <= 1e-6:
+        raise ValueError(f"tail tolerance must lie in (0, 1e-6], got {tail_tol}")
+
+
 def _kept_lengths(
     n_shots: int, p_announce: float, tail_tol: float
 ) -> tuple[np.ndarray, list[int], float]:
@@ -423,13 +548,7 @@ def _kept_lengths(
     Keeps the most likely string lengths until the omitted mass drops below
     ``tail_tol``; depends on nothing but its three arguments.
     """
-    if n_shots < 1:
-        raise ValueError("need at least one shot")
-    if not 0.0 <= p_announce <= 1.0:
-        raise ValueError(f"announcement probability must lie in [0, 1], got {p_announce}")
-    if not 0.0 < tail_tol <= 1e-6:
-        raise ValueError(f"tail tolerance must lie in (0, 1e-6], got {tail_tol}")
-
+    _check_expectation(n_shots, p_announce, tail_tol)
     pmf = _binomial_pmf(n_shots, p_announce)
     order = np.argsort(-pmf, kind="stable")
     mass = np.cumsum(pmf[order])
@@ -440,30 +559,40 @@ def _kept_lengths(
 
 
 def _expected_mi_rows(
-    probs: np.ndarray, pmf: np.ndarray, lengths: list[int], truncation_mass: float
+    probs: np.ndarray, n_shots: int, p_announce: float, tail_tol: float
 ) -> list[MIResult]:
     """The binomially weighted information of each row of ``probs``.
 
-    Rows of one collapse pattern walk together, in blocks of at most
+    A line (one moving basis) is summed over its moving basis' count
+    (:func:`_line_expectation`).  The plane walks the string lengths that
+    Bin(n_shots, p_announce) keeps, rows in blocks of at most
     ``_BLOCK_CELLS`` lattice cells at the longest length (and at least one
-    row), so memory does not grow with the number of rows.  Each row's sum
+    row), so memory does not grow with the number of rows; each row's sum
     runs over the kept lengths in ascending order, so a row's result does
-    not depend on the other rows.  Rows with no moving axis leak exactly 0
-    bits and walk nothing.
+    not depend on the other rows.  A row with no moving axis leaks exactly
+    0 bits, sums nothing, and reports the string lengths the plane keeps.
     """
-    mi = np.zeros(len(probs))
-    moving = probs[:, ::2] != probs[:, 1::2]
-    pattern = moving[:, 0] + 2 * moving[:, 1]
-    for value in set(pattern.tolist()) - {0}:
-        rows = np.flatnonzero(pattern == value)
-        cells = _cells(bool(value & 1) + bool(value & 2), lengths[-1])
-        block = max(1, _BLOCK_CELLS // cells)
-        for first in range(0, len(rows), block):
-            chunk = rows[first : first + block]
+    _check_expectation(n_shots, p_announce, tail_tol)
+    axes = (probs[:, ::2] != probs[:, 1::2]).sum(axis=1)
+    mi, truncation = np.zeros(len(probs)), np.zeros(len(probs))
+    terms = np.zeros(len(probs), dtype=int)
+    line = np.flatnonzero(axes == 1)
+    if line.size:
+        mi[line], terms[line], truncation[line] = _line_expectation(
+            probs[line], n_shots, p_announce, tail_tol
+        )
+    rest = np.flatnonzero(axes != 1)
+    if rest.size:
+        pmf, lengths, omitted = _kept_lengths(n_shots, p_announce, tail_tol)
+        terms[rest], truncation[rest] = len(lengths), omitted
+        plane = rest[axes[rest] == 2]
+        block = max(1, _BLOCK_CELLS // (lengths[-1] + 1) ** 2)
+        for first in range(0, len(plane), block):
+            chunk = plane[first : first + block]
             weighted = _mi_by_length(probs[chunk], lengths) * pmf[lengths]
             # accumulate adds the lengths one at a time, in ascending order
             mi[chunk] = np.add.accumulate(weighted, axis=1)[:, -1]
-    return [MIResult(value, len(lengths), truncation_mass) for value in mi.tolist()]
+    return [MIResult(*row) for row in zip(mi.tolist(), terms.tolist(), truncation.tolist())]
 
 
 def expected_mutual_information(
@@ -474,13 +603,15 @@ def expected_mutual_information(
 ) -> MIResult:
     """Binomially weighted mutual information over announcement-string lengths.
 
-    Returns sum_k Pr(k bit-announcements) * I(string of length k : message),
-    summing string lengths in decreasing-probability order until the omitted
-    binomial mass drops below ``tail_tol`` (recorded as ``truncation_mass``).
-    All kept lengths come from one walk up to the longest of them.
+    Returns sum_k Pr(k bit-announcements) * I(string of length k : message).
+    On the plane (both bases tilted) it sums string lengths in
+    decreasing-probability order until the omitted binomial mass drops
+    below ``tail_tol``, all from one walk up to the longest of them.  A line
+    (one tilted basis) is the same sum over the count of announcements in
+    that basis, with a saturation stop (:func:`_line_expectation`).
+    ``truncation_mass`` bounds what is left out.
     """
-    kept = _kept_lengths(n_shots, p_announce, tail_tol)
-    return _expected_mi_rows(_unit_rows(dist.probs_given_b[0]), *kept)[0]
+    return _expected_mi_rows(_unit_rows(dist.probs_given_b[0]), n_shots, p_announce, tail_tol)[0]
 
 
 def _damping_rows(xs) -> np.ndarray:
@@ -532,9 +663,9 @@ def seal_mutual_information_k(x: float, k: int) -> float:
     """:func:`mutual_information_k` for the damping family at strength x.
 
     The sigma1 symbols are equally likely under both message values, so
-    the walk runs on the sigma3 net vote alone.
+    the information is a sum over the count of sigma3 announcements alone.
     """
-    return float(_mi_by_length(_damping_rows([x]), [k])[0, 0])
+    return _mi_at_length(_damping_rows([x]), k)
 
 
 def seal_expected_mutual_information(
@@ -544,8 +675,7 @@ def seal_expected_mutual_information(
     tail_tol: float = _DEFAULT_TAIL_TOL,
 ) -> MIResult:
     """:func:`expected_mutual_information` for the damping family at strength x."""
-    rows = _damping_rows([x])
-    return _expected_mi_rows(rows, *_kept_lengths(n_shots, p_announce, tail_tol))[0]
+    return _expected_mi_rows(_damping_rows([x]), n_shots, p_announce, tail_tol)[0]
 
 
 def seal_expected_mutual_information_grid(
@@ -556,14 +686,13 @@ def seal_expected_mutual_information_grid(
 ) -> list[MIResult]:
     """:func:`seal_expected_mutual_information` at every strength of ``x_grid``.
 
-    The binomial weights and the kept lengths depend only on
-    (n_shots, p_announce, tail_tol), so they are computed once, and the
-    strengths walk the sigma3 line together in blocks of bounded size;
-    x = 0 is the identity channel and walks nothing.  Each result equals,
-    bit for bit, the one the single-strength function gives.
+    Every strength x > 0 tilts sigma3 alone, whose mass is 1/2, so the
+    binomial weights and the kept counts of sigma3 announcements are
+    computed once, and the strengths are summed together in blocks of
+    bounded size; x = 0 is the identity channel and sums nothing.  Each
+    result equals, bit for bit, the one the single-strength function gives.
     """
-    rows = _damping_rows(x_grid)
-    return _expected_mi_rows(rows, *_kept_lengths(n_shots, p_announce, tail_tol))
+    return _expected_mi_rows(_damping_rows(x_grid), n_shots, p_announce, tail_tol)
 
 
 _MISMATCH_EVENTS = (

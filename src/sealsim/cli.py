@@ -36,8 +36,8 @@ DEFAULT_N = 119
 DEFAULT_PA = 0.05
 DEFAULT_TAIL_TOL = 1e-12
 DEFAULT_GRID_STEP = 0.05
-# The most x points a sweep evaluates, a grid step of 1e-4.  The grid walks
-# in blocks of bounded memory, but its time grows with every point.
+# The most x points a sweep evaluates, a grid step of 1e-4.  The grid is
+# evaluated in blocks of bounded memory, but its time grows with every point.
 MAX_GRID_POINTS = 10_001
 
 _BUILTIN_CHANNELS = ("identity", "seal", "depolarizing", "dephasing")

@@ -12,12 +12,17 @@ variate columns are drawn through numpy's own ``SeedSequence`` and
 ``Generator``, which the package's raw-word column source must match.  A
 channel's Born table is built one preparation state at a time, looping over
 the Kraus operators, as the package did before it stacked them.  The
-mutual information of a stack of announcement distributions at each kept
-string length is walked one lattice step at a time, each step a freshly
-allocated lattice and each length read out on its own, as the package did
-before it walked in fixed buffers and read the kept lengths in batches.
+mutual information of a stack of announcement distributions on the plane
+at each kept string length is walked one lattice step at a time, each step
+a freshly allocated lattice and each length read out on its own, as the
+package did before it walked in fixed buffers and read the kept lengths in
+batches.  A line's expected information is summed one row and one count of
+moving-basis announcements at a time, as the package sums it in blocks;
+and it is summed once more exactly, in ``decimal`` arithmetic, from the
+ancillarity of that count, with no truncation.
 """
 
+import decimal
 import itertools
 import math
 
@@ -25,7 +30,7 @@ import numpy as np
 from scipy.special import rel_entr
 from scipy.stats import binom
 
-from sealsim.analysis import seal_class_masses
+from sealsim.analysis import _binomial_pmf, _kept_lengths, _log_factorials, seal_class_masses
 from sealsim.protocol import BitAnnouncement
 from sealsim.qubit import (
     DensityMatrix,
@@ -314,52 +319,39 @@ def lattice_mi_stepwise(lattice: np.ndarray) -> np.ndarray:
     return 1.0 + np.add.reduce(ratio, axis=1)
 
 
-def lattice_steps_stepwise(moving1: int, moving3: int):
-    """(grow, offsets): the lattice growth per step and each symbol's offset.
-
-    Each of the four symbols moves the walk by a fixed offset while the
-    lattice grows by ``grow`` per step.  A basis whose two symbols are
-    equally likely has a collapsed axis: it never grows, and its
-    announcements are "stay" steps.  When neither axis collapses, s1 + s3
-    has the parity of k, and the lattice is kept in the coordinates
-    u = (k + s1 + s3)/2, v = (k + s1 - s3)/2 so that no cell of the wrong
-    parity is stored.
-    """
-    if moving1 and moving3:
-        return (1, 1), ((1, 1), (0, 0), (1, 0), (0, 1))
-    # cell [i, j] is (s1, s3) = (i - k, j - k) on a moving axis, 0 on a collapsed one
-    grow = (2 * moving1, 2 * moving3)
-    return grow, ((2 * moving1, moving3), (0, moving3), (moving1, 2 * moving3), (moving1, 0))
+# Each symbol's offset on the plane, kept in the coordinates
+# u = (k + s1 + s3)/2, v = (k + s1 - s3)/2: s1 + s3 has the parity of k, so no
+# cell of the wrong parity is stored, and the lattice grows by one a step on
+# each axis.
+PLANE_OFFSETS = ((1, 1), (0, 0), (1, 0), (0, 1))
 
 
 def mi_by_length_stepwise(probs: np.ndarray, lengths: list[int]) -> np.ndarray:
-    """I(announcement string : message) in bits at each of the ascending ``lengths``.
+    """I(announcement string : message) in bits at each of the ascending ``lengths``, on the plane.
 
     ``probs`` is a (rows, 4) array of single-announcement distributions given
-    b = 0 (from :func:`_unit_rows`) that share one collapse pattern; the
-    result is (rows, len(lengths)), and each row's numbers are the ones it
-    gets walking alone.  Walks k = 0, 1, ... up to the largest length on the
-    lattice of net votes (s1, s3) of every row at once, convolving it at
-    each step with the single-announcement distribution (see
-    :func:`lattice_steps_stepwise`); negating (s1, s3) reverses both lattice axes.
-    Memory is rows times the lattice at the largest length.
+    b = 0 (from :func:`_unit_rows`) whose bases all move, or none of them;
+    the result is (rows, len(lengths)), and each row's numbers are the ones
+    it gets walking alone.  Walks k = 0, 1, ... up to the largest length on
+    the lattice of net votes of every row at once, convolving it at each
+    step with the single-announcement distribution (see ``PLANE_OFFSETS``);
+    negating (s1, s3) reverses both lattice axes.  Memory is rows times the
+    lattice at the largest length.
     """
     if lengths[0] < 0:
         raise ValueError("string length must be non-negative")
     moving = probs[:, ::2] != probs[:, 1::2]
     if (moving != moving[0]).any():
         raise ValueError("rows must share one collapse pattern")
-    grow, offsets = lattice_steps_stepwise(*moving[0].tolist())
+    if not moving[0].any():
+        return np.zeros((len(probs), len(lengths)))
+    assert moving[0].all(), "a line is summed over its count, not walked"
     # a symbol without positive weight adds exact zeros, in every row
     weights = np.maximum(probs, 0.0)
     taken = (weights > 0.0).any(axis=0).tolist()
     # a lone row steps with floats, which numpy multiplies faster
     columns = weights.T[:, :, None, None] if len(weights) > 1 else weights[0].tolist()
-    moves: dict[tuple[int, int], np.ndarray | float] = {}
-    for column, offset in enumerate(offsets):
-        if taken[column]:
-            weight = columns[column]
-            moves[offset] = moves[offset] + weight if offset in moves else weight
+    moves = {offset: columns[col] for col, offset in enumerate(PLANE_OFFSETS) if taken[col]}
 
     rows = len(probs)
     lattice = np.ones((rows, 1, 1))
@@ -368,10 +360,121 @@ def mi_by_length_stepwise(probs: np.ndarray, lengths: list[int]) -> np.ndarray:
     for column, target in enumerate(lengths):
         while k < target:
             _, n1, n3 = lattice.shape
-            step = np.zeros((rows, n1 + grow[0], n3 + grow[1]))
+            step = np.zeros((rows, n1 + 1, n3 + 1))
             for (o1, o3), weight in moves.items():
                 step[:, o1 : o1 + n1, o3 : o3 + n3] += weight * lattice
             lattice = step
             k += 1
         out[:, column] = lattice_mi_stepwise(lattice)
     return out
+
+
+def _line_symbols(row):
+    """(m, a, c): the moving basis' mass and its two symbols over it, the larger first."""
+    pair = row[:2] if row[0] != row[1] else row[2:]
+    mass = pair[0] + pair[1]
+    return mass, max(pair) / mass, min(pair) / mass
+
+
+def line_expected_mi_stepwise(probs, n_shots: int, p_announce: float, tail_tol):
+    """(mi_bits, k_terms_used, truncation_mass) of each row, one row and one count at a time.
+
+    Each row of the (rows, 4) array ``probs`` (from ``_unit_rows``) has one
+    moving basis, of mass m and symbols a >= c over m.  The count j of its
+    announcements is Bin(n_shots, p_announce m); the kept counts are those
+    ``_kept_lengths`` keeps (every count when ``tail_tol`` is None).  At each
+    kept count in turn, J(j) = 1 - H(j): H(j) is the sum of the binomial
+    cells exp((log j! - log i!) - log (j - i)! + i ln a + (j - i) ln c) times
+    log2(1 + (c/a)^(2i - j)), over the same cells' sum, each sum one
+    ``np.add.reduce`` over i = 0..max kept count, with exact zeros past j;
+    J(j) = [j > 0] when c = 0.  The first count whose J comes within
+    ``tail_tol`` of 1 is the last one evaluated: every later count uses 1,
+    and the bound (1 - J) times the kept mass past it, summed from the last
+    count down, joins the omitted mass.  The information is the weighted
+    sum of the counts' J in one ``np.add.reduce``.
+    """
+    out = []
+    for row in probs:
+        mass, a, c = _line_symbols(row)
+        if tail_tol is None:
+            weights = _binomial_pmf(n_shots, p_announce * mass)
+            counts, omitted, stop = list(range(n_shots + 1)), 0.0, 0.0
+        else:
+            weights, counts, omitted = _kept_lengths(n_shots, p_announce * mass, tail_tol)
+            stop = tail_tol
+        log_factorials = _log_factorials(counts[-1])
+        width = counts[-1] + 1
+        info, bound = [], 0.0
+        for t, j in enumerate(counts):
+            if not c:
+                info.append(float(j > 0))
+                continue
+            i = np.arange(j + 1)
+            log_p = log_factorials[j] - log_factorials[i] - log_factorials[j - i] + i * np.log(a)
+            p = np.zeros(width)
+            p[: j + 1] = np.exp(log_p + (j - i) * np.log(c))
+            terms = np.zeros(width)
+            terms[: j + 1] = p[: j + 1] * np.logaddexp2(0.0, (2 * i - j) * np.log2(c / a))
+            info.append(1.0 - np.add.reduce(terms) / np.add.reduce(p))
+            if info[-1] >= 1.0 - stop:
+                past = 0.0
+                for u in range(len(counts) - 1, t, -1):
+                    past += weights[counts[u]]
+                bound = (1.0 - info[-1]) * past
+                info += [1.0] * (len(counts) - 1 - t)
+                break
+        weighted = np.array(info) * weights[counts]
+        out.append((float(np.add.reduce(weighted)), len(counts), omitted + bound))
+    return out
+
+
+def _power(base, exponent: int):
+    """base**exponent with 0**0 = 1, which ``decimal`` leaves undefined."""
+    return base**exponent if exponent else decimal.Decimal(1)
+
+
+def line_expected_mi_exact(row, n_shots: int, p_announce: float, digits: int = 40) -> float:
+    """Expected information in bits of a distribution with one moving basis, exactly.
+
+    ``row`` is the distribution of one announcement given b = 0, read
+    exactly and scaled to sum to 1.  An announcement is in the moving basis
+    (mass m) with probability m whatever the message is, so the count j of
+    such announcements is ancillary: E[I] = sum_j Bin(j; N, p_announce m)
+    J(j), with J(j) = 1 - sum_i C(j, i) a^i c^(j-i) log2(1 + (c/a)^(2i-j)) for
+    the basis' symbols a and c over m.  c = 0 gives J(j) = 1 for every
+    j >= 1.  Every sum is taken in ``digits``-digit ``decimal`` arithmetic with
+    no truncation, except counts whose binomial weight is below
+    10^-(digits + 5), at most n_shots + 1 of them.
+    """
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits + 10
+        ctx.Emax, ctx.Emin = decimal.MAX_EMAX, decimal.MIN_EMIN
+        probs = [D(float(v)) for v in row]
+        total = sum(probs, D(0))
+        probs = [v / total for v in probs]
+        pair = probs[:2] if probs[0] != probs[1] else probs[2:]
+        mass = pair[0] + pair[1]
+        a, c = max(pair) / mass, min(pair) / mass
+        q = D(float(p_announce)) * mass
+        weights = [
+            math.comb(n_shots, j) * _power(q, j) * _power(1 - q, n_shots - j)
+            for j in range(n_shots + 1)
+        ]
+        floor = D(10) ** -(digits + 5)
+        counts = [j for j, w in enumerate(weights) if w >= floor]
+        if c == 0:
+            return float(sum((weights[j] for j in counts if j > 0), D(0)))
+        top = counts[-1]
+        ratio, ln2 = c / a, D(2).ln()
+        logs = {s: (1 + ratio**s).ln() / ln2 for s in range(-top, top + 1)}
+        a_pow = [_power(a, i) for i in range(top + 1)]
+        c_pow = [_power(c, i) for i in range(top + 1)]
+        total = D(0)
+        for j in counts:
+            h = sum(
+                (math.comb(j, i) * a_pow[i] * c_pow[j - i] * logs[2 * i - j] for i in range(j + 1)),
+                D(0),
+            )
+            total += weights[j] * (1 - h)
+        return float(total)

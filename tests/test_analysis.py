@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from conftest import (
     rotated_channel,
 )
 from oracles import (
+    line_expected_mi_exact,
+    line_expected_mi_stepwise,
     mi_bruteforce,
     mi_by_length_stepwise,
     seal_expected_mi_by_classes,
@@ -204,8 +207,13 @@ def test_binomial_weights_are_normalised_at_large_n(n, p):
 
 
 def test_kept_string_lengths_at_default_n():
-    assert seal_expected_mutual_information(0.5, N_DEFAULT, PA_DEFAULT).k_terms_used == 29
-    assert seal_expected_mutual_information(0.5, N_DEFAULT, 0.5).k_terms_used == 76
+    """A line keeps counts of sigma3 announcements, Bin(N, pa/2); the plane keeps
+    string lengths, Bin(N, pa)."""
+    assert seal_expected_mutual_information(0.5, N_DEFAULT, PA_DEFAULT).k_terms_used == 22
+    assert seal_expected_mutual_information(0.5, N_DEFAULT, 0.5).k_terms_used == 65
+    plane = bit_announcement_probs(random_kraus_channel(np.random.default_rng(77), 3))
+    assert expected_mutual_information(plane, N_DEFAULT, PA_DEFAULT).k_terms_used == 29
+    assert expected_mutual_information(plane, N_DEFAULT, 0.5).k_terms_used == 76
 
 
 def test_expected_mi_identity_is_exact_zero():
@@ -246,7 +254,8 @@ def test_expected_mi_edge_announce_probs():
     assert expected_mutual_information(dist, 20, 0.0).mi_bits == 0.0
     full = expected_mutual_information(dist, 20, 1.0)
     assert abs(full.mi_bits - mutual_information_k(dist, 20)) <= 1e-12
-    assert full.k_terms_used == 1
+    # every announcement is made, and its sigma3 count is Bin(20, 1/2): all 21 counts are kept
+    assert full.k_terms_used == 21
 
 
 def test_expected_mi_rejects_bad_inputs():
@@ -582,34 +591,42 @@ def test_no_moving_axis_leaks_exactly_nothing():
         mutual_information_k(dist, -1)
 
 
-def test_a_line_with_one_move_is_the_stepwise_walk():
-    """A row with one symbol of positive weight walks the line by copying its only product."""
-    lengths = [0, 1, 5, 9]
+def test_a_line_with_one_move_is_the_stepwise_sum():
+    """A row with one symbol of positive weight has c = 0: every count j >= 1 reveals the message."""
     for row in ([0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0]):
         rows = np.array([row, row])
-        got = analysis._mi_by_length(rows, lengths)
-        assert got.tobytes() == mi_by_length_stepwise(rows, lengths).tobytes()
-        assert got[:, 1:].tolist() == [[1.0, 1.0, 1.0]] * 2
+        dist = AnnouncementDistribution((row, (row[1], row[0], row[3], row[2])))
+        for k, want in zip([0, 1, 5, 9], [0.0, 1.0, 1.0, 1.0]):
+            got = analysis._line_expectation(rows, k, 1.0, None)
+            stepwise = line_expected_mi_stepwise(rows, k, 1.0, None)
+            assert got[0].tobytes() == np.array([mi for mi, _, _ in stepwise]).tobytes()
+            assert got[1].tolist() == [terms for _, terms, _ in stepwise] == [k + 1] * 2
+            assert got[2].tolist() == [0.0, 0.0]
+            assert got[0].tolist() == [want] * 2
+            assert abs(line_expected_mi_exact(row, k, 1.0) - want) <= 1e-14
+            assert mutual_information_k(dist, k) == want
+        with pytest.raises(ValueError, match="a line"):
+            analysis._mi_by_length(rows, [0, 1])
 
 
 @st.composite
-def collapse_stacks(draw):
-    """(rows, lengths): announcement distributions of one collapse pattern and kept lengths.
+def collapse_stacks(draw, patterns):
+    """(rows, n_shots, pa): announcement distributions of one of the collapse ``patterns``.
 
-    The pattern is drawn first: a collapsed basis has r = 0, a moving one a
-    drawn r, with +-1 (a symbol of zero weight, so empty lattice cells) and
-    1e-300 (a basis that collapses in floating point) among the choices.
-    Each row's sigma1 basis carries a drawn mass m and its sigma3 basis
-    1 - m, so the two bases need not be equally likely.  Lines (one moving
-    axis, or a damping strength x) walk up to N = 2000, the plane up to
-    N = 300, with fewer rows as N grows.
+    The pattern (moving1, moving3) is drawn first: a collapsed basis has
+    r = 0, a moving one a drawn r, with +-1 (a symbol of zero weight, so
+    empty cells) and 1e-300 (a basis that collapses in floating point, so a
+    row of another pattern) among the choices.  Each row's sigma1 basis
+    carries a drawn mass m and its sigma3 basis 1 - m, so the two bases need
+    not be equally likely.  Lines (one moving axis, or a damping strength x)
+    go up to N = 2000, the plane up to N = 300, with fewer rows as N grows.
     """
-    moving1, moving3 = draw(st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1)]))
+    moving1, moving3 = draw(st.sampled_from(patterns))
     damping = moving3 and not moving1 and draw(st.booleans())
-    n_cap = 300 if moving1 and moving3 else 2000
-    n_shots = draw(st.integers(min_value=1, max_value=n_cap))
-    walk = n_shots**3 // 30 if moving1 and moving3 else 20 * n_shots
-    count = draw(st.integers(min_value=1, max_value=max(1, min(40, 2_000_000 // max(walk, 1)))))
+    plane = moving1 and moving3
+    n_shots = draw(st.integers(min_value=1, max_value=300 if plane else 2000))
+    cost = n_shots**3 // 30 if plane else 100 * n_shots
+    count = draw(st.integers(min_value=1, max_value=max(1, min(40, 2_000_000 // max(cost, 1)))))
     strength = st.one_of(
         st.sampled_from([1.0, -1.0, 1e-300, 0.5]), st.floats(min_value=-1.0, max_value=1.0)
     )
@@ -632,30 +649,162 @@ def collapse_stacks(draw):
             r3 = draw(strength) if moving3 else 0.0
             probs.append((a * (1 + r1), a * (1 - r1), b * (1 + r3), b * (1 - r3)))
         rows = analysis._unit_rows(probs)
-    pa = draw(st.floats(min_value=0.0, max_value=1.0))
-    _, lengths, _ = analysis._kept_lengths(n_shots, pa, 1e-12)
-    return rows, lengths
+    return rows, n_shots, draw(st.floats(min_value=0.0, max_value=1.0))
 
 
-@pytest.mark.parametrize("block_cells", [None, 1, 100])
-@settings(max_examples=40, deadline=None)
-@given(collapse_stacks())
-def test_mi_by_length_is_the_stepwise_walk(block_cells, stack):
-    """Every row of every collapse pattern reads, bit for bit, as the walk one step at a time.
+def assert_stepwise(block_cells, rows, n_shots, pa):
+    """Every row reads, bit for bit, as its reference one step at a time.
 
-    With ``_BLOCK_CELLS`` at 1 each length is read in place; at 100 the
-    store of kept lengths fills and is read out many times a walk.
+    Rows are grouped by collapse pattern.  The plane (and a row with no
+    moving axis) is the walk one step at a time at the lengths that
+    Bin(n_shots, pa) keeps; a line is its sum over the moving basis' count,
+    one row and one count at a time, and at n_shots <= 120 lies within its
+    truncation bound of the exact sum.
     """
-    rows, lengths = stack
     moving = rows[:, ::2] != rows[:, 1::2]
     pattern = moving[:, 0] + 2 * moving[:, 1]
+    _, lengths, _ = analysis._kept_lengths(n_shots, pa, 1e-12)
     with pytest.MonkeyPatch.context() as patch:
         if block_cells is not None:
             patch.setattr(analysis, "_BLOCK_CELLS", block_cells)
         for value in set(pattern.tolist()):
             group = rows[pattern == value]
-            got = analysis._mi_by_length(group, lengths)
-            assert got.tobytes() == mi_by_length_stepwise(group, lengths).tobytes()
+            if value in (1, 2):
+                mi, terms, truncation = analysis._line_expectation(group, n_shots, pa, 1e-12)
+                want = line_expected_mi_stepwise(group, n_shots, pa, 1e-12)
+                assert mi.tobytes() == np.array([w for w, _, _ in want]).tobytes()
+                assert terms.tolist() == [w for _, w, _ in want]
+                assert truncation.tolist() == [w for _, _, w in want]
+                if n_shots <= 120:
+                    exact = line_expected_mi_exact(group[0], n_shots, pa)
+                    assert abs(mi[0] - exact) <= truncation[0] + 1e-14
+            else:
+                got = analysis._mi_by_length(group, lengths)
+                assert got.tobytes() == mi_by_length_stepwise(group, lengths).tobytes()
+
+
+@pytest.mark.parametrize("block_cells", [None, 1, 100])
+@settings(max_examples=40, deadline=None)
+@given(collapse_stacks([(0, 0), (1, 1)]))
+def test_mi_by_length_is_the_stepwise_walk(block_cells, stack):
+    """The plane, and rows with no moving axis, read bit for bit as the walk one step at a time.
+
+    With ``_BLOCK_CELLS`` at 1 each length is read in place; at 100 the
+    store of kept lengths fills and is read out many times a walk.
+    """
+    assert_stepwise(block_cells, *stack)
+
+
+@pytest.mark.parametrize("block_cells", [None, 1, 100])
+@settings(max_examples=40, deadline=None)
+@given(collapse_stacks([(0, 1), (1, 0)]))
+def test_a_line_is_its_stepwise_sum(block_cells, stack):
+    """A line reads bit for bit as its sum over the moving basis' count, one count at a time.
+
+    With ``_BLOCK_CELLS`` at 1 each count is a block of its own and the rows
+    are evaluated one at a time; at 100 a line's counts and rows are cut
+    into many blocks.
+    """
+    assert_stepwise(block_cells, *stack)
+
+
+@st.composite
+def line_distributions(draw):
+    """A distribution with one tilted basis, sigma1 or sigma3, of either sign; the bases' masses differ."""
+    m = draw(st.one_of(st.just(0.5), st.floats(min_value=0.05, max_value=0.95)))
+    r = draw(
+        st.one_of(
+            st.sampled_from([1.0, -1.0, 0.999, -0.9973, 0.5, 1e-3]),
+            st.floats(min_value=-1.0, max_value=1.0).filter(lambda r: abs(r) > 1e-6),
+        )
+    )
+    tilted = (0.5 * m * (1 + r), 0.5 * m * (1 - r))
+    flat = (0.5 * (1 - m), 0.5 * (1 - m))
+    given_0 = tilted + flat if draw(st.booleans()) else flat + tilted
+    return AnnouncementDistribution((given_0, (given_0[1], given_0[0], given_0[3], given_0[2])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(line_distributions(), st.integers(min_value=1, max_value=120), unit)
+@example(AnnouncementDistribution(((0.25, 0.25, 0.5, 0.0), (0.25, 0.25, 0.0, 0.5))), 120, 1.0)
+def test_line_is_within_its_bound_of_the_exact_sum(dist, n, pa):
+    got = expected_mutual_information(dist, n, pa)
+    exact = line_expected_mi_exact(dist.probs_given_b[0], n, pa)
+    assert 0.0 <= got.mi_bits <= 1.0
+    assert abs(got.mi_bits - exact) <= got.truncation_mass + 1e-14
+
+
+@pytest.mark.parametrize("x", [0.99, 0.9973, 0.9999])
+@pytest.mark.parametrize("pa", [0.05, 0.5])
+def test_strong_damping_at_n300_is_within_its_bound_of_the_exact_sum(x, pa):
+    """Near x = 1 the cells of tiny weight carry log terms of about |s| log2(a/c),
+    so a cut on the weight alone would lose information here."""
+    got = seal_expected_mutual_information(x, 300, pa)
+    exact = line_expected_mi_exact(analysis._damping_rows([x])[0], 300, pa)
+    assert abs(got.mi_bits - exact) <= got.truncation_mass + 1e-14
+    assert got.truncation_mass <= analysis._kept_lengths(300, pa / 2, 1e-12)[2] + 1e-12
+
+
+def test_the_saturation_stop_adds_its_bound():
+    """At x = 0.9, N = 119, pa = 0.5, J comes within 1e-12 of 1 inside the
+    kept counts: later counts use 1, and the bound on that joins the
+    omitted mass."""
+    got = seal_expected_mutual_information(0.9, N_DEFAULT, 0.5)
+    omitted = analysis._kept_lengths(N_DEFAULT, 0.25, 1e-12)[2]
+    assert omitted < got.truncation_mass <= omitted + 1e-12
+    exact = line_expected_mi_exact(analysis._damping_rows([0.9])[0], N_DEFAULT, 0.5)
+    assert abs(got.mi_bits - exact) <= got.truncation_mass + 1e-14
+
+
+@pytest.mark.parametrize("r", [0.3, -0.3, 1.0, -1.0, 0.9973])
+def test_a_sigma1_line_is_its_sigma3_mirror_and_either_sign(r):
+    """Mirroring the bases, or flipping the tilt's sign, gives the same numbers bit for bit."""
+
+    def dist(row):
+        return AnnouncementDistribution((row, (row[1], row[0], row[3], row[2])))
+
+    sigma3 = (0.3, 0.3, 0.2 * (1 + r), 0.2 * (1 - r))
+    variants = [
+        sigma3,
+        (sigma3[2], sigma3[3], sigma3[0], sigma3[1]),
+        (sigma3[0], sigma3[1], sigma3[3], sigma3[2]),
+        (sigma3[3], sigma3[2], sigma3[0], sigma3[1]),
+    ]
+    for n, pa in ((119, 0.05), (119, 0.5), (300, 1.0)):
+        results = [expected_mutual_information(dist(row), n, pa) for row in variants]
+        assert all(result == results[0] for result in results)
+        per_length = [mutual_information_k(dist(row), 40) for row in variants]
+        assert all(value.hex() == per_length[0].hex() for value in per_length)
+
+
+@pytest.mark.parametrize("pa", [0.0, 0.05, 0.5, 1.0])
+def test_full_damping_is_exact_and_warns_nothing(pa):
+    """x = 1 (c = 0) never forms 0 * log 0 or inf * 0, whatever the warning filters say."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (1, 119, 800):
+            anchor = 1.0 - (1.0 - pa / 2.0) ** n
+            point = seal_expected_mutual_information(1.0, n, pa)
+            assert abs(point.mi_bits - anchor) <= 1e-9
+            assert point.truncation_mass <= 1e-12
+            assert seal_expected_mutual_information_grid([0.5, 1.0], n, pa)[1] == point
+        # a string of 7 announcements hides the message only if none is in sigma3
+        assert seal_mutual_information_k(1.0, 0) == 0.0
+        assert seal_mutual_information_k(1.0, 7) == 1.0 - 0.5**7
+
+
+def test_line_memory_is_flat_in_n():
+    """A line at N = 4e4 holds the binomial weights over N and one block of
+    counts, not every kept count's cells: about 1400 x 20000 cells (224 MB)
+    uncut."""
+    tracemalloc.start()
+    try:
+        result = seal_expected_mutual_information(0.5, 40_000, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.mi_bits > 1.0 - 2e-12
+    assert peak <= 3 * 2**20
 
 
 def test_grid_rejects_a_strength_outside_0_1():

@@ -170,27 +170,27 @@ def test_sweep_config_rejects_bad_grids():
 PINNED_SWEEPS = [
     pytest.param(
         [],
-        "8883f9a4f5231f3b19efb2d2e835fe221d4e7655819a5543a04e780e9c05235e",
+        "4a544b4e10dce4519fb8694aec8a898b1472cda7b8d0ba59e2a2650f6e21e075",
         id="defaults",
     ),
     pytest.param(
         ["--pa", "0.5", "--grid-step", "0.5"],
-        "939020fe529c72694d0f92dc88993d0a815483de4e6fd23097b8ad4a2aa19b6f",
+        "de8cc92656a8d63dbe82299a8f401ebda5654dc0562317f81d06374ab3a1cf77",
         id="pa0.5-step0.5",
     ),
     pytest.param(
         ["--n", "500", "--pa", "0.5"],
-        "9f7b4cbb679853811adb1d1189c0b0173671a9cdfc8e6c62626d8d867b929519",
+        "bbbdc900afa2bd74b15b7d7316ea3ac5ec2f29614729694f3db20cfab1423e62",
         id="n500-pa0.5",
     ),
     pytest.param(
         ["--n", "800", "--pa", "1.0", "--grid-step", "0.5"],
-        "36c80951c9a86fbeb779cf5d83ff9ada3f4b4b87a3edfc6f15c33817e81093a0",
+        "0ea1a5a9bdce5d990f16dc74abb4b0fea25c7642580cb2aea2c3980375df9751",
         id="n800-pa1",
     ),
     pytest.param(
         ["--grid-step", "1e-4"],
-        "1c0ab2817953c7a27bf5b745925b513cf8ffeb487e4961266156baf4f32b67c8",
+        "94cf9e4096a512f24656f67e421d8292d491160c84772e725169dd830f063834",
         id="step1e-4",
     ),
 ]
@@ -201,6 +201,19 @@ def test_sweep_csv_is_pinned(tmp_path, options, want):
     out = tmp_path / "curve.csv"
     assert main(["sweep", *options, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
+
+def test_the_benchmark_known_defect_probe_exits_0(tmp_path):
+    """``sweep --n 800 --pa 1.0 --grid-step 0.5``, which the benchmark runs as
+    a known-defect probe, writes every row with finite MI inside [0, 1]."""
+    out = tmp_path / "probe.csv"
+    probe = ["sweep", "--n", "800", "--pa", "1.0", "--grid-step", "0.5", "--out", str(out)]
+    assert main(probe) == 0
+    lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    rows = [line.split(",") for line in lines[1:]]
+    assert [float(row[0]) for row in rows] == [0.0, 0.5, 1.0]
+    assert all(0.0 <= float(row[1]) <= 1.0 for row in rows)
+    assert abs(float(rows[-1][1]) - (1.0 - 0.5**800)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -798,12 +811,12 @@ def test_validate_channel_bad_arguments_exit_2(tmp_path, flags):
 PINNED_REPORTS = [
     pytest.param(
         seal_channel(0.5), [],
-        "09819f038ed81701fe42bbefe7a9f6e74cc34c0ac8ce054222254b249921acf4",
+        "2770fd5f5c07970ce269f4f56dfac479fd191929be8e951dc4ef0443d813fa78",
         id="seal0.5",
     ),
     pytest.param(
         seal_channel(0.5), ["--pa", "0.5"],
-        "95e87d4d0c8ffc7634bd72dcf89e787b67a36ba82ec0ca987ef5dddcf1a2657e",
+        "4993bfaa211a0f5fe61d78d83374e5c3f00767bb297f43ce5d61aedcb7d82ef5",
         id="seal0.5-pa0.5",
     ),
     pytest.param(

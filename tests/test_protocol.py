@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -637,20 +636,27 @@ def test_write_transcripts_takes_a_path_and_an_empty_key_column(tmp_path):
 def test_write_transcripts_stops_the_public_file_once_the_full_one_fails(tmp_path, monkeypatch):
     """The public file's build stops at the first chunk after the writer
     thread's file has failed, instead of going on to the end only to be
-    removed."""
+    removed.  The interleaving is forced: the writer's second full chunk
+    fails only once the first public chunk has been built and handed on,
+    and the second public chunk is built only once the writer has ended."""
     keys = np.zeros(25 * protocol._BLOCK_CELLS, dtype=np.uint8)
-    failed = threading.Event()
+    handed_on = threading.Event()
     transcript_body = protocol._transcript_body
     public_chunks = []
 
     def fail_second_full(keys, index, public):
         if public:
             public_chunks.append(len(keys))
-            if len(public_chunks) == 2:
-                failed.wait(timeout=5)
-                time.sleep(0.05)  # the writer unwinds and records its failure
+            if len(public_chunks) == 2:  # the first public chunk has been handed on
+                writer = next(
+                    (t for t in threading.enumerate() if t.name == "sealsim-transcript-writer"),
+                    None,
+                )
+                handed_on.set()
+                if writer is not None:
+                    writer.join(timeout=5)  # the writer has failed and recorded it
         elif bytes(index[0]).lstrip(b"\0") != b"0":
-            failed.set()
+            handed_on.wait(timeout=5)
             raise RuntimeError("full body failed")
         return transcript_body(keys, index, public)
 
