@@ -13,7 +13,7 @@ string carries exactly as much information as the pair (s1, s3).  A basis
 whose two symbols are equally likely carries no information, and its axis
 collapses.  With both axes collapsed (a unital channel) the two message
 values give the same string distribution, so every length carries exactly
-0 bits and nothing is summed.
+0 bits, nothing is summed, and no term is kept or truncated.
 
 A line (one moving axis, such as the damping family's sigma3) is a sum in
 closed form.  An announcement lands in the moving basis with probability
@@ -31,23 +31,23 @@ The plane (both axes moving) is walked: string lengths upward on the
 (s1, s3) lattice, convolving with the single-announcement distribution at
 each step, and reading off the per-length information at the lengths the
 binomial weighting keeps; ``k_terms_used`` counts those lengths and
-``truncation_mass`` is their omitted mass.  The walk allocates nothing per
-step.  The lattice lives in one flat buffer sized for the longest kept
-length, with a buffer of products beside it: a step is one multiply of
-the lattice's window by every move's weight and one add per further
-move, each on a contiguous range.  The lattice at each kept length is
-copied into a store of at most ``_BLOCK_CELLS`` cells, and the logarithms
-of a whole store are taken in one pass; each length's sum is still one
-``np.add.reduce`` over its own cells.  Every result is, bit for bit, that
-of the walk on growing arrays, one step and one length at a time.  Memory
-is the lattice at the longest length k, about k^2 cells, once for the
-lattice, once per move for its products (and, for a stack of rows, per
-move for its weights), plus the store.
+``truncation_mass`` is their omitted mass.  The walk takes one
+distribution and allocates nothing per step.  The lattice lives in one
+flat buffer sized for the longest kept length, with a buffer of products
+beside it: a step is one multiply of the lattice's window by every move's
+weight and one add per further move, each on a contiguous range.  The
+lattice at each kept length is copied into a store of at most
+``_BLOCK_CELLS`` cells, and the logarithms of a whole store are taken in
+one pass; each length's sum is still one ``np.add.reduce`` over its own
+cells.  Every result is, bit for bit, that of the walk on growing arrays,
+one step and one length at a time.  Memory is the lattice at the longest
+length k, about k^2 cells, once for the lattice and once per move for its
+products, plus the store.
 
-Both evaluators take a stack of distributions at once, each row with the
-numbers it would get alone.  A sweep of the damping family computes the
-binomial weights and kept counts once and evaluates its whole x grid in
-blocks of bounded size.  Its mismatch column takes the grid's Kraus
+The line evaluator takes a stack of distributions at once, each row with
+the numbers it would get alone: a sweep of the damping family computes
+the binomial weights and kept counts once and evaluates its whole x grid
+in blocks of bounded size.  Its mismatch column takes the grid's Kraus
 operators as one stacked array (``qubit.damping_stack``), in blocks of
 bounded size, and forms only the four Born cells a mismatch reads
 (``qubit.born_cells``), the same evaluator :func:`mismatch_probability`
@@ -79,11 +79,10 @@ from sealsim.qubit import (
 )
 
 _DISTRIBUTION_TOL = 1e-12
-_DEFAULT_TAIL_TOL = 1e-12
-# Lattice cells, at the longest kept length, of one block of rows walked
-# together, and the cells of the store that kept lengths are read out from:
-# a block's lattice, and each move's slab of products, take about 128 KiB.
-# A line's block of counts holds as many (row, count, symbol count) cells.
+DEFAULT_TAIL_TOL = 1e-12
+# Cells of the store that a walk's kept lengths are read out from, about
+# 128 KiB.  A line's block of counts holds as many (row, count, symbol
+# count) cells, and the sweep's mismatch column as many operator entries.
 _BLOCK_CELLS = 1 << 14
 # Cells of arithmetic a walk step may spend beyond its lattice, so that a
 # narrow walk re-slices its views every few steps: slicing a step's views
@@ -218,17 +217,17 @@ def _read_out(p: np.ndarray, ratio: np.ndarray, segments, out: np.ndarray) -> No
     """I(s : message) in bits, less 1, of each segment of net-vote distributions given b = 0.
 
     ``ratio`` holds p0(s) + p0(-s) at the cells of ``p``, which holds p0(s);
-    each (column, cells) segment is a (rows..., cells) view into ``ratio``
-    whose sums go to that column of ``out``.  Flipping the message negates
-    every net vote, so p1(s) = p0(-s), and the information is
-    1 - H(message | s) with H = sum_s p0(s) log2((p0(s) + p0(-s)) / p0(s)).
-    The ratio inside the log never has an underflowed divisor, and each
-    term is non-negative, so the result never exceeds 1.  (Writing 1 as
-    sum_s p0(s) gives the Jensen-Shannon form
-    sum_s p0(s) log2(2 p0(s) / (p0(s) + p0(-s))); using the exact 1 keeps
-    the lattice's rounded mass out of the result.)  Cells with p0(s) = 0
-    add an exact 0 to their segment's sum, and each segment is one
-    ``np.add.reduce``, so its summation order is that of its cells alone.
+    each (index, cells) segment is a view into ``ratio`` whose sum goes to
+    that index of ``out``.  Flipping the message negates every net vote, so
+    p1(s) = p0(-s), and the information is 1 - H(message | s) with
+    H = sum_s p0(s) log2((p0(s) + p0(-s)) / p0(s)).  The ratio inside the
+    log never has an underflowed divisor, and each term is non-negative, so
+    the result never exceeds 1.  (Writing 1 as sum_s p0(s) gives the
+    Jensen-Shannon form sum_s p0(s) log2(2 p0(s) / (p0(s) + p0(-s))); using
+    the exact 1 keeps the lattice's rounded mass out of the result.)  Cells
+    with p0(s) = 0 add an exact 0 to their segment's sum, and each segment
+    is one ``np.add.reduce``, so its summation order is that of its cells
+    alone.
     """
     seen = p > 0.0
     if seen.all():
@@ -239,40 +238,37 @@ def _read_out(p: np.ndarray, ratio: np.ndarray, segments, out: np.ndarray) -> No
         np.divide(p, ratio, out=ratio, where=seen)
         np.log2(ratio, out=ratio, where=seen)
     ratio *= p
-    by_column = out.T if len(out) > 1 else out[0]
-    for column, cells in segments:
-        by_column[column] = np.add.reduce(cells, axis=-1)
+    for index, cells in segments:
+        out[index] = np.add.reduce(cells)
 
 
 def _walk_lattice(moves: dict, lengths: list[int], out: np.ndarray) -> None:
-    """:func:`_mi_by_length` on the plane of (u, v).
+    """:func:`_mi_by_length` of one distribution on the plane of (u, v).
 
-    The lattice lives in one flat buffer, cells first and rows last, that
-    holds the cells of the longest length and one empty cell on each side a
-    move comes from: the plane is stored row by row, u = v = -1 first, so a
-    move is a fixed shift of the flat index.  A step multiplies a window of
-    the buffer by every move's weight at once, into one buffer of products
-    (one slab per move), then adds the products shifted by their moves, in
-    the order of ``moves``.  These are exactly the sums of a walk on growing
-    arrays: a move that misses a cell adds w * 0 = +0 to a non-negative
-    value, and a cell outside the lattice (also the cells between its rows)
-    only ever sums such zeros.  The window covers the lattice after the step
-    and runs ahead of it by at most about ``_AHEAD_CELLS`` cells of
-    arithmetic, so a narrow walk re-slices its views every few steps and a
-    wide one every step.
+    The lattice lives in one flat buffer that holds the cells of the
+    longest length and one empty cell on each side a move comes from: the
+    plane is stored row by row, u = v = -1 first, so a move is a fixed
+    shift of the flat index.  A step multiplies a window of the buffer by
+    every move's weight at once, into one buffer of products (one slab per
+    move), then adds the products shifted by their moves, in the order of
+    ``moves``.  These are exactly the sums of a walk on growing arrays: a
+    move that misses a cell adds w * 0 = +0 to a non-negative value, and a
+    cell outside the lattice (also the cells between its rows) only ever
+    sums such zeros.  The window covers the lattice after the step and runs
+    ahead of it by at most about ``_AHEAD_CELLS`` cells of arithmetic, so a
+    narrow walk re-slices its views every few steps and a wide one every
+    step.
 
-    Each kept length's cells p0(s) and the sums p0(s) + p0(-s) are copied,
-    row by row, into a store of at most ``_BLOCK_CELLS`` cells and read out
-    a store at a time (:func:`_read_out`); a length whose cells alone
-    overfill the store is read where it lies.
+    Each kept length's cells p0(s) and the sums p0(s) + p0(-s) are copied
+    into a store of at most ``_BLOCK_CELLS`` cells and read out a store at
+    a time (:func:`_read_out`); a length whose cells alone overfill the
+    store is read where it lies.
     """
-    rows, top = out.shape[0], lengths[-1]
-    lead = (rows,) if rows > 1 else ()  # a lone row walks without a row axis
+    top = lengths[-1]
     width = top + 2  # cells in a row of the plane
-    size, growth = width * width, width + 1
     shifts = [du * width + dv for du, dv in moves]
-    lattice = np.zeros((size,) + lead)
-    plane = lattice.reshape((width, width) + lead)
+    lattice = np.zeros(width * width)
+    plane = lattice.reshape(width, width)
 
     def span(k: int) -> tuple[int, int]:
         """The flat range that holds the lattice at length k."""
@@ -280,86 +276,72 @@ def _walk_lattice(moves: dict, lengths: list[int], out: np.ndarray) -> None:
 
     lattice[span(0)[0]] = 1.0
     products = np.zeros((len(moves),) + lattice.shape)
-    factors = np.array(list(moves.values())).reshape((len(moves), 1) + lead)
-    if lead:  # one weight per cell, so no operand of the product broadcasts
-        factors = np.repeat(factors, size, axis=1)
+    factors = np.array(list(moves.values())).reshape(len(moves), 1)
 
     def views(k: int):
         """The step's views, for lattices that fit the window of length k."""
         lo, hi = span(k)
-        scale = factors[:, lo:hi] if lead else factors
         shifted = [products[m, lo - d : hi - d] for m, d in enumerate(shifts)]
-        return lattice[lo:hi], products[:, lo:hi], scale, shifted[0], shifted[1:]
+        return lattice[lo:hi], products[:, lo:hi], shifted[0], shifted[1:]
 
-    flip = (slice(None),) * len(lead) + (slice(None, None, -1),) * 2
-    capacity = _BLOCK_CELLS // rows
-    held = np.empty(lead + (capacity,))
-    sums = np.empty(lead + (capacity,))
+    held = np.empty(_BLOCK_CELLS)
+    sums = np.empty(_BLOCK_CELLS)
     pending: list = []
     used = 0
     k = reach = 0  # the length the lattice holds, and the one its window fits
-    for column, target in enumerate(lengths):
+    for index, target in enumerate(lengths):
         while k < target:
             if k == reach:
-                reach = min(top, k + max(1, _AHEAD_CELLS // (rows * growth)))
-                grown, made, scale, first, rest = views(reach)
-            np.multiply(scale, grown, out=made)
+                reach = min(top, k + max(1, _AHEAD_CELLS // (width + 1)))
+                grown, made, first, rest = views(reach)
+            np.multiply(factors, grown, out=made)
             np.add(first, rest[0], out=grown)
             for more in rest[1:]:
                 np.add(grown, more, out=grown)
             k += 1
         p = plane[1 : k + 2, 1 : k + 2]
-        if lead:
-            p = p.transpose(2, 0, 1)
-        count = p.size // rows
-        if count > capacity:
-            ratio = np.add(p, p[flip], order="C")
-            _read_out(p, ratio, [(column, ratio.reshape(lead + (count,)))], out)
+        if p.size > _BLOCK_CELLS:
+            ratio = np.add(p, p[::-1, ::-1], order="C")
+            _read_out(p, ratio, [(index, ratio.ravel())], out)
             continue
-        if used + count > capacity:
-            _read_out(held[..., :used], sums[..., :used], pending, out)
+        if used + p.size > _BLOCK_CELLS:
+            _read_out(held[:used], sums[:used], pending, out)
             pending.clear()
             used = 0
-        kept, summed = held[..., used : used + count], sums[..., used : used + count]
-        pending.append((column, summed))
-        kept, summed = kept.reshape(p.shape), summed.reshape(p.shape)
-        kept[...] = p
-        np.add(p, p[flip], out=summed)
-        used += count
+        kept, summed = held[used : used + p.size], sums[used : used + p.size]
+        pending.append((index, summed))
+        kept.reshape(p.shape)[...] = p
+        np.add(p, p[::-1, ::-1], out=summed.reshape(p.shape))
+        used += p.size
     if pending:
-        _read_out(held[..., :used], sums[..., :used], pending, out)
+        _read_out(held[:used], sums[:used], pending, out)
     out += 1.0
 
 
 def _mi_by_length(probs: np.ndarray, lengths: list[int]) -> np.ndarray:
     """I(announcement string : message) in bits at each of the ascending ``lengths``, on the plane.
 
-    ``probs`` is a (rows, 4) array of single-announcement distributions given
-    b = 0 (from :func:`_unit_rows`) whose bases all move, or none of them;
-    the result is (rows, len(lengths)), and each row's numbers are the ones
-    it gets walking alone.  Walks k = 0, 1, ... up to the largest length on
-    the lattice of net votes (s1, s3) of every row at once, convolving it at
-    each step with the single-announcement distribution (see
-    ``_PLANE_MOVES``); negating (s1, s3) reverses both lattice axes.
-    Memory is rows times the lattice at the largest length, plus a store of
-    ``_BLOCK_CELLS`` cells for the read-out.  Rows with no moving axis give
-    both message values one string distribution, so they read exactly 0.
-    A line (one moving axis) is not walked: see :func:`_line_expectation`.
+    ``probs`` is one single-announcement distribution given b = 0, a row of
+    :func:`_unit_rows`, whose bases both move, or neither.  Walks
+    k = 0, 1, ... up to the largest length on the lattice of net votes
+    (s1, s3), convolving it at each step with the single-announcement
+    distribution (see ``_PLANE_MOVES``); negating (s1, s3) reverses both
+    lattice axes.  Memory is the lattice at the largest length, plus a store
+    of ``_BLOCK_CELLS`` cells for the read-out.  A distribution with no
+    moving axis gives both message values one string distribution, so it
+    reads exactly 0.  A line (one moving axis) is not walked: see
+    :func:`_line_expectation`.
     """
     if lengths[0] < 0:
         raise ValueError("string length must be non-negative")
-    moving = probs[:, ::2] != probs[:, 1::2]
-    if (moving != moving[0]).any():
-        raise ValueError("rows must share one collapse pattern")
-    out = np.zeros((len(probs), len(lengths)))
-    if not moving[0].any():
+    moving = probs[::2] != probs[1::2]
+    out = np.zeros(len(lengths))
+    if not moving.any():
         return out
-    if not moving[0].all():
+    if not moving.all():
         raise ValueError("a line is summed over its moving basis' count, not walked")
-    # a symbol without positive weight adds exact zeros, in every row
-    weights = np.maximum(probs, 0.0)
-    taken = (weights > 0.0).any(axis=0).tolist()
-    moves = {move: weights[:, col] for col, move in enumerate(_PLANE_MOVES) if taken[col]}
+    # a symbol without positive weight adds exact zeros
+    moves = {move: w for move, w in zip(_PLANE_MOVES, probs.tolist()) if w > 0.0}
     _walk_lattice(moves, lengths, out)
     return out
 
@@ -501,7 +483,7 @@ def _mi_at_length(probs: np.ndarray, k: int) -> float:
     axes = int((probs[0, ::2] != probs[0, 1::2]).sum())
     if axes == 1:
         return float(_line_expectation(probs, k, 1.0, None)[0][0])
-    return float(_mi_by_length(probs, [k])[0, 0])
+    return float(_mi_by_length(probs[0], [k])[0])
 
 
 def mutual_information_k(dist: AnnouncementDistribution, k: int) -> float:
@@ -530,7 +512,9 @@ def _binomial_pmf(n: int, p: float) -> np.ndarray:
     return pmf / math.fsum(pmf.tolist())
 
 
-def _check_expectation(n_shots: int, p_announce: float, tail_tol: float) -> None:
+def check_expectation(
+    n_shots: int, p_announce: float, tail_tol: float = DEFAULT_TAIL_TOL
+) -> None:
     """Raise ValueError for arguments no binomially weighted sum accepts."""
     if n_shots < 1:
         raise ValueError("need at least one shot")
@@ -548,7 +532,7 @@ def _kept_lengths(
     Keeps the most likely string lengths until the omitted mass drops below
     ``tail_tol``; depends on nothing but its three arguments.
     """
-    _check_expectation(n_shots, p_announce, tail_tol)
+    check_expectation(n_shots, p_announce, tail_tol)
     pmf = _binomial_pmf(n_shots, p_announce)
     order = np.argsort(-pmf, kind="stable")
     mass = np.cumsum(pmf[order])
@@ -564,15 +548,12 @@ def _expected_mi_rows(
     """The binomially weighted information of each row of ``probs``.
 
     A line (one moving basis) is summed over its moving basis' count
-    (:func:`_line_expectation`).  The plane walks the string lengths that
-    Bin(n_shots, p_announce) keeps, rows in blocks of at most
-    ``_BLOCK_CELLS`` lattice cells at the longest length (and at least one
-    row), so memory does not grow with the number of rows; each row's sum
-    runs over the kept lengths in ascending order, so a row's result does
-    not depend on the other rows.  A row with no moving axis leaks exactly
-    0 bits, sums nothing, and reports the string lengths the plane keeps.
+    (:func:`_line_expectation`).  A plane row walks the string lengths that
+    Bin(n_shots, p_announce) keeps, and its sum runs over them in ascending
+    order.  A row with no moving axis leaks exactly 0 bits, keeps no term
+    and truncates nothing.
     """
-    _check_expectation(n_shots, p_announce, tail_tol)
+    check_expectation(n_shots, p_announce, tail_tol)
     axes = (probs[:, ::2] != probs[:, 1::2]).sum(axis=1)
     mi, truncation = np.zeros(len(probs)), np.zeros(len(probs))
     terms = np.zeros(len(probs), dtype=int)
@@ -581,17 +562,13 @@ def _expected_mi_rows(
         mi[line], terms[line], truncation[line] = _line_expectation(
             probs[line], n_shots, p_announce, tail_tol
         )
-    rest = np.flatnonzero(axes != 1)
-    if rest.size:
+    plane = np.flatnonzero(axes == 2)
+    if plane.size:
         pmf, lengths, omitted = _kept_lengths(n_shots, p_announce, tail_tol)
-        terms[rest], truncation[rest] = len(lengths), omitted
-        plane = rest[axes[rest] == 2]
-        block = max(1, _BLOCK_CELLS // (lengths[-1] + 1) ** 2)
-        for first in range(0, len(plane), block):
-            chunk = plane[first : first + block]
-            weighted = _mi_by_length(probs[chunk], lengths) * pmf[lengths]
+        terms[plane], truncation[plane] = len(lengths), omitted
+        for row in plane:
             # accumulate adds the lengths one at a time, in ascending order
-            mi[chunk] = np.add.accumulate(weighted, axis=1)[:, -1]
+            mi[row] = np.add.accumulate(_mi_by_length(probs[row], lengths) * pmf[lengths])[-1]
     return [MIResult(*row) for row in zip(mi.tolist(), terms.tolist(), truncation.tolist())]
 
 
@@ -599,7 +576,7 @@ def expected_mutual_information(
     dist: AnnouncementDistribution,
     n_shots: int,
     p_announce: float,
-    tail_tol: float = _DEFAULT_TAIL_TOL,
+    tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> MIResult:
     """Binomially weighted mutual information over announcement-string lengths.
 
@@ -672,7 +649,7 @@ def seal_expected_mutual_information(
     x: float,
     n_shots: int,
     p_announce: float,
-    tail_tol: float = _DEFAULT_TAIL_TOL,
+    tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> MIResult:
     """:func:`expected_mutual_information` for the damping family at strength x."""
     return _expected_mi_rows(_damping_rows([x]), n_shots, p_announce, tail_tol)[0]
@@ -682,7 +659,7 @@ def seal_expected_mutual_information_grid(
     x_grid,
     n_shots: int,
     p_announce: float,
-    tail_tol: float = _DEFAULT_TAIL_TOL,
+    tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> list[MIResult]:
     """:func:`seal_expected_mutual_information` at every strength of ``x_grid``.
 
@@ -765,8 +742,5 @@ def decode_success_probability(n_shots: int, p_announce: float) -> float:
     Read as the per-run decode probability; a per-shot reading would conflict
     with the matched-basis rate being exactly 1/2.
     """
-    if n_shots < 1:
-        raise ValueError("need at least one shot")
-    if not 0.0 <= p_announce <= 1.0:
-        raise ValueError(f"announcement probability must lie in [0, 1], got {p_announce}")
+    check_expectation(n_shots, p_announce)
     return 1.0 - (1.0 - 0.5 * p_announce) ** n_shots

@@ -34,7 +34,6 @@ from sealsim.textfile import write_atomic
 
 DEFAULT_N = 119
 DEFAULT_PA = 0.05
-DEFAULT_TAIL_TOL = 1e-12
 DEFAULT_GRID_STEP = 0.05
 # The most x points a sweep evaluates, a grid step of 1e-4.  The grid is
 # evaluated in blocks of bounded memory, but its time grows with every point.
@@ -264,7 +263,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         default=DEFAULT_GRID_STEP,
         help=f"x grid spacing in (0, 1]; at most {MAX_GRID_POINTS} points",
     )
-    sweep.add_argument("--tail-tol", type=float, default=DEFAULT_TAIL_TOL)
+    sweep.add_argument("--tail-tol", type=float, default=analysis.DEFAULT_TAIL_TOL)
     sweep.add_argument("--out", required=True, help="output CSV path")
 
     sim = sub.add_parser("simulate", help="run the seeded Monte Carlo against a channel")
@@ -285,13 +284,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     val.add_argument("--pa", type=float, default=DEFAULT_PA)
 
     return parser, {"sweep": sweep, "simulate": sim, "validate-channel": val}
-
-
-def _check_n_and_pa(n_shots: int, p_announce: float) -> None:
-    if n_shots < 1:
-        raise ValueError("need at least one shot")
-    if not 0.0 <= p_announce <= 1.0:
-        raise ValueError(f"announcement probability must lie in [0, 1], got {p_announce}")
 
 
 def main(argv=None) -> int:
@@ -324,9 +316,7 @@ def _run(argv) -> int:
 
     if args.command == "sweep":
         try:
-            _check_n_and_pa(args.n, args.pa)
-            if not 0.0 < args.tail_tol <= 1e-6:
-                raise ValueError(f"tail tolerance must lie in (0, 1e-6], got {args.tail_tol}")
+            analysis.check_expectation(args.n, args.pa, args.tail_tol)
             config = SweepConfig(
                 x_grid=_default_grid(args.grid_step),
                 n_shots=args.n,
@@ -356,7 +346,7 @@ def _run(argv) -> int:
         return cmd_simulate(params, channel, args.trials, args.transcript)
 
     try:
-        _check_n_and_pa(args.n, args.pa)
+        analysis.check_expectation(args.n, args.pa)
     except ValueError as exc:
         parser.error(str(exc))
     return cmd_validate_channel(args.file, args.n, args.pa)

@@ -72,18 +72,15 @@ byte strings holds each key's ``",<fields>\n"``, padded with NUL.  Each
 line is one (index, fields) record over a byte buffer, and the padding is
 deleted from the buffer.  A file is the comments and the header, then its
 chunks, written atomically, and ``transcript_lines`` is the header
-followed by their lines.  ``write_transcripts`` hands the full file's
-chunks to a writer thread as it builds them, then builds and writes the
-public file while the writer finishes, and renames the public file only
-once the full one is in place.
+followed by their lines.  ``write_transcripts`` writes the full file, then
+the public one, so the public file is renamed only once the full one is
+in place.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import os
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -920,42 +917,9 @@ def write_transcripts(keys: np.ndarray, path: str | Path, comments=()) -> None:
 
     The files are the ones :func:`export_transcript` writes for the records
     of those keys, streamed in the same chunks, so memory beside ``keys``
-    does not grow with their length.  The public file is renamed into place
-    only once the full one is: if the full file cannot be written, an
-    existing public file keeps its old bytes.
-
-    A transcript of more than one chunk is written by two threads: a writer
-    thread builds and writes the full file while this one builds and writes
-    the public file; writing is mostly system calls, which run without the
-    GIL.  The writer is joined on every path,
-    and an exception it raised is raised here unchanged.
+    does not grow with their length.  The full file is written first: if it
+    cannot be written, the public file is not built, and an existing public
+    file keeps its old bytes.
     """
-    path = os.fspath(path)
-    public = f"{path}.public"
-    if len(keys) <= _BLOCK_CELLS:
-        write_atomic(path, _transcript_chunks(keys, False, comments))
-        write_atomic(public, _transcript_chunks(keys, True, comments))
-        return
-    failure: list[BaseException] = []
-
-    def write_full() -> None:
-        try:
-            write_atomic(path, _transcript_chunks(keys, False, comments))
-        except BaseException as exc:
-            failure.append(exc)
-
-    def public_chunks():
-        for chunk in _transcript_chunks(keys, True, comments):
-            if failure:  # the full file failed: the public one is not needed
-                break
-            yield chunk
-        writer.join()
-        if failure:
-            raise failure[0]
-
-    writer = threading.Thread(target=write_full, name="sealsim-transcript-writer")
-    writer.start()
-    try:
-        write_atomic(public, public_chunks())
-    finally:
-        writer.join()
+    write_atomic(path, _transcript_chunks(keys, False, comments))
+    write_atomic(f"{path}.public", _transcript_chunks(keys, True, comments))

@@ -563,20 +563,6 @@ def test_grid_blocks_do_not_change_the_numbers(monkeypatch, block_cells):
     assert seal_mismatch_probability_grid(grid) == mismatch
 
 
-def test_rows_of_a_general_channel_walk_as_they_walk_alone():
-    rng = np.random.default_rng(11)
-    rows = analysis._unit_rows(
-        [bit_announcement_probs(random_kraus_channel(rng, 3)).probs_given_b[0] for _ in range(5)]
-    )
-    lengths = [0, 1, 5, 17, 30]
-    together = analysis._mi_by_length(rows, lengths)
-    assert together.shape == (5, 5)
-    for row, got in zip(rows, together):
-        assert got.tobytes() == analysis._mi_by_length(row[None], lengths)[0].tobytes()
-    with pytest.raises(ValueError, match="collapse pattern"):
-        analysis._mi_by_length(np.vstack([rows[:1], analysis._damping_rows([0.5])]), lengths)
-
-
 def test_no_moving_axis_leaks_exactly_nothing():
     """Equal symbols within each basis give both message values one string
     distribution, so every length reads exactly 0 bits, also when the two
@@ -585,10 +571,32 @@ def test_no_moving_axis_leaks_exactly_nothing():
     assert mutual_information_k(dist, 100_000) == 0.0
     assert expected_mutual_information(dist, 100_000, 1.0).mi_bits == 0.0
     assert expected_mutual_information(dist, N_DEFAULT, 1.0).mi_bits == 0.0
-    rows = analysis._unit_rows([dist.probs_given_b[0], (0.5, 0.5, 0.0, 0.0)])
-    assert analysis._mi_by_length(rows, [0, 1, 7, 500]).tolist() == [[0.0] * 4] * 2
+    lengths = [0, 1, 7, 500]
+    for row in analysis._unit_rows([dist.probs_given_b[0], (0.5, 0.5, 0.0, 0.0)]):
+        got = analysis._mi_by_length(row, lengths)
+        assert got.tobytes() == mi_by_length_stepwise(row[None], lengths)[0].tobytes()
+        assert got.tolist() == [0.0] * 4
     with pytest.raises(ValueError, match="non-negative"):
         mutual_information_k(dist, -1)
+
+
+def test_no_moving_axis_keeps_no_term_and_truncates_nothing(monkeypatch):
+    """A row with no moving axis reads exactly 0 bits with no kept term and
+    no truncation, and no string lengths are kept for it; its arguments are
+    still checked."""
+
+    def no_lengths(*args):
+        raise AssertionError("string lengths kept for a row with no moving axis")
+
+    monkeypatch.setattr(analysis, "_kept_lengths", no_lengths)
+    dist = bit_announcement_probs(depolarizing_channel(0.3))
+    for pa in (0.05, 0.5, 1.0):
+        want = MIResult(0.0, 0, 0.0)
+        assert expected_mutual_information(dist, N_DEFAULT, pa) == want
+        assert seal_expected_mutual_information(0.0, 500, pa) == want
+        assert seal_expected_mutual_information_grid([0.0, 0.0], N_DEFAULT, pa) == [want] * 2
+    with pytest.raises(ValueError, match="tail tolerance"):
+        expected_mutual_information(dist, N_DEFAULT, 0.5, tail_tol=1e-3)
 
 
 def test_a_line_with_one_move_is_the_stepwise_sum():
@@ -605,8 +613,9 @@ def test_a_line_with_one_move_is_the_stepwise_sum():
             assert got[0].tolist() == [want] * 2
             assert abs(line_expected_mi_exact(row, k, 1.0) - want) <= 1e-14
             assert mutual_information_k(dist, k) == want
-        with pytest.raises(ValueError, match="a line"):
-            analysis._mi_by_length(rows, [0, 1])
+        for one in rows:
+            with pytest.raises(ValueError, match="a line"):
+                analysis._mi_by_length(one, [0, 1])
 
 
 @st.composite
@@ -655,9 +664,9 @@ def collapse_stacks(draw, patterns):
 def assert_stepwise(block_cells, rows, n_shots, pa):
     """Every row reads, bit for bit, as its reference one step at a time.
 
-    Rows are grouped by collapse pattern.  The plane (and a row with no
-    moving axis) is the walk one step at a time at the lengths that
-    Bin(n_shots, pa) keeps; a line is its sum over the moving basis' count,
+    Rows are grouped by collapse pattern.  A plane row (or a row with no
+    moving axis) is, row by row, the walk one step at a time at the lengths
+    that Bin(n_shots, pa) keeps; a line is its sum over the moving basis' count,
     one row and one count at a time, and at n_shots <= 120 lies within its
     truncation bound of the exact sum.
     """
@@ -679,8 +688,10 @@ def assert_stepwise(block_cells, rows, n_shots, pa):
                     exact = line_expected_mi_exact(group[0], n_shots, pa)
                     assert abs(mi[0] - exact) <= truncation[0] + 1e-14
             else:
-                got = analysis._mi_by_length(group, lengths)
-                assert got.tobytes() == mi_by_length_stepwise(group, lengths).tobytes()
+                for row in group:
+                    got = analysis._mi_by_length(row, lengths)
+                    want = mi_by_length_stepwise(row[None], lengths)[0]
+                    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("block_cells", [None, 1, 100])

@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -170,17 +169,17 @@ def test_sweep_config_rejects_bad_grids():
 PINNED_SWEEPS = [
     pytest.param(
         [],
-        "4a544b4e10dce4519fb8694aec8a898b1472cda7b8d0ba59e2a2650f6e21e075",
+        "9a03bb6ef45f07ba6bb15219d85d8558833d1ad44ca7ea03ac6c4de5e7cb980d",
         id="defaults",
     ),
     pytest.param(
         ["--pa", "0.5", "--grid-step", "0.5"],
-        "de8cc92656a8d63dbe82299a8f401ebda5654dc0562317f81d06374ab3a1cf77",
+        "c26b8273ace00696579fb6d31e2968266e7c3bba808e28da7d488c5f0f62b6b4",
         id="pa0.5-step0.5",
     ),
     pytest.param(
         ["--n", "500", "--pa", "0.5"],
-        "bbbdc900afa2bd74b15b7d7316ea3ac5ec2f29614729694f3db20cfab1423e62",
+        "d026c427e398782cc309da9d59da9730ba39c6922c5a9cc7a53419bd91caae93",
         id="n500-pa0.5",
     ),
     pytest.param(
@@ -190,7 +189,7 @@ PINNED_SWEEPS = [
     ),
     pytest.param(
         ["--grid-step", "1e-4"],
-        "94cf9e4096a512f24656f67e421d8292d491160c84772e725169dd830f063834",
+        "99ee8953dd83e63c1f9c5b6f08a6ccd3b54fafab49c03558210eaaeb8c144aef",
         id="step1e-4",
     ),
 ]
@@ -444,47 +443,9 @@ def _refuse_replace_onto(monkeypatch, target):
     monkeypatch.setattr(os, "replace", refuse)
 
 
-@pytest.fixture
-def writer_threads(monkeypatch):
-    """The transcript writer threads started during the test; each is checked
-    at teardown to have been joined."""
-    started, joined = [], []
-    start, join = threading.Thread.start, threading.Thread.join
-
-    def spy_start(self):
-        if self.name == "sealsim-transcript-writer":
-            started.append(self)
-        start(self)
-
-    def spy_join(self, timeout=None):
-        join(self, timeout)
-        if not self.is_alive():
-            joined.append(self)
-
-    monkeypatch.setattr(threading.Thread, "start", spy_start)
-    monkeypatch.setattr(threading.Thread, "join", spy_join)
-    yield started
-    assert all(thread in joined for thread in started)
-
-
-@pytest.mark.parametrize("n, threads", [(119, 0), (50000, 1)])
-def test_simulate_transcript_starts_a_writer_only_past_one_chunk(
-    tmp_path, capsys, writer_threads, n, threads
-):
-    """A transcript of one chunk (``defaults``) is written on this thread;
-    a longer one (``heavy``) starts one writer, which is joined."""
-    assert (n > protocol._BLOCK_CELLS) == bool(threads)
-    argv = ["simulate", "--channel", "seal", "--x", "0.5", "--pa", "0.5", "--n", str(n)]
-    transcript = tmp_path / "run.csv"
-    assert main(argv + ["--trials", "2", "--transcript", str(transcript)]) == 0
-    capsys.readouterr()
-    assert len(writer_threads) == threads
-    assert len(transcript.read_text().splitlines()) == 7 + n
-
-
 def test_simulate_transcript_memory_is_flat_in_n(tmp_path, capsys):
     """Both files are streamed in chunks: at N = 10**6 the peak is the
-    1 MB key column and at most 4 MiB more."""
+    1 MB key column and at most 1 MiB more."""
     argv = ["simulate", "--channel", "seal", "--x", "0.5", "--pa", "0.5", "--trials", "1"]
     transcript = tmp_path / "run.csv"
     assert main(argv + ["--n", "50000", "--transcript", str(transcript)]) == 0  # first calls
@@ -495,19 +456,16 @@ def test_simulate_transcript_memory_is_flat_in_n(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     capsys.readouterr()
-    assert peak <= 10**6 + 4 * 2**20
+    assert peak <= 10**6 + 2**20
     for path, last in ((transcript, b"\n999999,"), (tmp_path / "run.csv.public", b"\n999999,")):
         with path.open("rb") as handle:
             handle.seek(-40, os.SEEK_END)
             assert last in handle.read()
 
 
-def test_simulate_transcript_full_file_failure_keeps_the_public_file(
-    tmp_path, monkeypatch, capsys, writer_threads
-):
-    """The full file is written on a second thread; its error reaches the
-    CLI unchanged, and the public file is not renamed into place before the
-    full one is."""
+def test_simulate_transcript_full_file_failure_keeps_the_public_file(tmp_path, monkeypatch, capsys):
+    """The full file's error reaches the CLI unchanged, and the public file
+    is not renamed into place before the full one is."""
     options, _ = PINNED_TRANSCRIPTS[-1].values
     transcript = tmp_path / "run.csv"
     public = tmp_path / "run.csv.public"
@@ -516,7 +474,6 @@ def test_simulate_transcript_full_file_failure_keeps_the_public_file(
     threads = threading.active_count()
     assert main(["simulate", *options, "--trials", "2", "--transcript", str(transcript)]) == 3
     assert threading.active_count() == threads
-    assert len(writer_threads) == 1
     err = capsys.readouterr().err
     assert err == "error: cannot write transcript: rename onto run.csv refused\n"
     assert not transcript.exists()
@@ -524,9 +481,7 @@ def test_simulate_transcript_full_file_failure_keeps_the_public_file(
     assert list(tmp_path.glob(".sealsim-*.tmp")) == []
 
 
-def test_simulate_transcript_public_file_failure_keeps_the_full_file(
-    tmp_path, monkeypatch, capsys, writer_threads
-):
+def test_simulate_transcript_public_file_failure_keeps_the_full_file(tmp_path, monkeypatch, capsys):
     options, (full, _) = PINNED_TRANSCRIPTS[-1].values
     transcript = tmp_path / "run.csv"
     public = tmp_path / "run.csv.public"
@@ -534,7 +489,6 @@ def test_simulate_transcript_public_file_failure_keeps_the_full_file(
     threads = threading.active_count()
     assert main(["simulate", *options, "--trials", "2", "--transcript", str(transcript)]) == 3
     assert threading.active_count() == threads
-    assert len(writer_threads) == 1
     err = capsys.readouterr().err
     assert err == "error: cannot write transcript: rename onto run.csv.public refused\n"
     assert hashlib.sha256(transcript.read_bytes()).hexdigest() == full
@@ -555,11 +509,9 @@ class _DiskFullAfterOneChunk(io.BufferedWriter):
         return super().write(data)
 
 
-def test_simulate_transcript_write_failure_after_a_chunk_exit_3(
-    tmp_path, monkeypatch, capsys, writer_threads
-):
-    """A write that fails mid-file stops both threads, with no deadlock
-    between them, no temporary file left, and the old files' bytes kept."""
+def test_simulate_transcript_write_failure_after_a_chunk_exit_3(tmp_path, monkeypatch, capsys):
+    """A write that fails mid-file stops the command, with no temporary
+    file left, no thread left behind and the old files' bytes kept."""
     options, _ = PINNED_TRANSCRIPTS[-1].values
     transcript, public = tmp_path / "run.csv", tmp_path / "run.csv.public"
     transcript.write_bytes(b"old full\n")
@@ -573,15 +525,9 @@ def test_simulate_transcript_write_failure_after_a_chunk_exit_3(
 
     monkeypatch.setattr(os, "fdopen", disk_full_fdopen)
     threads = threading.active_count()
-    codes = []
     argv = ["simulate", *options, "--trials", "2", "--transcript", str(transcript)]
-    runner = threading.Thread(target=lambda: codes.append(main(argv)), daemon=True)
-    runner.start()
-    runner.join(timeout=60)
-    assert not runner.is_alive(), "the transcript threads deadlocked"
-    assert codes == [3]
+    assert main(argv) == 3
     assert threading.active_count() == threads
-    assert len(writer_threads) == 1
     err = capsys.readouterr().err
     assert err == "error: cannot write transcript: [Errno 28] No space left on device\n"
     assert transcript.read_bytes() == b"old full\n"
@@ -589,58 +535,42 @@ def test_simulate_transcript_write_failure_after_a_chunk_exit_3(
     assert list(tmp_path.glob(".sealsim-*.tmp")) == []
 
 
-def test_simulate_transcript_joins_the_writer_before_a_build_failure_propagates(
-    tmp_path, monkeypatch, capsys, writer_threads
+def test_simulate_transcript_public_build_failure_keeps_the_full_file(
+    tmp_path, monkeypatch, capsys
 ):
-    """An error while building the public file's chunks propagates only
-    after the thread writing the full file has finished: the writer holds
-    the full file open until the public build has failed, then renames it
-    into place."""
+    """An error while building the public file's chunks propagates after
+    the full file has been renamed into place, and the public file is not."""
     options, (full, _) = PINNED_TRANSCRIPTS[-1].values
     transcript = tmp_path / "run.csv"
-    building = threading.Event()
     written = []
     write_atomic = protocol.write_atomic
     transcript_body = protocol._transcript_body
 
-    def slow_write(path, data):
-        if os.fspath(path) == str(transcript):
-            data = _then_wait(data, building)
+    def recorded_write(path, data):
         write_atomic(path, data)
         written.append(os.fspath(path))
 
     def fail_public(keys, index, public):
         if public:
-            building.set()
             raise RuntimeError("public body failed")
         return transcript_body(keys, index, public)
 
-    monkeypatch.setattr(protocol, "write_atomic", slow_write)
+    monkeypatch.setattr(protocol, "write_atomic", recorded_write)
     monkeypatch.setattr(protocol, "_transcript_body", fail_public)
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match="public body failed"):
         main(["simulate", *options, "--trials", "2", "--transcript", str(transcript)])
     assert written == [str(transcript)]
     assert threading.active_count() == threads
-    assert len(writer_threads) == 1
     capsys.readouterr()
     assert hashlib.sha256(transcript.read_bytes()).hexdigest() == full
     assert not (tmp_path / "run.csv.public").exists()
     assert list(tmp_path.glob(".sealsim-*.tmp")) == []
 
 
-def _then_wait(chunks, event):
-    """Yield ``chunks``, then wait for ``event`` and a little longer."""
-    yield from chunks
-    event.wait(timeout=5)
-    time.sleep(0.05)
-
-
-def test_simulate_transcript_full_build_failure_renames_neither_file(
-    tmp_path, monkeypatch, capsys, writer_threads
-):
-    """An error while building the full file's chunks on the writer thread
-    reaches the caller unchanged, and neither file is renamed into place."""
+def test_simulate_transcript_full_build_failure_renames_neither_file(tmp_path, monkeypatch, capsys):
+    """An error while building the full file's chunks reaches the caller
+    unchanged, and neither file is renamed into place."""
     options, _ = PINNED_TRANSCRIPTS[-1].values
     transcript, public = tmp_path / "run.csv", tmp_path / "run.csv.public"
     transcript.write_bytes(b"old full\n")
@@ -661,7 +591,6 @@ def test_simulate_transcript_full_build_failure_renames_neither_file(
         main(["simulate", *options, "--trials", "2", "--transcript", str(transcript)])
     assert built == [protocol._BLOCK_CELLS] * 2
     assert threading.active_count() == threads
-    assert len(writer_threads) == 1
     capsys.readouterr()
     assert transcript.read_bytes() == b"old full\n"
     assert public.read_bytes() == b"old public\n"
@@ -697,8 +626,7 @@ def test_outputs_are_written_through_a_symlink(tmp_path, capsys):
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)], ids=["022", "027"])
 def test_output_files_get_the_mode_the_umask_gives(tmp_path, capsys, umask, mode):
     """The sweep CSV and both transcripts are created as ``open(path, "w")``
-    would create them: 0o666 less the umask, also for the file written on
-    the writer thread."""
+    would create them: 0o666 less the umask."""
     curves, transcript = tmp_path / "curves.csv", tmp_path / "run.csv"
     old = os.umask(umask)
     try:
@@ -821,12 +749,12 @@ PINNED_REPORTS = [
     ),
     pytest.param(
         depolarizing_channel(0.3), [],
-        "4e4bae27709d432d1f6ce4480fbce7c6694a94704adbc49fd97795e310f82411",
+        "cd2ba7fecf49078060f7f29dbb424214b1dccb7dad78bc1408810a1ff9887d68",
         id="depolarizing0.3",
     ),
     pytest.param(
         depolarizing_channel(0.3), ["--pa", "0.5"],
-        "96210944ec6ae87f4671e0c2576bd99cbb775a683592689a0bcb49819fac87ec",
+        "49a5230ad2683e4ff3ee5f022f01ea0c3bf188c8a0a739925b88bc357b90e783",
         id="depolarizing0.3-pa0.5",
     ),
     pytest.param(

@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 import tracemalloc
 from pathlib import Path
 
@@ -634,37 +633,28 @@ def test_write_transcripts_takes_a_path_and_an_empty_key_column(tmp_path):
 
 
 def test_write_transcripts_stops_the_public_file_once_the_full_one_fails(tmp_path, monkeypatch):
-    """The public file's build stops at the first chunk after the writer
-    thread's file has failed, instead of going on to the end only to be
-    removed.  The interleaving is forced: the writer's second full chunk
-    fails only once the first public chunk has been built and handed on,
-    and the second public chunk is built only once the writer has ended."""
-    keys = np.zeros(25 * protocol._BLOCK_CELLS, dtype=np.uint8)
-    handed_on = threading.Event()
+    """The full file is written first: when its second chunk fails, no
+    public chunk is built, and neither old file is replaced."""
+    keys = np.zeros(3 * protocol._BLOCK_CELLS, dtype=np.uint8)
     transcript_body = protocol._transcript_body
     public_chunks = []
 
     def fail_second_full(keys, index, public):
         if public:
             public_chunks.append(len(keys))
-            if len(public_chunks) == 2:  # the first public chunk has been handed on
-                writer = next(
-                    (t for t in threading.enumerate() if t.name == "sealsim-transcript-writer"),
-                    None,
-                )
-                handed_on.set()
-                if writer is not None:
-                    writer.join(timeout=5)  # the writer has failed and recorded it
         elif bytes(index[0]).lstrip(b"\0") != b"0":
-            handed_on.wait(timeout=5)
             raise RuntimeError("full body failed")
         return transcript_body(keys, index, public)
 
+    for name in ("run.csv", "run.csv.public"):
+        (tmp_path / name).write_bytes(b"old " + name.encode())
     monkeypatch.setattr(protocol, "_transcript_body", fail_second_full)
     with pytest.raises(RuntimeError, match="full body failed"):
         protocol.write_transcripts(keys, tmp_path / "run.csv")
-    assert public_chunks == [protocol._BLOCK_CELLS] * 2
-    assert list(tmp_path.iterdir()) == []
+    assert public_chunks == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv", "run.csv.public"]
+    for name in ("run.csv", "run.csv.public"):
+        assert (tmp_path / name).read_bytes() == b"old " + name.encode()
 
 
 @pytest.mark.parametrize("block", [7, 10, 100])
