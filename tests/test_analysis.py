@@ -664,9 +664,9 @@ def collapse_stacks(draw, patterns):
 def assert_stepwise(block_cells, rows, n_shots, pa):
     """Every row reads, bit for bit, as its reference one step at a time.
 
-    Rows are grouped by collapse pattern.  A plane row (or a row with no
-    moving axis) is, row by row, the walk one step at a time at the lengths
-    that Bin(n_shots, pa) keeps; a line is its sum over the moving basis' count,
+    Rows are grouped by collapse pattern.  Each plane row (or row with no
+    moving axis) is the walk one step at a time at the lengths that
+    Bin(n_shots, pa) keeps; a line is its sum over the moving basis' count,
     one row and one count at a time, and at n_shots <= 120 lies within its
     truncation bound of the exact sum.
     """
