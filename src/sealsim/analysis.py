@@ -27,22 +27,20 @@ decreases in j and never exceeds 1, so once J comes within ``tail_tol`` of
 counts j, and ``truncation_mass`` is their omitted binomial mass plus the
 bound on that stop's error.
 
-The plane (both axes moving) is walked: string lengths upward on the
-(s1, s3) lattice, convolving with the single-announcement distribution at
-each step, and reading off the per-length information at the lengths the
-binomial weighting keeps; ``k_terms_used`` counts those lengths and
-``truncation_mass`` is their omitted mass.  The walk takes one
-distribution and allocates nothing per step.  The lattice lives in one
-flat buffer sized for the longest kept length, with a buffer of products
-beside it: a step is one multiply of the lattice's window by every move's
-weight and one add per further move, each on a contiguous range.  The
-lattice at each kept length is copied into a store of at most
-``_BLOCK_CELLS`` cells, and the logarithms of a whole store are taken in
-one pass; each length's sum is still one ``np.add.reduce`` over its own
-cells.  Every result is, bit for bit, that of the walk on growing arrays,
-one step and one length at a time.  Memory is the lattice at the longest
-length k, about k^2 cells, once for the lattice and once per move for its
-products, plus the store.
+The plane (both axes moving) is a closed form too.  Given the counts
+(m, j) of sigma1 and sigma3 announcements, which say nothing by
+themselves, the two net votes are independent, and a string's likelihood
+ratio is rho1^s1 rho3^s3 at every length, rho = p(c=1) / p(c=0) of each
+basis.  So the sum over the kept lengths is sum_k w_k - <Q, h>, where
+h(s) = log2(1 + rho1^s1 rho3^s3) and Q = A^T W B is the kept-length mixture
+of (s1, s3): W[m, j] = w_{m+j} Bin(m; m+j, mu) (mu the sigma1 mass), and A
+and B hold each basis' net-vote binomial given its count.  That is a few
+table builds, two matrix products and one pass of logarithms, with no
+walk over lengths; ``k_terms_used`` counts the kept lengths and
+``truncation_mass`` is their omitted mass.  Q is formed in blocks of
+bounded size, each taking only the counts and votes that the diamond
+|s1| + |s3| <= k leaves it, and the tables of the longest kept length k hold (k+1)(2k+1) cells each: a k
+past ``_PLANE_TOP`` (1447) raises ValueError before any table is built.
 
 The line evaluator takes a stack of distributions at once, each row with
 the numbers it would get alone: a sweep of the damping family computes
@@ -60,6 +58,7 @@ message bounds every result by 1.  0 * log 0 is 0 throughout.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -80,14 +79,27 @@ from sealsim.qubit import (
 
 _DISTRIBUTION_TOL = 1e-12
 DEFAULT_TAIL_TOL = 1e-12
-# Cells of the store that a walk's kept lengths are read out from, about
-# 128 KiB.  A line's block of counts holds as many (row, count, symbol
-# count) cells, and the sweep's mismatch column as many operator entries.
+# Cells of a line's block of (row, count, symbol count) cells, about
+# 128 KiB; a block of the sweep's mismatch column holds as many operator
+# entries.
 _BLOCK_CELLS = 1 << 14
-# Cells of arithmetic a walk step may spend beyond its lattice, so that a
-# narrow walk re-slices its views every few steps: slicing a step's views
-# costs about as much as a step's arithmetic on a few hundred cells.
-_AHEAD_CELLS = 256
+# Cells of one block of the plane's tables, about 512 KiB.
+_PLANE_BLOCK_CELLS = 1 << 16
+# Cells of one of the plane's whole tables, 32 MiB: the longest kept string
+# length top has tables of (top + 1)(2 top + 1) cells, so top <= _PLANE_TOP.
+_PLANE_CELLS = 1 << 22
+_PLANE_TOP = (math.isqrt(8 * _PLANE_CELLS + 1) - 3) // 4
+# The log of a zero weight: a finite stand-in for -inf past anything a
+# table adds to it, so a cell that shows the symbol is an exact 0 and no
+# cell forms inf - inf or 0 * inf.
+_LOG_ZERO = -(2.0**64)
+# The log of the smallest normal double: np.exp is about 100 times slower
+# on a subnormal result, and 15 times on one that underflows.
+_LOG_TINY = math.log(sys.float_info.min)
+# |x| past this many bits is taken as this many in log2(1 + 2^-|x|): 2^-1000
+# is still a normal double, and the term is then at most 1.4e-301 too large.
+_CAPPED_BITS = 1000.0
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -207,143 +219,198 @@ def _unit_rows(probs) -> np.ndarray:
     return probs / np.fromiter(map(math.fsum, probs), float, len(probs))[:, None]
 
 
-# The plane's moves, in symbol order, in the coordinates u = (k + s1 + s3)/2,
-# v = (k + s1 - s3)/2: s1 + s3 has the parity of k, so no cell of the wrong
-# parity is stored, and a symbol moves (u, v) by 0 or 1 on each.
-_PLANE_MOVES = ((1, 1), (0, 0), (1, 0), (0, 1))
+def _log_weight(value: float) -> float:
+    """The natural log of a non-negative weight, with ``_LOG_ZERO`` for a zero."""
+    return math.log(value) if value > 0.0 else _LOG_ZERO
 
 
-def _read_out(p: np.ndarray, ratio: np.ndarray, segments, out: np.ndarray) -> None:
-    """I(s : message) in bits, less 1, of each segment of net-vote distributions given b = 0.
+def _binomial_rows(
+    low: int, high: int, log_factorials: np.ndarray, log_a: float, log_c: float
+) -> np.ndarray:
+    """Bin(i; n, a) at cells i = 0..top of each count n = low..high-1, each row scaled to sum to 1.
 
-    ``ratio`` holds p0(s) + p0(-s) at the cells of ``p``, which holds p0(s);
-    each (index, cells) segment is a view into ``ratio`` whose sum goes to
-    that index of ``out``.  Flipping the message negates every net vote, so
-    p1(s) = p0(-s), and the information is 1 - H(message | s) with
-    H = sum_s p0(s) log2((p0(s) + p0(-s)) / p0(s)).  The ratio inside the
-    log never has an underflowed divisor, and each term is non-negative, so
-    the result never exceeds 1.  (Writing 1 as sum_s p0(s) gives the
-    Jensen-Shannon form sum_s p0(s) log2(2 p0(s) / (p0(s) + p0(-s))); using
-    the exact 1 keeps the lattice's rounded mass out of the result.)  Cells
-    with p0(s) = 0 add an exact 0 to their segment's sum, and each segment
-    is one ``np.add.reduce``, so its summation order is that of its cells
-    alone.
+    ``log_factorials`` holds log i! for i = 0..top.  A cell is
+    exp((log n! + n log c) + (i (log a - log c) - log i!) - log (n - i)!),
+    an exact 0 past n and wherever it would fall below the smallest normal
+    double (where ``np.exp`` is slow), and each row is divided by its own
+    ``np.add.reduce``, so the rounding of a + c and of log n! cancels.  A
+    symbol of zero weight has the log ``_LOG_ZERO``, and the other share is
+    then exactly 1, of log 0: a log-factorial is below half a unit in the
+    last place of any multiple of ``_LOG_ZERO``, so every cell that shows
+    the symbol is an exact 0 and a row of the other symbol alone is
+    exactly 1.
     """
-    seen = p > 0.0
-    if seen.all():
-        np.divide(p, ratio, out=ratio)
-        np.log2(ratio, out=ratio)
-    else:
-        # a cell with p0(s) = 0 keeps its finite p0(-s), and its term is 0
-        np.divide(p, ratio, out=ratio, where=seen)
-        np.log2(ratio, out=ratio, where=seen)
-    ratio *= p
-    for index, cells in segments:
-        out[index] = np.add.reduce(cells)
+    top = len(log_factorials) - 1
+    n = np.arange(low, high)[:, None]
+    i = np.arange(top + 1)
+    # log (n - i)! at index n - i + top: +inf where i > n, so that cell is empty
+    remainders = np.concatenate((np.full(top, np.inf), log_factorials))
+    cells = (log_factorials[n] + n * log_c) + (i * (log_a - log_c) - log_factorials)
+    cells -= remainders[n - i + top]
+    normal = cells >= _LOG_TINY
+    np.exp(cells, out=cells, where=normal)
+    np.copyto(cells, 0.0, where=~normal)
+    cells /= np.add.reduce(cells, axis=1)[:, None]
+    return cells
 
 
-def _walk_lattice(moves: dict, lengths: list[int], out: np.ndarray) -> None:
-    """:func:`_mi_by_length` of one distribution on the plane of (u, v).
+def _length_table(
+    out: np.ndarray, probs: np.ndarray, lengths: list[int], weights, log_factorials: np.ndarray
+) -> np.ndarray:
+    """W[m, j] = w_k Bin(m; k, mu) at k = m + j, with w_k = 0 for a length not kept.
 
-    The lattice lives in one flat buffer that holds the cells of the
-    longest length and one empty cell on each side a move comes from: the
-    plane is stored row by row, u = v = -1 first, so a move is a fixed
-    shift of the flat index.  A step multiplies a window of the buffer by
-    every move's weight at once, into one buffer of products (one slab per
-    move), then adds the products shifted by their moves, in the order of
-    ``moves``.  These are exactly the sums of a walk on growing arrays: a
-    move that misses a cell adds w * 0 = +0 to a non-negative value, and a
-    cell outside the lattice (also the cells between its rows) only ever
-    sums such zeros.  The window covers the lattice after the step and runs
-    ahead of it by at most about ``_AHEAD_CELLS`` cells of arithmetic, so a
-    narrow walk re-slices its views every few steps and a wide one every
-    step.
+    mu is the sigma1 mass of ``probs``, and ``weights`` holds w_k in the
+    order of ``lengths``.  The lengths from the shortest kept one to the
+    longest, top, are :func:`_binomial_rows` rows over m = 0..top, each
+    times its w_k.  ``out`` is a buffer of (top+1)(top+2) cells, filled as
+    a (top+1, top+2) table whose last column is 0, and W is its view
+    without that column: cell (m, k - m) then sits at index k + m (top + 1),
+    so the rows go in as one strided copy, and a row's exact zeros past
+    m = k land on cells with m + j > top, which are 0 anyway.
+    """
+    top, low = lengths[-1], lengths[0]
+    scale = np.zeros(top + 1 - low)
+    scale[np.asarray(lengths) - low] = weights
+    log_mu, log_nu = _log_weight(probs[0] + probs[1]), _log_weight(probs[2] + probs[3])
+    rows = _binomial_rows(low, top + 1, log_factorials, log_mu, log_nu)
+    rows *= scale[:, None]
+    out.fill(0.0)
+    out[low : low + (top + 1) ** 2].reshape(top + 1, top + 1)[:, : top + 1 - low] = rows.T
+    return out.reshape(top + 1, top + 2)[:, : top + 1]
 
-    Each kept length's cells p0(s) and the sums p0(s) + p0(-s) are copied
-    into a store of at most ``_BLOCK_CELLS`` cells and read out a store at
-    a time (:func:`_read_out`); a length whose cells alone overfill the
-    store is read where it lies.
+
+def _net_vote_table(
+    out: np.ndarray, probs: np.ndarray, first: int, log_factorials: np.ndarray
+) -> np.ndarray:
+    """Pr(s | n) of the net vote s = 2i - n of n announcements in one basis, for n = 0..top.
+
+    The basis is the symbols ``probs[first]`` (c = 0) and ``probs[first +
+    1]`` (c = 1).  ``out`` is a buffer of (top+1)(2 top+1) cells, filled as
+    the table: row n holds :func:`_binomial_rows`' Bin(i; n, a), a the
+    c = 0 share, at column s + top, and an exact 0 at every other column
+    (s of the other parity, or |s| > n).  Cell (n, s) sits at index
+    top + 2 top n + 2i, so the cells i = 0..top-1 go in as strided copies,
+    in blocks of at most ``_PLANE_BLOCK_CELLS`` cells; a row's exact zeros
+    past i = n land left of the next row's votes, on cells that are 0
+    anyway.  The one cell with i = top is (top, top).
+    """
+    top = len(log_factorials) - 1
+    mass = probs[first] + probs[first + 1]
+    log_a, log_c = _log_weight(probs[first] / mass), _log_weight(probs[first + 1] / mass)
+    out.fill(0.0)
+    skewed = out[top : top + 2 * top * (top + 1)].reshape(top + 1, 2 * top)
+    step = max(1, _PLANE_BLOCK_CELLS // (top + 1))
+    for low in range(0, top + 1, step):
+        high = min(low + step, top + 1)
+        cells = _binomial_rows(low, high, log_factorials, log_a, log_c)
+        skewed[low:high, ::2] = cells[:, :top]
+    out[-1] = cells[-1, top]
+    return out.reshape(top + 1, 2 * top + 1)
+
+
+def _log_ratios(probs: np.ndarray, first: int, top: int) -> np.ndarray:
+    """s log2(p(c=1) / p(c=0)) of one basis at each net vote s = -top..top.
+
+    A symbol of zero weight gives a log ratio of about ``_LOG_ZERO`` / ln 2,
+    so a vote it decides is far below any finite one.
+    """
+    ratio = (_log_weight(probs[first + 1]) - _log_weight(probs[first])) / _LN2
+    return np.arange(-top, top + 1.0) * ratio
+
+
+def _block_information(q: np.ndarray, x: np.ndarray, g: np.ndarray) -> float:
+    """sum of q log2(1 + 2^x) over a block's cells; ``x`` and the buffer ``g`` are overwritten.
+
+    log2(1 + 2^x) is max(x, 0) + log2(1 + 2^-|x|), which never overflows,
+    with |x| capped at ``_CAPPED_BITS``.  It is about 0 where x is about
+    ``_LOG_ZERO`` and exactly 1 where x = 0.
+    """
+    np.abs(x, out=g)
+    np.minimum(g, _CAPPED_BITS, out=g)
+    np.negative(g, out=g)
+    np.exp2(g, out=g)
+    np.log1p(g, out=g)
+    g /= _LN2
+    np.maximum(x, 0.0, out=x)
+    x += g
+    x *= q
+    return float(np.add.reduce(x, axis=None))
+
+
+def _check_plane(top: int) -> None:
+    """Raise ValueError when the plane's tables at longest string length ``top`` are over budget."""
+    cells = (top + 1) * (2 * top + 1)
+    if cells > _PLANE_CELLS:
+        raise ValueError(
+            f"expected MI with both bases tilted at string length {top} needs tables of "
+            f"{cells} cells, over the limit of {_PLANE_CELLS} (string length {_PLANE_TOP}); "
+            "lower N or p_announce"
+        )
+
+
+def _plane_blocks(top: int):
+    """The blocks of Q's s1 columns: (low, high, u) with u the smallest |s1| of columns low..high-1.
+
+    Each block holds at most ``_PLANE_BLOCK_CELLS`` cells of Q, or one column.
+    """
+    width = 2 * top + 1
+    step = min(width, max(1, _PLANE_BLOCK_CELLS // width))
+    for low in range(0, width, step):
+        high = min(low + step, width)
+        yield low, high, max(low - top, top + 1 - high, 0)
+
+
+def _plane_expectation(probs: np.ndarray, lengths: list[int], weights: np.ndarray) -> float:
+    """sum over the kept ``lengths`` of w_k I_k, in bits, for a row whose two bases both move.
+
+    A basis is announced with probability its mass whatever the message is,
+    so given the counts (m, j) of sigma1 and sigma3 announcements the net
+    votes s1 and s3 are independent, and a string's likelihood ratio
+    p0(-s) / p0(s) is rho1^s1 rho3^s3 = 2^x(s) at every length, with
+    rho = p(c=1) / p(c=0) of each basis (:func:`_log_ratios`).  Flipping the
+    message negates s, so I_k = 1 - sum_s P_k(s) h(s) with
+    h(s) = log2(1 + 2^x(s)), and the sum over the kept lengths is
+    sum_k w_k - <Q, h>, where the kept-length mixture of (s1, s3) is
+    Q = A^T W B: W is :func:`_length_table`, and A and B are the sigma1 and
+    sigma3 :func:`_net_vote_table`.
+
+    R = W B is one product; A is then built where B was.  Q is formed in
+    the blocks of :func:`_plane_blocks`: a block whose smallest |s1| is u
+    takes only the counts m >= u and the votes |s3| <= top - u, since
+    A[m, s1] = 0 for m < |s1| and R[m, s3] = 0 for |s3| > top - m.  Each
+    block's <Q, h> (:func:`_block_information`) is one ``np.add.reduce``,
+    and the blocks are added in order.
+
+    Every table and block buffer of the call is a view of one buffer.  The
+    heap then keeps that memory from one call to the next; with a separate
+    array each, the heap was trimmed after every call, and at
+    (N, p_announce) = (119, 0.5) each call took about 280 page faults.
     """
     top = lengths[-1]
-    width = top + 2  # cells in a row of the plane
-    shifts = [du * width + dv for du, dv in moves]
-    lattice = np.zeros(width * width)
-    plane = lattice.reshape(width, width)
-
-    def span(k: int) -> tuple[int, int]:
-        """The flat range that holds the lattice at length k."""
-        return width + 1, (k + 1) * width + k + 2
-
-    lattice[span(0)[0]] = 1.0
-    products = np.zeros((len(moves),) + lattice.shape)
-    factors = np.array(list(moves.values())).reshape(len(moves), 1)
-
-    def views(k: int):
-        """The step's views, for lattices that fit the window of length k."""
-        lo, hi = span(k)
-        shifted = [products[m, lo - d : hi - d] for m, d in enumerate(shifts)]
-        return lattice[lo:hi], products[:, lo:hi], shifted[0], shifted[1:]
-
-    held = np.empty(_BLOCK_CELLS)
-    sums = np.empty(_BLOCK_CELLS)
-    pending: list = []
-    used = 0
-    k = reach = 0  # the length the lattice holds, and the one its window fits
-    for index, target in enumerate(lengths):
-        while k < target:
-            if k == reach:
-                reach = min(top, k + max(1, _AHEAD_CELLS // (width + 1)))
-                grown, made, first, rest = views(reach)
-            np.multiply(factors, grown, out=made)
-            np.add(first, rest[0], out=grown)
-            for more in rest[1:]:
-                np.add(grown, more, out=grown)
-            k += 1
-        p = plane[1 : k + 2, 1 : k + 2]
-        if p.size > _BLOCK_CELLS:
-            ratio = np.add(p, p[::-1, ::-1], order="C")
-            _read_out(p, ratio, [(index, ratio.ravel())], out)
-            continue
-        if used + p.size > _BLOCK_CELLS:
-            _read_out(held[:used], sums[:used], pending, out)
-            pending.clear()
-            used = 0
-        kept, summed = held[used : used + p.size], sums[used : used + p.size]
-        pending.append((index, summed))
-        kept.reshape(p.shape)[...] = p
-        np.add(p, p[::-1, ::-1], out=summed.reshape(p.shape))
-        used += p.size
-    if pending:
-        _read_out(held[:used], sums[:used], pending, out)
-    out += 1.0
-
-
-def _mi_by_length(probs: np.ndarray, lengths: list[int]) -> np.ndarray:
-    """I(announcement string : message) in bits at each of the ascending ``lengths``, on the plane.
-
-    ``probs`` is one single-announcement distribution given b = 0, a row of
-    :func:`_unit_rows`, whose bases both move, or neither.  Walks
-    k = 0, 1, ... up to the largest length on the lattice of net votes
-    (s1, s3), convolving it at each step with the single-announcement
-    distribution (see ``_PLANE_MOVES``); negating (s1, s3) reverses both
-    lattice axes.  Memory is the lattice at the largest length, plus a store
-    of ``_BLOCK_CELLS`` cells for the read-out.  A distribution with no
-    moving axis gives both message values one string distribution, so it
-    reads exactly 0.  A line (one moving axis) is not walked: see
-    :func:`_line_expectation`.
-    """
-    if lengths[0] < 0:
-        raise ValueError("string length must be non-negative")
-    moving = probs[::2] != probs[1::2]
-    out = np.zeros(len(lengths))
-    if not moving.any():
-        return out
-    if not moving.all():
-        raise ValueError("a line is summed over its moving basis' count, not walked")
-    # a symbol without positive weight adds exact zeros
-    moves = {move: w for move, w in zip(_PLANE_MOVES, probs.tolist()) if w > 0.0}
-    _walk_lattice(moves, lengths, out)
-    return out
+    _check_plane(top)
+    width = 2 * top + 1
+    blocks = list(_plane_blocks(top))
+    block = max(high - low for low, high, _ in blocks) * width
+    table = (top + 1) * width
+    work = np.empty(2 * table + (top + 1) * (top + 2) + 3 * block)
+    r, votes = work[:table].reshape(top + 1, width), work[table : 2 * table]
+    w, buffers = work[2 * table : -3 * block], work[-3 * block :].reshape(3, block)
+    log_factorials = _log_factorials(top)
+    np.matmul(
+        _length_table(w, probs, lengths, weights, log_factorials),
+        _net_vote_table(votes, probs, 2, log_factorials),
+        out=r,
+    )
+    a = _net_vote_table(votes, probs, 0, log_factorials)
+    x1, x3 = _log_ratios(probs, 0, top), _log_ratios(probs, 2, top)
+    total = 0.0
+    for low, high, u in blocks:
+        shape = (high - low, width - 2 * u)
+        q, x, g = (v[: shape[0] * shape[1]].reshape(shape) for v in buffers)
+        np.matmul(a[u:, low:high].T, r[u:, u : width - u], out=q)
+        np.add(x1[low:high, None], x3[u : width - u], out=x)
+        total += _block_information(q, x, g)
+    return float(np.add.reduce(weights)) - total
 
 
 def _line_pairs(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -474,16 +541,18 @@ def _line_expectation(
 def _mi_at_length(probs: np.ndarray, k: int) -> float:
     """I(announcement string : message) in bits at length k of the one row of ``probs``.
 
-    The plane is walked; a line is its sum over the moving basis' count at
-    N = k, p_announce = 1, with no truncation; a row with no moving axis
-    reads exactly 0.
+    Both sums at N = k, p_announce = 1, with no truncation: a plane is its
+    contraction at the one length k, a line its sum over the moving basis'
+    count; a row with no moving axis reads exactly 0.
     """
     if k < 0:
         raise ValueError("string length must be non-negative")
     axes = int((probs[0, ::2] != probs[0, 1::2]).sum())
     if axes == 1:
         return float(_line_expectation(probs, k, 1.0, None)[0][0])
-    return float(_mi_by_length(probs[0], [k])[0])
+    if axes == 2:
+        return _plane_expectation(probs[0], [k], np.ones(1))
+    return 0.0
 
 
 def mutual_information_k(dist: AnnouncementDistribution, k: int) -> float:
@@ -548,10 +617,10 @@ def _expected_mi_rows(
     """The binomially weighted information of each row of ``probs``.
 
     A line (one moving basis) is summed over its moving basis' count
-    (:func:`_line_expectation`).  A plane row walks the string lengths that
-    Bin(n_shots, p_announce) keeps, and its sum runs over them in ascending
-    order.  A row with no moving axis leaks exactly 0 bits, keeps no term
-    and truncates nothing.
+    (:func:`_line_expectation`).  A plane row is summed over the string
+    lengths that Bin(n_shots, p_announce) keeps (:func:`_plane_expectation`).
+    A row with no moving axis leaks exactly 0 bits, keeps no term and
+    truncates nothing.
     """
     check_expectation(n_shots, p_announce, tail_tol)
     axes = (probs[:, ::2] != probs[:, 1::2]).sum(axis=1)
@@ -567,8 +636,7 @@ def _expected_mi_rows(
         pmf, lengths, omitted = _kept_lengths(n_shots, p_announce, tail_tol)
         terms[plane], truncation[plane] = len(lengths), omitted
         for row in plane:
-            # accumulate adds the lengths one at a time, in ascending order
-            mi[row] = np.add.accumulate(_mi_by_length(probs[row], lengths) * pmf[lengths])[-1]
+            mi[row] = _plane_expectation(probs[row], lengths, pmf[lengths])
     return [MIResult(*row) for row in zip(mi.tolist(), terms.tolist(), truncation.tolist())]
 
 
@@ -581,9 +649,11 @@ def expected_mutual_information(
     """Binomially weighted mutual information over announcement-string lengths.
 
     Returns sum_k Pr(k bit-announcements) * I(string of length k : message).
-    On the plane (both bases tilted) it sums string lengths in
+    On the plane (both bases tilted) it keeps string lengths in
     decreasing-probability order until the omitted binomial mass drops
-    below ``tail_tol``, all from one walk up to the longest of them.  A line
+    below ``tail_tol``, and sums them in closed form over the basis counts
+    (:func:`_plane_expectation`); a longest kept length past
+    ``_PLANE_TOP`` raises ValueError.  A line
     (one tilted basis) is the same sum over the count of announcements in
     that basis, with a saturation stop (:func:`_line_expectation`).
     ``truncation_mass`` bounds what is left out.

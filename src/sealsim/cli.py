@@ -230,9 +230,13 @@ def cmd_validate_channel(path: str, n_shots: int, p_announce: float) -> int:
             f"({_fmt(bloch.v[0])}, {_fmt(bloch.v[1])}, {_fmt(bloch.v[2])})"
         )
         lines.append(f"unital = {'yes' if report.unital else 'no'}")
-        mi = analysis.expected_mutual_information(
-            analysis.bit_announcement_probs(channel, report), n_shots, p_announce
-        )
+        try:
+            mi = analysis.expected_mutual_information(
+                analysis.bit_announcement_probs(channel, report), n_shots, p_announce
+            )
+        except ValueError as exc:  # the plane's table budget (--n and --pa are checked before)
+            print(f"error: {path}: {exc}", file=sys.stderr)
+            return 2
         mismatch = analysis.mismatch_probability(channel, report)
         lines.append(f"expected_mi_bits = {_fmt(mi.mi_bits)} (n_shots={n_shots}, p_announce={_fmt(p_announce)})")
         lines.append(f"mi_truncation_mass = {mi.truncation_mass:.3e}")

@@ -15,11 +15,14 @@ the Kraus operators, as the package did before it stacked them.  The
 mutual information of a stack of announcement distributions on the plane
 at each kept string length is walked one lattice step at a time, each step
 a freshly allocated lattice and each length read out on its own, as the
-package did before it walked in fixed buffers and read the kept lengths in
-batches.  A line's expected information is summed one row and one count of
-moving-basis announcements at a time, as the package sums it in blocks;
-and it is summed once more exactly, in ``decimal`` arithmetic, from the
-ancillarity of that count, with no truncation.
+package did before it contracted the basis counts' tables.  Those tables
+are also built here one row at a time and placed cell by cell, where the
+package builds them in blocks and places them by strided copies.  A
+line's expected information is summed one row and one count of
+moving-basis announcements at a time, as the package sums it in blocks.
+Both a line's and a plane's expected information are summed once more
+exactly, in ``decimal`` arithmetic, from the ancillarity of the basis
+counts, with no truncation.
 """
 
 import decimal
@@ -30,7 +33,17 @@ import numpy as np
 from scipy.special import rel_entr
 from scipy.stats import binom
 
-from sealsim.analysis import _binomial_pmf, _kept_lengths, _log_factorials, seal_class_masses
+from sealsim.analysis import (
+    _CAPPED_BITS,
+    _LN2,
+    _LOG_TINY,
+    _binomial_pmf,
+    _kept_lengths,
+    _log_factorials,
+    _log_weight,
+    _plane_blocks,
+    seal_class_masses,
+)
 from sealsim.protocol import BitAnnouncement
 from sealsim.qubit import (
     DensityMatrix,
@@ -369,6 +382,76 @@ def mi_by_length_stepwise(probs: np.ndarray, lengths: list[int]) -> np.ndarray:
     return out
 
 
+def _binomial_row(n: int, top: int, log_a: float, log_c: float) -> np.ndarray:
+    """Bin(i; n, a) at cells i = 0..top by the package's cell formula, scaled to sum to 1.
+
+    Cells past n, or below the smallest normal double, are 0.
+    """
+    log_factorials = _log_factorials(top)
+    i = np.arange(top + 1)
+    row = (log_factorials[n] + n * log_c) + (i * (log_a - log_c) - log_factorials)
+    cells = np.zeros(top + 1)
+    for cell in range(n + 1):
+        value = row[cell] - log_factorials[n - cell]
+        if value >= _LOG_TINY:
+            cells[cell] = np.exp(value)
+    return cells / np.add.reduce(cells)
+
+
+def plane_tables_by_row(row, lengths, weights):
+    """(W, A, B, x1, x3) of a plane row, one table row at a time and one cell at a time.
+
+    W[m, k - m] is the length-k row of Bin(m; k, mu) times w_k, for k from the
+    shortest kept length to the longest (w_k = 0 for one not kept); A and B
+    hold each basis' Bin(i; n, a) at (n, 2i - n + top); x1 and x3 are
+    s log2(p(c=1) / p(c=0)) at s = -top..top.
+    """
+    top, shortest = lengths[-1], lengths[0]
+    w_of = dict(zip(lengths, weights))
+    log_mu, log_nu = _log_weight(row[0] + row[1]), _log_weight(row[2] + row[3])
+    w = np.zeros((top + 1, top + 1))
+    for k in range(shortest, top + 1):
+        cells = _binomial_row(k, top, log_mu, log_nu) * w_of.get(k, 0.0)
+        for m in range(k + 1):
+            w[m, k - m] = cells[m]
+    tables = [w]
+    for first in (0, 2):
+        mass = row[first] + row[first + 1]
+        log_a, log_c = _log_weight(row[first] / mass), _log_weight(row[first + 1] / mass)
+        table = np.zeros((top + 1, 2 * top + 1))
+        for n in range(top + 1):
+            cells = _binomial_row(n, top, log_a, log_c)
+            for i in range(n + 1):
+                table[n, 2 * i - n + top] = cells[i]
+        tables.append(table)
+    for first in (0, 2):
+        ratio = (_log_weight(row[first + 1]) - _log_weight(row[first])) / _LN2
+        tables.append(np.array([float(s) * ratio for s in range(-top, top + 1)]))
+    return tuple(tables)
+
+
+def plane_expectation_by_tables(row, lengths, weights) -> float:
+    """sum_k w_k I_k of a plane row from :func:`plane_tables_by_row`, as the package contracts them.
+
+    R = W B, then for each block (low, high, u) of ``analysis._plane_blocks``
+    Q = A[u:, low:high]^T R[u:, u:2 top + 1 - u], each by one ``np.matmul``,
+    and the block adds sum Q h, with h = max(x, 0) + log2(1 + 2^-min(|x|,
+    ``_CAPPED_BITS``)) at x = x1 + x3, in one ``np.add.reduce``; the blocks
+    are added in order and the total is taken from the sum of the weights.
+    """
+    w, a, b, x1, x3 = plane_tables_by_row(row, lengths, weights)
+    top = lengths[-1]
+    width = 2 * top + 1
+    r = np.matmul(w, b)
+    total = 0.0
+    for low, high, u in _plane_blocks(top):
+        q = np.matmul(a[u:, low:high].T, r[u:, u : width - u])
+        x = x1[low:high, None] + x3[u : width - u]
+        h = np.maximum(x, 0.0) + np.log1p(np.exp2(-np.minimum(np.abs(x), _CAPPED_BITS))) / _LN2
+        total += float(np.add.reduce(h * q, axis=None))
+    return float(np.add.reduce(np.asarray(weights))) - total
+
+
 def _line_symbols(row):
     """(m, a, c): the moving basis' mass and its two symbols over it, the larger first."""
     pair = row[:2] if row[0] != row[1] else row[2:]
@@ -478,3 +561,76 @@ def line_expected_mi_exact(row, n_shots: int, p_announce: float, digits: int = 4
             )
             total += weights[j] * (1 - h)
         return float(total)
+
+
+def plane_expected_mi_exact(row, n_shots: int, p_announce: float, digits: int = 40) -> float:
+    """Expected information in bits of any announcement distribution, exactly.
+
+    ``row`` is the distribution of one announcement given b = 0, read
+    exactly and scaled to sum to 1.  Each shot announces a bit in sigma1 or
+    sigma3 with probability p_announce times that basis' mass, whatever the
+    message is, so the counts (m, j) of such announcements are ancillary:
+    E[I] = sum_{m,j} Mult(m, j; N) I(m, j).  Given the counts, the net votes
+    s1 = 2 i1 - m and s3 = 2 i3 - j are independent, and flipping the
+    message negates both, so I(m, j) = 1 - sum p(s) log2(1 + p(-s) / p(s))
+    over the cells of positive p(s) = C(m, i1) a1^i1 c1^(m-i1) C(j, i3)
+    a3^i3 c3^(j-i3), where p(-s) / p(s) = (c1/a1)^s1 (c3/a3)^s3 for each
+    basis' symbols a (c = 0) and c (c = 1) over its mass.  Every sum is
+    taken in ``digits``-digit ``decimal`` arithmetic with no truncation,
+    except count pairs whose weight is below 10^-(digits + 5).
+    """
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits + 10
+        ctx.Emax, ctx.Emin = decimal.MAX_EMAX, decimal.MIN_EMIN
+        probs = [D(float(v)) for v in row]
+        total = sum(probs, D(0))
+        probs = [v / total for v in probs]
+        q = D(float(p_announce))
+        shares, symbols, cells = [], [], []
+        for first in (0, 2):
+            mass = probs[first] + probs[first + 1]
+            a, c = (probs[first] / mass, probs[first + 1] / mass) if mass else (D(1), D(0))
+            shares.append(q * mass)
+            symbols.append((a, c))
+            cells.append(
+                [
+                    [math.comb(n, i) * _power(a, i) * _power(c, n - i) for i in range(n + 1)]
+                    for n in range(n_shots + 1)
+                ]
+            )
+
+        def vote_ratio(basis, s):
+            # (c/a)^s: a vote s > 0 of positive weight needs a > 0, one below 0 needs c > 0
+            a, c = symbols[basis]
+            if s == 0:
+                return D(1)
+            return _power(c / a, s) if s > 0 else _power(a / c, -s)
+
+        ln2, floor = D(2).ln(), D(10) ** -(digits + 5)
+        rest = 1 - shares[0] - shares[1]
+        logs = {}
+        expected = D(0)
+        for m in range(n_shots + 1):
+            for j in range(n_shots - m + 1):
+                weight = (
+                    math.comb(n_shots, m)
+                    * math.comb(n_shots - m, j)
+                    * _power(shares[0], m)
+                    * _power(shares[1], j)
+                    * _power(rest, n_shots - m - j)
+                )
+                if weight < floor:
+                    continue
+                h = D(0)
+                for i1, p1 in enumerate(cells[0][m]):
+                    for i3, p3 in enumerate(cells[1][j]):
+                        if not (p1 and p3):
+                            continue
+                        s = (2 * i1 - m, 2 * i3 - j)
+                        if s not in logs:
+                            ratio = vote_ratio(0, s[0]) * vote_ratio(1, s[1])
+                            logs[s] = (1 + ratio).ln() / ln2
+                        h += p1 * p3 * logs[s]
+                expected += weight * (1 - h)
+        return float(expected)

@@ -19,6 +19,9 @@ from oracles import (
     line_expected_mi_stepwise,
     mi_bruteforce,
     mi_by_length_stepwise,
+    plane_expectation_by_tables,
+    plane_expected_mi_exact,
+    plane_tables_by_row,
     seal_expected_mi_by_classes,
     seal_mi_by_classes,
 )
@@ -573,9 +576,9 @@ def test_no_moving_axis_leaks_exactly_nothing():
     assert expected_mutual_information(dist, N_DEFAULT, 1.0).mi_bits == 0.0
     lengths = [0, 1, 7, 500]
     for row in analysis._unit_rows([dist.probs_given_b[0], (0.5, 0.5, 0.0, 0.0)]):
-        got = analysis._mi_by_length(row, lengths)
-        assert got.tobytes() == mi_by_length_stepwise(row[None], lengths)[0].tobytes()
-        assert got.tolist() == [0.0] * 4
+        got = [analysis._mi_at_length(row[None], k) for k in lengths]
+        assert np.array(got).tobytes() == mi_by_length_stepwise(row[None], lengths)[0].tobytes()
+        assert got == [0.0] * 4
     with pytest.raises(ValueError, match="non-negative"):
         mutual_information_k(dist, -1)
 
@@ -613,9 +616,6 @@ def test_a_line_with_one_move_is_the_stepwise_sum():
             assert got[0].tolist() == [want] * 2
             assert abs(line_expected_mi_exact(row, k, 1.0) - want) <= 1e-14
             assert mutual_information_k(dist, k) == want
-        for one in rows:
-            with pytest.raises(ValueError, match="a line"):
-                analysis._mi_by_length(one, [0, 1])
 
 
 @st.composite
@@ -661,21 +661,50 @@ def collapse_stacks(draw, patterns):
     return rows, n_shots, draw(st.floats(min_value=0.0, max_value=1.0))
 
 
+def kernel_plane_tables(row, lengths, weights):
+    """The package's (W, A, B, x1, x3) of a plane row, each built into a buffer of its own."""
+    top = lengths[-1]
+    log_factorials = analysis._log_factorials(top)
+    votes = (top + 1) * (2 * top + 1)
+    return (
+        analysis._length_table(np.empty((top + 1) * (top + 2)), row, lengths, weights, log_factorials),
+        analysis._net_vote_table(np.empty(votes), row, 0, log_factorials),
+        analysis._net_vote_table(np.empty(votes), row, 2, log_factorials),
+        analysis._log_ratios(row, 0, top),
+        analysis._log_ratios(row, 2, top),
+    )
+
+
+def assert_plane_is_its_tables(row, lengths, weights):
+    """A plane row's tables, and its sum over them, equal the row-by-row oracle's bit for bit.
+
+    The sum also lies within 1e-14 of the walk one step at a time.
+    """
+    got = analysis._plane_expectation(row, lengths, weights)
+    for table, want in zip(kernel_plane_tables(row, lengths, weights), plane_tables_by_row(row, lengths, weights)):
+        assert table.tobytes() == want.tobytes()
+    assert np.float64(got).tobytes() == np.float64(plane_expectation_by_tables(row, lengths, weights)).tobytes()
+    walked = np.add.accumulate(mi_by_length_stepwise(row[None], lengths)[0] * weights)[-1]
+    assert abs(got - walked) <= 1e-14
+
+
 def assert_stepwise(block_cells, rows, n_shots, pa):
     """Every row reads, bit for bit, as its reference one step at a time.
 
-    Rows are grouped by collapse pattern.  Each plane row (or row with no
-    moving axis) is the walk one step at a time at the lengths that
-    Bin(n_shots, pa) keeps; a line is its sum over the moving basis' count,
-    one row and one count at a time, and at n_shots <= 120 lies within its
-    truncation bound of the exact sum.
+    Rows are grouped by collapse pattern.  Each plane row is its contraction
+    of tables built one row at a time, at the lengths that Bin(n_shots, pa)
+    keeps, and lies within 1e-14 of the walk one step at a time; a row with
+    no moving axis reads exactly 0; a line is its sum over the moving
+    basis' count, one row and one count at a time, and at n_shots <= 120
+    lies within its truncation bound of the exact sum.
     """
     moving = rows[:, ::2] != rows[:, 1::2]
     pattern = moving[:, 0] + 2 * moving[:, 1]
-    _, lengths, _ = analysis._kept_lengths(n_shots, pa, 1e-12)
+    pmf, lengths, _ = analysis._kept_lengths(n_shots, pa, 1e-12)
     with pytest.MonkeyPatch.context() as patch:
         if block_cells is not None:
             patch.setattr(analysis, "_BLOCK_CELLS", block_cells)
+            patch.setattr(analysis, "_PLANE_BLOCK_CELLS", block_cells)
         for value in set(pattern.tolist()):
             group = rows[pattern == value]
             if value in (1, 2):
@@ -687,21 +716,24 @@ def assert_stepwise(block_cells, rows, n_shots, pa):
                 if n_shots <= 120:
                     exact = line_expected_mi_exact(group[0], n_shots, pa)
                     assert abs(mi[0] - exact) <= truncation[0] + 1e-14
-            else:
+            elif value == 3:
                 for row in group:
-                    got = analysis._mi_by_length(row, lengths)
-                    want = mi_by_length_stepwise(row[None], lengths)[0]
-                    assert got.tobytes() == want.tobytes()
+                    assert_plane_is_its_tables(row, lengths, pmf[lengths])
+            else:
+                got = analysis._expected_mi_rows(group, n_shots, pa, 1e-12)
+                assert got == [MIResult(0.0, 0, 0.0)] * len(group)
 
 
 @pytest.mark.parametrize("block_cells", [None, 1, 100])
 @settings(max_examples=40, deadline=None)
 @given(collapse_stacks([(0, 0), (1, 1)]))
-def test_mi_by_length_is_the_stepwise_walk(block_cells, stack):
-    """The plane, and rows with no moving axis, read bit for bit as the walk one step at a time.
+def test_the_plane_is_its_contraction_by_tables(block_cells, stack):
+    """The plane reads bit for bit as its tables built one row at a time, contracted
+    the same way, and within 1e-14 of the walk one step at a time; rows with no
+    moving axis read exactly 0.
 
-    With ``_BLOCK_CELLS`` at 1 each length is read in place; at 100 the
-    store of kept lengths fills and is read out many times a walk.
+    With the block sizes at 1 every vote table row and every column of Q is a
+    block of its own; at 100 a few are.
     """
     assert_stepwise(block_cells, *stack)
 
@@ -743,6 +775,121 @@ def test_line_is_within_its_bound_of_the_exact_sum(dist, n, pa):
     exact = line_expected_mi_exact(dist.probs_given_b[0], n, pa)
     assert 0.0 <= got.mi_bits <= 1.0
     assert abs(got.mi_bits - exact) <= got.truncation_mass + 1e-14
+
+
+def announcement_distribution(given_0) -> AnnouncementDistribution:
+    return AnnouncementDistribution((given_0, (given_0[1], given_0[0], given_0[3], given_0[2])))
+
+
+@st.composite
+def plane_distributions(draw):
+    """A distribution with both bases tilted: a random Kraus channel's, or one drawn directly.
+
+    A drawn one takes sigma1 mass m and tilts r1, r3 of either sign, with +-1
+    (a symbol of zero weight) among the choices.
+    """
+    if draw(st.booleans()):
+        seed = draw(st.integers(min_value=0, max_value=2**31))
+        return bit_announcement_probs(random_kraus_channel(np.random.default_rng(seed), 3))
+    m = draw(st.one_of(st.just(0.5), st.floats(min_value=0.05, max_value=0.95)))
+    tilt = st.one_of(
+        st.sampled_from([1.0, -1.0, 0.5, -0.9973]),
+        st.floats(min_value=-1.0, max_value=1.0).filter(lambda r: abs(r) > 1e-6),
+    )
+    r1, r3 = draw(tilt), draw(tilt)
+    return announcement_distribution(
+        (0.5 * m * (1 + r1), 0.5 * m * (1 - r1), 0.5 * (1 - m) * (1 + r3), 0.5 * (1 - m) * (1 - r3))
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(plane_distributions(), st.integers(min_value=1, max_value=20), unit)
+@example(announcement_distribution((0.5, 0.0, 0.3, 0.2)), 20, 1.0)
+@example(announcement_distribution((0.0, 0.5, 0.5, 0.0)), 20, 0.5)
+def test_plane_is_within_its_bound_of_the_exact_sum(dist, n, pa):
+    """Expected MI on the plane, and the MI at one length (N = k, pa = 1), lie within
+    their bounds of the exact sum over the basis counts."""
+    got = expected_mutual_information(dist, n, pa)
+    row = dist.probs_given_b[0]
+    assert 0.0 <= got.mi_bits <= 1.0
+    assert abs(got.mi_bits - plane_expected_mi_exact(row, n, pa)) <= got.truncation_mass + 1e-14
+    at_length = mutual_information_k(dist, n)
+    assert 0.0 <= at_length <= 1.0
+    assert abs(at_length - plane_expected_mi_exact(row, n, 1.0)) <= 1e-14
+
+
+@pytest.mark.parametrize("given_0", [(0.5, 0.0, 0.3, 0.2), (0.3, 0.2, 0.5, 0.0)])
+def test_a_plane_with_a_zero_weight_symbol_warns_nothing_and_is_exact(given_0):
+    """A symbol of zero weight makes rho 0 or infinite: log2(1 + rho^s) would form inf * 0
+    at s = 0 and inf - inf between the bases, whatever the warning filters say."""
+    dist = announcement_distribution(given_0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n, pa in ((1, 0.5), (12, 0.3), (20, 1.0)):
+            got = expected_mutual_information(dist, n, pa)
+            exact = plane_expected_mi_exact(given_0, n, pa)
+            assert abs(got.mi_bits - exact) <= got.truncation_mass + 1e-14
+            assert abs(mutual_information_k(dist, n) - plane_expected_mi_exact(given_0, n, 1.0)) <= 1e-14
+        got = expected_mutual_information(dist, N_DEFAULT, 0.5)
+        pmf, lengths, _ = analysis._kept_lengths(N_DEFAULT, 0.5, 1e-12)
+        walked = np.add.accumulate(mi_by_length_stepwise(analysis._unit_rows(given_0), lengths)[0] * pmf[lengths])[-1]
+        assert abs(got.mi_bits - walked) <= 1e-14
+        assert abs(mutual_information_k(dist, 200) - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 7, 20])
+@pytest.mark.parametrize("pa", [0.05, 0.5, 1.0])
+def test_the_exact_sum_meets_the_north_star_invariants(n, pa):
+    """Unital channels leak exactly 0, x = 1 is the anchor 1 - (1 - pa/2)^N, and the
+    damping family's mismatch is (1 + x - sqrt(1 - x))/4: from the exact sum and the package."""
+    for ch in (identity_channel(), depolarizing_channel(0.3), dephasing_channel()):
+        dist = bit_announcement_probs(ch)
+        assert plane_expected_mi_exact(dist.probs_given_b[0], n, pa) == 0.0
+        assert expected_mutual_information(dist, n, pa).mi_bits == 0.0
+    anchor = 1.0 - (1.0 - pa / 2.0) ** n
+    full = bit_announcement_probs(seal_channel(1.0))
+    assert abs(plane_expected_mi_exact(full.probs_given_b[0], n, pa) - anchor) <= 1e-15
+    got = expected_mutual_information(full, n, pa)
+    assert abs(got.mi_bits - anchor) <= got.truncation_mass + 1e-14
+    for x in (0.0, 0.3, 0.9, 1.0):
+        want = (1.0 + x - math.sqrt(1.0 - x)) / 4.0
+        assert abs(mismatch_probability(seal_channel(x)).matched_basis_conditional - want) <= 1e-12
+
+
+def test_plane_memory_at_n1000():
+    """At N = 1000, pa = 0.5 the plane's tables and block buffers are one buffer of
+    about 2.07M cells (15.8 MiB) for the longest kept length 612; the peak
+    stays under 20 MiB (the walk it replaced peaked at 20.5 MiB)."""
+    dist = bit_announcement_probs(random_kraus_channel(np.random.default_rng(77), 3))
+    assert analysis._kept_lengths(1000, 0.5, 1e-12)[1][-1] == 612
+    tracemalloc.start()
+    try:
+        result = expected_mutual_information(dist, 1000, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 <= result.mi_bits <= 1.0
+    assert peak <= 20 * 2**20
+
+
+def test_the_plane_refuses_tables_over_its_budget_before_building_them(monkeypatch):
+    """Past the longest string length whose tables fit ``_PLANE_CELLS``, the plane raises
+    ValueError naming the limit, before any table is built; a line is not limited."""
+    top = analysis._PLANE_TOP
+    assert (top + 1) * (2 * top + 1) <= analysis._PLANE_CELLS < (top + 2) * (2 * top + 3)
+    assert analysis._kept_lengths(2000, 0.5, 1e-12)[1][-1] <= top  # N = 2000, pa = 0.5 fits
+
+    def no_tables(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(analysis, "_binomial_rows", no_tables)
+    dist = bit_announcement_probs(random_kraus_channel(np.random.default_rng(77), 3))
+    limit = rf"over the limit of {analysis._PLANE_CELLS} \(string length {top}\)"
+    with pytest.raises(ValueError, match=limit):
+        mutual_information_k(dist, top + 1)
+    with pytest.raises(ValueError, match=limit):
+        expected_mutual_information(dist, 100_000, 0.5)
+    assert seal_expected_mutual_information(0.5, 100_000, 0.5).mi_bits > 1.0 - 1e-12
 
 
 @pytest.mark.parametrize("x", [0.99, 0.9973, 0.9999])

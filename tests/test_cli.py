@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import pytest
 
 from conftest import random_kraus_channel
 import sealsim
-from sealsim import protocol, qubit
+from sealsim import analysis, protocol, qubit
 from sealsim.channel_file import save_channel
 from sealsim.cli import MAX_GRID_POINTS, SweepConfig, _default_grid, main
 from sealsim.qubit import KrausChannel, depolarizing_channel, seal_channel
@@ -731,6 +732,30 @@ def test_validate_channel_bad_arguments_exit_2(tmp_path, flags):
         with pytest.raises(SystemExit) as err:
             main(["validate-channel", str(target), *flags])
         assert err.value.code == 2
+
+
+def test_validate_channel_past_the_plane_limit_exits_2(tmp_path, capsys):
+    """A general channel at --n 100000 --pa 0.5 would need tables of about 5e9
+    cells: the command names the limit and exits 2 without building any, and
+    prints no report."""
+    path = tmp_path / "random.json"
+    save_channel(random_kraus_channel(np.random.default_rng(123), 3), path)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code = main(["validate-channel", str(path), "--n", "100000", "--pa", "0.5"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: expected MI with both bases tilted at string length ")
+    assert f"over the limit of {analysis._PLANE_CELLS} (string length {analysis._PLANE_TOP})" in captured.err
+    assert captured.err.count("\n") == 1
+    assert peak <= 8 * 2**20  # the binomial weights over N, not a table
+    assert elapsed < 5.0
 
 
 # The sha256 of the validate-channel report for a file named channel.json in
