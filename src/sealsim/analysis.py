@@ -39,8 +39,9 @@ table builds, two matrix products and one pass of logarithms, with no
 walk over lengths; ``k_terms_used`` counts the kept lengths and
 ``truncation_mass`` is their omitted mass.  Q is formed in blocks of
 bounded size, each taking only the counts and votes that the diamond
-|s1| + |s3| <= k leaves it, and the tables of the longest kept length k hold (k+1)(2k+1) cells each: a k
-past ``_PLANE_TOP`` (1447) raises ValueError before any table is built.
+|s1| + |s3| <= k leaves it.  The tables of the longest kept length k hold
+(k+1)(2k+1) cells each, and a k past ``_PLANE_TOP`` (1447) raises
+ValueError before any table is built.
 
 The line evaluator takes a stack of distributions at once, each row with
 the numbers it would get alone: a sweep of the damping family computes

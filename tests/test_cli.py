@@ -751,8 +751,9 @@ def test_validate_channel_past_the_plane_limit_exits_2(tmp_path, capsys):
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: {path}: expected MI with both bases tilted at string length ")
-    assert f"over the limit of {analysis._PLANE_CELLS} (string length {analysis._PLANE_TOP})" in captured.err
+    assert captured.err.startswith(f"error: {path}: expected MI with both bases tilted at ")
+    limit = f"over the limit of {analysis._PLANE_CELLS} (string length {analysis._PLANE_TOP})"
+    assert limit in captured.err
     assert captured.err.count("\n") == 1
     assert peak <= 8 * 2**20  # the binomial weights over N, not a table
     assert elapsed < 5.0
