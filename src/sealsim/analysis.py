@@ -49,8 +49,10 @@ the binomial weights and kept counts once and evaluates its whole x grid
 in blocks of bounded size.  Its mismatch column takes the grid's Kraus
 operators as one stacked array (``qubit.damping_stack``), in blocks of
 bounded size, and forms only the four Born cells a mismatch reads
-(``qubit.born_cells``), the same evaluator :func:`mismatch_probability`
-runs on a single channel.
+(``qubit.born_cells``, entrywise 2x2 products over the whole block), the
+same evaluator :func:`mismatch_probability` runs on a single channel.
+Both grid functions return their columns as arrays, with no
+:class:`MIResult` or :class:`MismatchProbability` per point.
 
 All logarithms are base 2, so information is in bits and the one-bit
 message bounds every result by 1.  0 * log 0 is 0 throughout.
@@ -79,6 +81,8 @@ from sealsim.qubit import (
 )
 
 _DISTRIBUTION_TOL = 1e-12
+# How far a computed mutual information may stray outside [0, 1] before it is an error.
+_MI_TOL = 1e-12
 DEFAULT_TAIL_TOL = 1e-12
 # Cells of a line's block of (row, count, symbol count) cells, about
 # 128 KiB; a block of the sweep's mismatch column holds as many operator
@@ -132,16 +136,35 @@ class AnnouncementDistribution:
 
 @dataclass(frozen=True)
 class MIResult:
-    """Expected mutual information plus truncation diagnostics."""
+    """Expected mutual information plus truncation diagnostics.
+
+    ``mi_bits`` more than ``_MI_TOL`` outside [0, 1] (or NaN) raises, and
+    the rest is clamped to [0, 1]; :func:`_checked_bits` applies the same
+    rule to a whole column.
+    """
 
     mi_bits: float
     k_terms_used: int
     truncation_mass: float
 
     def __post_init__(self):
-        if not -1e-12 <= self.mi_bits <= 1.0 + 1e-12:
+        if not -_MI_TOL <= self.mi_bits <= 1.0 + _MI_TOL:
             raise ValueError(f"mutual information out of [0, 1]: {self.mi_bits}")
         object.__setattr__(self, "mi_bits", min(max(self.mi_bits, 0.0), 1.0))
+
+
+def _checked_bits(mi: np.ndarray) -> np.ndarray:
+    """A column of mutual information under :class:`MIResult`'s rule, without an object per value.
+
+    Raises :class:`MIResult`'s error for the first value more than
+    ``_MI_TOL`` outside [0, 1] (or NaN), and clamps each of the others as
+    ``min(max(mi, 0.0), 1.0)`` does, which keeps -0.0.
+    """
+    outside = ~((mi >= -_MI_TOL) & (mi <= 1.0 + _MI_TOL))
+    if outside.any():
+        raise ValueError(f"mutual information out of [0, 1]: {float(mi[outside][0])}")
+    mi = np.where(mi < 0.0, 0.0, mi)
+    return np.where(mi > 1.0, 1.0, mi)
 
 
 @dataclass(frozen=True)
@@ -217,7 +240,7 @@ def bit_announcement_probs(
 def _unit_rows(probs) -> np.ndarray:
     """Distributions as a (rows, 4) array, each row divided by its exactly rounded sum."""
     probs = np.asarray(probs, dtype=float).reshape(-1, 4)
-    return probs / np.fromiter(map(math.fsum, probs), float, len(probs))[:, None]
+    return probs / np.fromiter(map(math.fsum, probs.tolist()), float, len(probs))[:, None]
 
 
 def _log_weight(value: float) -> float:
@@ -614,14 +637,16 @@ def _kept_lengths(
 
 def _expected_mi_rows(
     probs: np.ndarray, n_shots: int, p_announce: float, tail_tol: float
-) -> list[MIResult]:
-    """The binomially weighted information of each row of ``probs``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mi_bits, k_terms_used, truncation_mass) arrays of the rows of ``probs``.
 
     A line (one moving basis) is summed over its moving basis' count
     (:func:`_line_expectation`).  A plane row is summed over the string
     lengths that Bin(n_shots, p_announce) keeps (:func:`_plane_expectation`).
     A row with no moving axis leaks exactly 0 bits, keeps no term and
-    truncates nothing.
+    truncates nothing.  ``mi_bits`` is not yet checked or clamped: a caller
+    makes an :class:`MIResult` of a row or calls :func:`_checked_bits` on
+    the column.
     """
     check_expectation(n_shots, p_announce, tail_tol)
     axes = (probs[:, ::2] != probs[:, 1::2]).sum(axis=1)
@@ -638,7 +663,13 @@ def _expected_mi_rows(
         terms[plane], truncation[plane] = len(lengths), omitted
         for row in plane:
             mi[row] = _plane_expectation(probs[row], lengths, pmf[lengths])
-    return [MIResult(*row) for row in zip(mi.tolist(), terms.tolist(), truncation.tolist())]
+    return mi, terms, truncation
+
+
+def _mi_result(columns: tuple[np.ndarray, np.ndarray, np.ndarray]) -> MIResult:
+    """The :class:`MIResult` of the one row of :func:`_expected_mi_rows`' columns."""
+    mi, terms, truncation = (column.item() for column in columns)
+    return MIResult(mi, terms, truncation)
 
 
 def expected_mutual_information(
@@ -659,7 +690,8 @@ def expected_mutual_information(
     that basis, with a saturation stop (:func:`_line_expectation`).
     ``truncation_mass`` bounds what is left out.
     """
-    return _expected_mi_rows(_unit_rows(dist.probs_given_b[0]), n_shots, p_announce, tail_tol)[0]
+    rows = _unit_rows(dist.probs_given_b[0])
+    return _mi_result(_expected_mi_rows(rows, n_shots, p_announce, tail_tol))
 
 
 def _damping_rows(xs) -> np.ndarray:
@@ -723,7 +755,7 @@ def seal_expected_mutual_information(
     tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> MIResult:
     """:func:`expected_mutual_information` for the damping family at strength x."""
-    return _expected_mi_rows(_damping_rows([x]), n_shots, p_announce, tail_tol)[0]
+    return _mi_result(_expected_mi_rows(_damping_rows([x]), n_shots, p_announce, tail_tol))
 
 
 def seal_expected_mutual_information_grid(
@@ -731,16 +763,21 @@ def seal_expected_mutual_information_grid(
     n_shots: int,
     p_announce: float,
     tail_tol: float = DEFAULT_TAIL_TOL,
-) -> list[MIResult]:
-    """:func:`seal_expected_mutual_information` at every strength of ``x_grid``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`seal_expected_mutual_information` at every strength of ``x_grid``, as columns.
 
-    Every strength x > 0 tilts sigma3 alone, whose mass is 1/2, so the
-    binomial weights and the kept counts of sigma3 announcements are
-    computed once, and the strengths are summed together in blocks of
-    bounded size; x = 0 is the identity channel and sums nothing.  Each
-    result equals, bit for bit, the one the single-strength function gives.
+    Returns the arrays ``(mi_bits, k_terms_used, truncation_mass)``, one
+    entry per strength (float, integer, float), and builds no
+    :class:`MIResult`: ``mi_bits`` gets its range check and clamp as a
+    whole column (:func:`_checked_bits`).  Every strength x > 0 tilts sigma3 alone, whose
+    mass is 1/2, so the binomial weights and the kept counts of sigma3
+    announcements are computed once, and the strengths are summed together
+    in blocks of bounded size; x = 0 is the identity channel and sums
+    nothing.  Each entry equals, bit for bit, the field the single-strength
+    function gives.
     """
-    return _expected_mi_rows(_damping_rows(x_grid), n_shots, p_announce, tail_tol)
+    mi, terms, truncation = _expected_mi_rows(_damping_rows(x_grid), n_shots, p_announce, tail_tol)
+    return _checked_bits(mi), terms, truncation
 
 
 _MISMATCH_EVENTS = (
@@ -786,14 +823,16 @@ def mismatch_probability(
     return MismatchProbability(per_shot, 2.0 * per_shot)
 
 
-def seal_mismatch_probability_grid(x_grid) -> list[MismatchProbability]:
-    """:func:`mismatch_probability` of the damping channel at every strength of ``x_grid``.
+def seal_mismatch_probability_grid(x_grid) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`mismatch_probability` of the damping channel at every strength of ``x_grid``, as columns.
 
-    The strengths' Kraus operators are built as one stack per block of at
-    most ``_BLOCK_CELLS // _MISMATCH_ROW_CELLS`` strengths and go through
-    the single-channel evaluator together.  A strength whose channel keeps
-    one operator has a zero second operator in the stack, which adds exact
-    zeros, so each result equals, bit for bit, the single-channel one.
+    Returns the float arrays ``(per_shot, matched_basis_conditional)``, one
+    entry per strength, and builds no :class:`MismatchProbability`.  The
+    strengths' Kraus operators are built as one stack per block of at most
+    ``_BLOCK_CELLS // _MISMATCH_ROW_CELLS`` strengths and go through the
+    single-channel evaluator together.  A strength whose channel keeps one
+    operator has a zero second operator in the stack, which adds exact
+    zeros, so each entry equals, bit for bit, the single-channel field.
     """
     xs = np.asarray(x_grid, dtype=float)
     per_shot = np.empty(len(xs))
@@ -801,7 +840,7 @@ def seal_mismatch_probability_grid(x_grid) -> list[MismatchProbability]:
     for first in range(0, len(xs), block):
         rows = slice(first, first + block)
         per_shot[rows] = _mismatch_per_shot(damping_stack(xs[rows]))
-    return [MismatchProbability(p, 2.0 * p) for p in per_shot.tolist()]
+    return per_shot, 2.0 * per_shot
 
 
 def decode_success_probability(n_shots: int, p_announce: float) -> float:

@@ -8,13 +8,18 @@ seal damping, depolarizing, dephasing).
 A channel keeps its Kraus operators as one read-only (m, 2, 2) array, and
 the channel algebra works on stacks: completeness, the images of the four
 preparation states and the Born table of every (preparation, basis,
-result) cell each take a few array calls over that array, in the same
-order of operations as mapping one state at a time, so the numbers agree
-bit for bit.  The Born table builds no ``DensityMatrix``; the functions
-that return density matrices still validate each one.  The damping
-family's operators are written once, as a stack for any number of
-strengths (``damping_stack``), and ``born_cells`` evaluates chosen Born
-cells of many stacks at once.
+result) cell each take a few array calls over that array.  The products
+of the operator sum and the Born trace are written out entry by entry as
+numpy ufunc calls over whole stacks (``_product``, ``_trace_product``),
+not as ``np.matmul``, which hands every 2x2 product to BLAS on its own.
+An entry is then computed the same way whatever the stack's shape, so a
+stack of channels, one channel and one state (``apply_channel``,
+``measurement_prob``) all give the same floats.  Completeness alone stays
+on ``np.matmul``; its deviation is only compared and printed.  The Born
+table builds no ``DensityMatrix``; the functions that return density
+matrices still validate each one.  The damping family's operators are
+written once, as a stack for any number of strengths (``damping_stack``),
+and ``born_cells`` evaluates chosen Born cells of many stacks at once.
 
 All values are immutable after construction and every function is pure,
 so everything here is safe to share across threads.
@@ -247,19 +252,47 @@ def bloch_from_density(rho: DensityMatrix) -> BlochVector:
     return BlochVector(lam, (r1 / lam, r2 / lam, r3 / lam))
 
 
-def _operator_sum(stacks: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """sum_i E_i rho E_i^dag for each stack (..., m, 2, 2) and each rho of ``states``.
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over the last two axes of broadcastable (..., 2, 2) stacks.
 
-    ``states`` is one (2, 2) matrix or a (4, 2, 2) stack of them.  The terms
-    are added in operator order, as a loop over the operators would add them.
+    Entry (i, k) is a[i, 0] b[0, k] + a[i, 1] b[1, k]: two multiplies and an
+    add over the whole stack, where ``np.matmul`` calls BLAS once per 2x2
+    matrix (about 0.45 us a product).  numpy's complex multiply rounds the
+    same way whatever the operands' shape or strides, so one matrix and a
+    stack of them give the same floats.
+    """
+    return a[..., :, 0, None] * b[..., None, 0, :] + a[..., :, 1, None] * b[..., None, 1, :]
+
+
+def _trace_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Tr(a b) over the last two axes: (a00 b00 + a01 b10) + (a10 b01 + a11 b11)."""
+    return (a[..., 0, 0] * b[..., 0, 0] + a[..., 0, 1] * b[..., 1, 0]) + (
+        a[..., 1, 0] * b[..., 0, 1] + a[..., 1, 1] * b[..., 1, 1]
+    )
+
+
+def _operator_sum(stacks: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """sum_i (E_i rho) E_i^dag for each stack (..., m, 2, 2) and each rho of ``states``.
+
+    ``states`` is one (2, 2) matrix or an (s, 2, 2) stack of them.  Both
+    products are entrywise (:func:`_product`), and the terms are added in
+    operator order, as a loop over the operators would add them.  Every
+    state and Born probability goes through here; only
+    :func:`_completeness_error` stays on ``np.matmul``.
     """
     extra = states.ndim - 2
     ops = stacks[(..., slice(None)) + (None,) * extra + (slice(None), slice(None))]
-    return (ops @ states @ ops.conj().swapaxes(-1, -2)).sum(axis=-3 - extra)
+    return _product(_product(ops, states), ops.conj().swapaxes(-1, -2)).sum(axis=-3 - extra)
 
 
 def _completeness_error(stacks: np.ndarray) -> np.ndarray:
-    """sum_i E_i^dag E_i - I for each (..., m, 2, 2) operator stack."""
+    """sum_i E_i^dag E_i - I for each (..., m, 2, 2) operator stack.
+
+    Left on ``np.matmul``, unlike :func:`_operator_sum`: its deviation is
+    printed (``validate-channel``'s ``completeness_deviation``, ``%.6e``)
+    and compared with the gate, and never enters a state or a probability,
+    so it keeps ``np.matmul``'s rounding and the printed digits stay put.
+    """
     return (stacks.conj().swapaxes(-1, -2) @ stacks).sum(axis=-3) - IDENTITY
 
 
@@ -326,16 +359,24 @@ def preparation_images(ch: KrausChannel) -> dict[ProtocolPureState, DensityMatri
 def measurement_prob(
     rho: DensityMatrix, basis: MeasurementBasis, m: MeasurementResult
 ) -> float:
-    """Born rule Pr(m | basis) = Tr((I + m*sigma) rho / 2)."""
-    sigma = _BASIS_MATRICES[basis]
-    p = float((0.5 * np.trace((IDENTITY + int(m) * sigma) @ rho.matrix)).real)
-    return min(max(p, 0.0), 1.0)
+    """Born rule Pr(m | basis) = Tr((I + m*sigma) rho / 2), clamped to [0, 1].
+
+    The same entrywise trace as every cell of :func:`born_table`.
+    """
+    operator = IDENTITY + int(m) * _BASIS_MATRICES[basis]
+    return float(_born_probabilities(operator, rho.matrix))
 
 
 def _born_probabilities(operators: np.ndarray, images: np.ndarray) -> np.ndarray:
-    """Half the trace of each Born operator times its image, clamped to [0, 1]."""
-    probs = (0.5 * np.trace(operators @ images, axis1=-2, axis2=-1)).real
-    # clamped as measurement_prob's min(max(p, 0.0), 1.0), which keeps -0.0 and NaN
+    """Half the real trace of each Born operator times its image, clamped to [0, 1].
+
+    The trace is entrywise (:func:`_trace_product`), so a Born cell of a
+    stack is the float :func:`measurement_prob` gives on its image alone;
+    the images come from :func:`_operator_sum`, and only
+    :func:`_completeness_error` stays on ``np.matmul``.
+    """
+    probs = 0.5 * _trace_product(operators, images).real
+    # clamped as min(max(p, 0.0), 1.0) clamps one float, which keeps -0.0 and NaN
     probs = np.where(probs < 0.0, 0.0, probs)
     return np.where(probs > 1.0, 1.0, probs)
 

@@ -11,7 +11,9 @@ record, not through the package's table of interned records.  A run's
 variate columns are drawn through numpy's own ``SeedSequence`` and
 ``Generator``, which the package's raw-word column source must match.  A
 channel's Born table is built one preparation state at a time, looping over
-the Kraus operators, as the package did before it stacked them.  The
+the Kraus operators, as the package did before it stacked them, and each
+2x2 product and Born trace entry by entry on one-element arrays, in the
+order in which the package's stacked products add the terms.  The
 mutual information of a stack of announcement distributions on the plane
 at each kept string length is walked one lattice step at a time, each step
 a freshly allocated lattice and each length read out on its own, as the
@@ -46,11 +48,13 @@ from sealsim.analysis import (
 )
 from sealsim.protocol import BitAnnouncement
 from sealsim.qubit import (
+    IDENTITY,
+    SIGMA_1,
+    SIGMA_3,
     DensityMatrix,
     MeasurementBasis,
     MeasurementResult,
     ProtocolPureState,
-    measurement_prob,
     state_density,
     validate_channel,
 )
@@ -257,21 +261,56 @@ def _draw(params, stream: int):
     return rng.integers(0, 4, n), rng.integers(0, 2, n), rng.random(n), rng.random(n)
 
 
+# Every product below is of one-element numpy arrays, never of Python or
+# numpy complex scalars: numpy's complex array multiply may fuse a multiply
+# and an add (FMA), so it rounds differently from scalar arithmetic, and
+# the package's whole-stack products are numpy array multiplies.
+
+
+def _entry(a, i, j):
+    return a[i, j : j + 1]
+
+
+def _product_by_entry(a, b):
+    """a @ b of two 2x2 arrays, entry (i, k) as a[i, 0] b[0, k] + a[i, 1] b[1, k]."""
+    out = np.zeros((2, 2), dtype=complex)
+    for i in range(2):
+        for k in range(2):
+            out[i, k] = (_entry(a, i, 0) * _entry(b, 0, k) + _entry(a, i, 1) * _entry(b, 1, k))[0]
+    return out
+
+
 def _map_state(ch, rho):
-    """The operator sum of one state, re-hermitized and trace-normalized."""
+    """The operator sum (E rho) E^dag of one state, re-hermitized and trace-normalized."""
     out = np.zeros((2, 2), dtype=complex)
     for op in ch.operators:
-        out += op @ rho.matrix @ op.conj().T
+        out += _product_by_entry(_product_by_entry(op, rho.matrix), op.conj().T)
     out = 0.5 * (out + out.conj().T)
     out /= out[0, 0].real + out[1, 1].real
     return DensityMatrix(out)
+
+
+def _born_prob_by_entry(rho, basis, m) -> float:
+    """Half the real part of Tr((I + m sigma) rho), clamped to [0, 1].
+
+    The trace adds the product's two diagonal entries, each formed as in
+    :func:`_product_by_entry`.
+    """
+    sigma = {MeasurementBasis.SIGMA1: SIGMA_1, MeasurementBasis.SIGMA3: SIGMA_3}[basis]
+    op, image = IDENTITY + int(m) * sigma, rho.matrix
+    diagonal = [
+        _entry(op, i, 0) * _entry(image, 0, i) + _entry(op, i, 1) * _entry(image, 1, i)
+        for i in range(2)
+    ]
+    p = float(0.5 * (diagonal[0] + diagonal[1]).real[0])
+    return min(max(p, 0.0), 1.0)
 
 
 def born_table_by_state(ch) -> np.ndarray:
     """Pr(result | basis) per preparation state, as a (4, 2, 2) array.
 
     Indexed by preparation, basis and result in enum order; each image is a
-    validated ``DensityMatrix`` and each entry a ``measurement_prob`` call.
+    validated ``DensityMatrix``, and each entry is computed from it alone.
     """
     report = validate_channel(ch)
     if not report.passes:
@@ -282,12 +321,30 @@ def born_table_by_state(ch) -> np.ndarray:
     return np.array(
         [
             [
-                [measurement_prob(images[s], b, m) for m in MeasurementResult]
+                [_born_prob_by_entry(images[s], b, m) for m in MeasurementResult]
                 for b in MeasurementBasis
             ]
             for s in ProtocolPureState
         ]
     )
+
+
+def born_table_by_matmul(ch) -> np.ndarray:
+    """The (4, 2, 2) Born table with every 2x2 product and the trace through ``np.matmul``/``np.trace``.
+
+    BLAS rounds these products differently from the package's entrywise
+    ones, so this bounds their rounding; it is not a bit-for-bit reference.
+    """
+    ops = ch.stack[:, None]
+    states = np.array([state_density(s).matrix for s in ProtocolPureState])
+    images = (ops @ states @ ops.conj().swapaxes(-1, -2)).sum(axis=0)
+    images = 0.5 * (images + images.conj().swapaxes(-1, -2))
+    images /= (images[..., 0, 0].real + images[..., 1, 1].real)[..., None, None]
+    operators = np.array(
+        [[IDENTITY + int(m) * sigma for m in MeasurementResult] for sigma in (SIGMA_1, SIGMA_3)]
+    )
+    probs = (0.5 * np.trace(operators @ images[:, None, None], axis1=-2, axis2=-1)).real
+    return np.clip(probs, 0.0, 1.0)
 
 
 def mismatch_by_state(ch) -> float:

@@ -509,19 +509,20 @@ def damping_grids(draw):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=300), unit, damping_grids())
 def test_grid_is_the_per_point_evaluation(n, pa, grid):
-    curve = seal_expected_mutual_information_grid(grid, n, pa)
-    assert len(curve) == len(grid)
-    for x, got in zip(grid, curve):
+    mi, terms, truncation = seal_expected_mutual_information_grid(grid, n, pa)
+    assert len(mi) == len(terms) == len(truncation) == len(grid)
+    for x, got in zip(grid, zip(mi.tolist(), terms.tolist(), truncation.tolist())):
         want = seal_expected_mutual_information(x, n, pa)
-        assert got.mi_bits.hex() == want.mi_bits.hex()
-        assert got.k_terms_used == want.k_terms_used
-        assert got.truncation_mass == want.truncation_mass
-    assert curve[0].mi_bits.hex() == (0.0).hex()  # x = 0 leaks exactly nothing
-    assert abs(curve[-1].mi_bits - (1.0 - (1.0 - pa / 2.0) ** n)) <= 1e-9
-    for x, got in zip(grid, seal_mismatch_probability_grid(grid)):
+        assert got[0].hex() == want.mi_bits.hex()
+        assert got[1] == want.k_terms_used
+        assert got[2] == want.truncation_mass
+    assert mi[0].hex() == (0.0).hex()  # x = 0 leaks exactly nothing
+    assert abs(mi[-1] - (1.0 - (1.0 - pa / 2.0) ** n)) <= 1e-9
+    per_shot, conditional = seal_mismatch_probability_grid(grid)
+    for x, got in zip(grid, zip(per_shot.tolist(), conditional.tolist())):
         want = mismatch_probability(seal_channel(x))
-        assert got.per_shot.hex() == want.per_shot.hex()
-        assert got.matched_basis_conditional.hex() == want.matched_basis_conditional.hex()
+        assert got[0].hex() == want.per_shot.hex()
+        assert got[1].hex() == want.matched_basis_conditional.hex()
 
 
 # Strengths where the stacked mismatch column could part from the
@@ -541,19 +542,18 @@ def mismatch_grids(draw):
 @given(mismatch_grids())
 @example(EDGE_STRENGTHS + [1e-30, 1e-16, 1.0 - 1e-16, 0.5, 0.5, 0.0])
 def test_mismatch_grid_is_the_per_point_evaluation(grid):
-    got = seal_mismatch_probability_grid(grid)
-    assert len(got) == len(grid)
-    for x, point in zip(grid, got):
+    per_shot, conditional = seal_mismatch_probability_grid(grid)
+    assert len(per_shot) == len(conditional) == len(grid)
+    for x, got in zip(grid, zip(per_shot.tolist(), conditional.tolist())):
         want = mismatch_probability(seal_channel(x))
-        assert point.per_shot.hex() == want.per_shot.hex()
-        assert point.matched_basis_conditional.hex() == want.matched_basis_conditional.hex()
+        assert got[0].hex() == want.per_shot.hex()
+        assert got[1].hex() == want.matched_basis_conditional.hex()
 
 
 @pytest.mark.parametrize("x", [-0.1, 1.5, math.nan])
 def test_mismatch_grid_rejects_a_strength_outside_0_1(x):
     with pytest.raises(ValueError, match="damping strength"):
         seal_mismatch_probability_grid([0.0, 0.5, x])
-    assert seal_mismatch_probability_grid([]) == []
 
 
 @pytest.mark.parametrize("block_cells", [1, 100])
@@ -562,8 +562,13 @@ def test_grid_blocks_do_not_change_the_numbers(monkeypatch, block_cells):
     want = [seal_expected_mutual_information(x, 60, 0.5) for x in grid]
     mismatch = [mismatch_probability(seal_channel(x)) for x in grid]
     monkeypatch.setattr(analysis, "_BLOCK_CELLS", block_cells)
-    assert seal_expected_mutual_information_grid(grid, 60, 0.5) == want
-    assert seal_mismatch_probability_grid(grid) == mismatch
+    mi, terms, truncation = seal_expected_mutual_information_grid(grid, 60, 0.5)
+    assert mi.tolist() == [point.mi_bits for point in want]
+    assert terms.tolist() == [point.k_terms_used for point in want]
+    assert truncation.tolist() == [point.truncation_mass for point in want]
+    per_shot, conditional = seal_mismatch_probability_grid(grid)
+    assert per_shot.tolist() == [point.per_shot for point in mismatch]
+    assert conditional.tolist() == [point.matched_basis_conditional for point in mismatch]
 
 
 def test_no_moving_axis_leaks_exactly_nothing():
@@ -597,7 +602,8 @@ def test_no_moving_axis_keeps_no_term_and_truncates_nothing(monkeypatch):
         want = MIResult(0.0, 0, 0.0)
         assert expected_mutual_information(dist, N_DEFAULT, pa) == want
         assert seal_expected_mutual_information(0.0, 500, pa) == want
-        assert seal_expected_mutual_information_grid([0.0, 0.0], N_DEFAULT, pa) == [want] * 2
+        mi, terms, truncation = seal_expected_mutual_information_grid([0.0, 0.0], N_DEFAULT, pa)
+        assert [MIResult(*row) for row in zip(mi, terms, truncation)] == [want] * 2
     with pytest.raises(ValueError, match="tail tolerance"):
         expected_mutual_information(dist, N_DEFAULT, 0.5, tail_tol=1e-3)
 
@@ -723,8 +729,10 @@ def assert_stepwise(block_cells, rows, n_shots, pa):
                 for row in group:
                     assert_plane_is_its_tables(row, lengths, pmf[lengths])
             else:
-                got = analysis._expected_mi_rows(group, n_shots, pa, 1e-12)
-                assert got == [MIResult(0.0, 0, 0.0)] * len(group)
+                mi, terms, truncation = analysis._expected_mi_rows(group, n_shots, pa, 1e-12)
+                assert mi.tobytes() == np.zeros(len(group)).tobytes()
+                assert terms.tolist() == [0] * len(group)
+                assert truncation.tobytes() == np.zeros(len(group)).tobytes()
 
 
 @pytest.mark.parametrize("block_cells", [None, 1, 100])
@@ -950,7 +958,8 @@ def test_full_damping_is_exact_and_warns_nothing(pa):
             point = seal_expected_mutual_information(1.0, n, pa)
             assert abs(point.mi_bits - anchor) <= 1e-9
             assert point.truncation_mass <= 1e-12
-            assert seal_expected_mutual_information_grid([0.5, 1.0], n, pa)[1] == point
+            mi, terms, truncation = seal_expected_mutual_information_grid([0.5, 1.0], n, pa)
+            assert MIResult(mi[1], terms[1], truncation[1]) == point
         # a string of 7 announcements hides the message only if none is in sigma3
         assert seal_mutual_information_k(1.0, 0) == 0.0
         assert seal_mutual_information_k(1.0, 7) == 1.0 - 0.5**7
@@ -975,18 +984,51 @@ def test_grid_rejects_a_strength_outside_0_1():
         seal_expected_mutual_information_grid([0.0, 1.5], N_DEFAULT, PA_DEFAULT)
     with pytest.raises(ValueError, match="announcement probability"):
         seal_expected_mutual_information_grid([0.0, 0.5], N_DEFAULT, 1.5)
-    assert seal_expected_mutual_information_grid([], N_DEFAULT, PA_DEFAULT) == []
+
+
+def test_an_empty_grid_gives_empty_columns():
+    mi, terms, truncation = seal_expected_mutual_information_grid([], N_DEFAULT, PA_DEFAULT)
+    assert (mi.shape, terms.shape, truncation.shape) == ((0,), (0,), (0,))
+    assert mi.dtype == truncation.dtype == np.float64
+    assert np.issubdtype(terms.dtype, np.integer)
+    per_shot, conditional = seal_mismatch_probability_grid([])
+    assert (per_shot.shape, conditional.shape) == ((0,), (0,))
+    assert per_shot.dtype == conditional.dtype == np.float64
+
+
+@pytest.mark.parametrize("bad", [1.0 + 2e-12, -2e-12, math.nan])
+def test_a_grid_value_outside_0_1_still_raises(monkeypatch, bad):
+    """The column gets MIResult's check: a value more than 1e-12 outside
+    [0, 1], or NaN, raises, and one within 1e-12 is clamped."""
+    line = analysis._line_expectation
+
+    def off_by(value):
+        def patched(*args):
+            mi, terms, truncation = line(*args)
+            mi[-1] = value
+            return mi, terms, truncation
+
+        return patched
+
+    monkeypatch.setattr(analysis, "_line_expectation", off_by(bad))
+    with pytest.raises(ValueError, match=r"mutual information out of \[0, 1\]: "):
+        seal_expected_mutual_information_grid([0.0, 0.25, 0.5], N_DEFAULT, PA_DEFAULT)
+    with pytest.raises(ValueError, match=r"mutual information out of \[0, 1\]: "):
+        seal_expected_mutual_information(0.25, N_DEFAULT, PA_DEFAULT)
+    monkeypatch.setattr(analysis, "_line_expectation", off_by(1.0 + 1e-12))
+    assert seal_expected_mutual_information_grid([0.25, 0.5], N_DEFAULT, PA_DEFAULT)[0][-1] == 1.0
+    assert seal_expected_mutual_information(0.5, N_DEFAULT, PA_DEFAULT).mi_bits == 1.0
 
 
 def _grid_peak_bytes(points: int) -> int:
     grid = [i / (points - 1) for i in range(points)]
     tracemalloc.start()
     try:
-        curve = seal_expected_mutual_information_grid(grid, N_DEFAULT, PA_DEFAULT)
+        mi, _, _ = seal_expected_mutual_information_grid(grid, N_DEFAULT, PA_DEFAULT)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(curve) == points
+    assert len(mi) == points
     return peak
 
 
@@ -1001,11 +1043,11 @@ def _mismatch_grid_peak_bytes(points: int) -> int:
     grid = [i / (points - 1) for i in range(points)]
     tracemalloc.start()
     try:
-        column = seal_mismatch_probability_grid(grid)
+        per_shot, _ = seal_mismatch_probability_grid(grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(column) == points
+    assert len(per_shot) == points
     return peak
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import random_kraus_channel, rotated_channel
 from oracles import (
     _draw,
+    born_table_by_matmul,
     born_table_by_state,
     mismatch_by_state,
     tally_by_loop,
@@ -236,6 +237,29 @@ def test_born_table_is_the_per_state_path(channel):
     stacked = np.stack([channel.stack, channel.stack[::-1]])
     assert qubit.born_cells(stacked, BORN_CELLS)[0].tobytes() == want.tobytes()
     assert abs(mismatch_probability(channel).per_shot - mismatch_by_state(channel)) <= 1e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(channels())
+def test_born_table_is_measurement_prob_on_each_image(channel):
+    """born_table's promise: each cell is, bit for bit, the float that
+    measurement_prob gives on the matching preparation image alone."""
+    table = qubit.born_table(channel)
+    images = qubit.preparation_images(channel)
+    for s, b, m in BORN_CELLS:
+        state = list(ProtocolPureState)[s]
+        basis, result = list(MeasurementBasis)[b], list(MeasurementResult)[m]
+        want = qubit.measurement_prob(images[state], basis, result)
+        assert table[s, b, m].tobytes() == np.float64(want).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 4))
+def test_entrywise_born_cells_are_within_rounding_of_matmul(seed, operators):
+    """The entrywise products round differently from np.matmul's, by at
+    most 1e-15 in any Born cell."""
+    channel = random_kraus_channel(np.random.default_rng(seed), operators)
+    assert np.abs(qubit.born_table(channel) - born_table_by_matmul(channel)).max() <= 1e-15
 
 
 def test_born_cells_of_stacked_channels_are_each_channels_table():
