@@ -54,6 +54,11 @@ same evaluator :func:`mismatch_probability` runs on a single channel.
 Both grid functions return their columns as arrays, with no
 :class:`MIResult` or :class:`MismatchProbability` per point.
 
+Every binomial cell (the length weights, a line's cells given its count,
+the plane's tables) is :func:`_binomial_cells`, normalised by its caller,
+and every log2(1 + 2^x) (a line's table of log2(1 + rho^s), the plane's
+h) is :func:`_log2_one_plus_exp2`.
+
 All logarithms are base 2, so information is in bits and the one-bit
 message bounds every result by 1.  0 * log 0 is 0 throughout.
 """
@@ -138,9 +143,7 @@ class AnnouncementDistribution:
 class MIResult:
     """Expected mutual information plus truncation diagnostics.
 
-    ``mi_bits`` more than ``_MI_TOL`` outside [0, 1] (or NaN) raises, and
-    the rest is clamped to [0, 1]; :func:`_checked_bits` applies the same
-    rule to a whole column.
+    ``mi_bits`` gets :func:`_checked_bits`' range check and clamp.
     """
 
     mi_bits: float
@@ -148,23 +151,21 @@ class MIResult:
     truncation_mass: float
 
     def __post_init__(self):
-        if not -_MI_TOL <= self.mi_bits <= 1.0 + _MI_TOL:
-            raise ValueError(f"mutual information out of [0, 1]: {self.mi_bits}")
-        object.__setattr__(self, "mi_bits", min(max(self.mi_bits, 0.0), 1.0))
+        object.__setattr__(self, "mi_bits", float(_checked_bits(self.mi_bits)))
 
 
-def _checked_bits(mi: np.ndarray) -> np.ndarray:
-    """A column of mutual information under :class:`MIResult`'s rule, without an object per value.
+def _checked_bits(mi) -> np.ndarray:
+    """Mutual information, a value or a whole column, checked and clamped to [0, 1].
 
-    Raises :class:`MIResult`'s error for the first value more than
-    ``_MI_TOL`` outside [0, 1] (or NaN), and clamps each of the others as
+    Raises ValueError for the first value more than ``_MI_TOL`` outside
+    [0, 1] (or NaN), and clamps each of the others as
     ``min(max(mi, 0.0), 1.0)`` does, which keeps -0.0.
     """
-    outside = ~((mi >= -_MI_TOL) & (mi <= 1.0 + _MI_TOL))
-    if outside.any():
-        raise ValueError(f"mutual information out of [0, 1]: {float(mi[outside][0])}")
-    mi = np.where(mi < 0.0, 0.0, mi)
-    return np.where(mi > 1.0, 1.0, mi)
+    mi = np.asarray(mi, dtype=float)
+    inside = (mi >= -_MI_TOL) & (mi <= 1.0 + _MI_TOL)
+    if not inside.all():
+        raise ValueError(f"mutual information out of [0, 1]: {float(mi[~inside][0])}")
+    return np.where(mi < 0.0, 0.0, np.where(mi > 1.0, 1.0, mi))
 
 
 @dataclass(frozen=True)
@@ -248,32 +249,42 @@ def _log_weight(value: float) -> float:
     return math.log(value) if value > 0.0 else _LOG_ZERO
 
 
+def _binomial_cells(n, log_a, log_c, log_factorials: np.ndarray) -> np.ndarray:
+    """The binomial cells C(n, i) a^i c^(n-i) at i = 0..top, unnormalised, for counts ``n``.
+
+    ``log_factorials`` holds log i! for i = 0..top, and ``n`` (at most top),
+    ``log_a`` and ``log_c`` broadcast against the cell axis, which is last.
+    A cell is exp((log n! - log i!) - log (n - i)! + i log a + (n - i) log c),
+    summed in that order: an exact 0 past n, where log (n - i)! reads +inf,
+    and wherever it would fall below the smallest normal double (where
+    ``np.exp`` is slow).  A share of zero weight has the log ``_LOG_ZERO``,
+    so every cell that shows it is an exact 0, and a cell of the other
+    symbol alone (exponent 0 on the zero share) is exactly 1 when that
+    share's log is 0.
+    """
+    top = len(log_factorials) - 1
+    i = np.arange(top + 1)
+    rest = n - i
+    # log (n - i)! at index n - i, which wraps to a +inf past the end where i > n
+    remainders = np.concatenate((log_factorials, np.full(top, np.inf)))
+    # one expression, so numpy adds into its temporaries where the shapes allow
+    cells = log_factorials[n] - log_factorials - remainders[rest] + i * log_a
+    cells += rest * log_c
+    normal = cells >= _LOG_TINY
+    np.exp(cells, out=cells, where=normal)
+    np.copyto(cells, 0.0, where=~normal)
+    return cells
+
+
 def _binomial_rows(
     low: int, high: int, log_factorials: np.ndarray, log_a: float, log_c: float
 ) -> np.ndarray:
     """Bin(i; n, a) at cells i = 0..top of each count n = low..high-1, each row scaled to sum to 1.
 
-    ``log_factorials`` holds log i! for i = 0..top.  A cell is
-    exp((log n! + n log c) + (i (log a - log c) - log i!) - log (n - i)!),
-    an exact 0 past n and wherever it would fall below the smallest normal
-    double (where ``np.exp`` is slow), and each row is divided by its own
-    ``np.add.reduce``, so the rounding of a + c and of log n! cancels.  A
-    symbol of zero weight has the log ``_LOG_ZERO``, and the other share is
-    then exactly 1, of log 0: a log-factorial is below half a unit in the
-    last place of any multiple of ``_LOG_ZERO``, so every cell that shows
-    the symbol is an exact 0 and a row of the other symbol alone is
-    exactly 1.
+    The cells are :func:`_binomial_cells`, and each row is divided by its
+    own ``np.add.reduce``, so the rounding of a + c and of log n! cancels.
     """
-    top = len(log_factorials) - 1
-    n = np.arange(low, high)[:, None]
-    i = np.arange(top + 1)
-    # log (n - i)! at index n - i + top: +inf where i > n, so that cell is empty
-    remainders = np.concatenate((np.full(top, np.inf), log_factorials))
-    cells = (log_factorials[n] + n * log_c) + (i * (log_a - log_c) - log_factorials)
-    cells -= remainders[n - i + top]
-    normal = cells >= _LOG_TINY
-    np.exp(cells, out=cells, where=normal)
-    np.copyto(cells, 0.0, where=~normal)
+    cells = _binomial_cells(np.arange(low, high)[:, None], log_a, log_c, log_factorials)
     cells /= np.add.reduce(cells, axis=1)[:, None]
     return cells
 
@@ -342,11 +353,11 @@ def _log_ratios(probs: np.ndarray, first: int, top: int) -> np.ndarray:
     return np.arange(-top, top + 1.0) * ratio
 
 
-def _block_information(q: np.ndarray, x: np.ndarray, g: np.ndarray) -> float:
-    """sum of q log2(1 + 2^x) over a block's cells; ``x`` and the buffer ``g`` are overwritten.
+def _log2_one_plus_exp2(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """log2(1 + 2^x) in place of ``x``, which it returns; ``g`` is a buffer of x's shape.
 
-    log2(1 + 2^x) is max(x, 0) + log2(1 + 2^-|x|), which never overflows,
-    with |x| capped at ``_CAPPED_BITS``.  It is about 0 where x is about
+    It is max(x, 0) + log2(1 + 2^-|x|), which never overflows, with |x|
+    capped at ``_CAPPED_BITS``.  It is about 0 where x is about
     ``_LOG_ZERO`` and exactly 1 where x = 0.
     """
     np.abs(x, out=g)
@@ -357,8 +368,7 @@ def _block_information(q: np.ndarray, x: np.ndarray, g: np.ndarray) -> float:
     g /= _LN2
     np.maximum(x, 0.0, out=x)
     x += g
-    x *= q
-    return float(np.add.reduce(x, axis=None))
+    return x
 
 
 def _check_plane(top: int) -> None:
@@ -402,7 +412,7 @@ def _plane_expectation(probs: np.ndarray, lengths: list[int], weights: np.ndarra
     the blocks of :func:`_plane_blocks`: a block whose smallest |s1| is u
     takes only the counts m >= u and the votes |s3| <= top - u, since
     A[m, s1] = 0 for m < |s1| and R[m, s3] = 0 for |s3| > top - m.  Each
-    block's <Q, h> (:func:`_block_information`) is one ``np.add.reduce``,
+    block's <Q, h> (h by :func:`_log2_one_plus_exp2`) is one ``np.add.reduce``,
     and the blocks are added in order.
 
     Every table and block buffer of the call is a view of one buffer.  The
@@ -433,7 +443,8 @@ def _plane_expectation(probs: np.ndarray, lengths: list[int], weights: np.ndarra
         q, x, g = (v[: shape[0] * shape[1]].reshape(shape) for v in buffers)
         np.matmul(a[u:, low:high].T, r[u:, u : width - u], out=q)
         np.add(x1[low:high, None], x3[u : width - u], out=x)
-        total += _block_information(q, x, g)
+        q *= _log2_one_plus_exp2(x, g)
+        total += float(np.add.reduce(q, axis=None))
     return float(np.add.reduce(weights)) - total
 
 
@@ -458,13 +469,12 @@ def _line_information(
     the moving basis, i of them the symbol of probability a given b = 0
     (a >= c, a + c = 1 up to rounding).  Flipping the message negates s, so
     J(j) = 1 - H(j) with H(j) = sum_i Bin(i; j, a) log2(1 + rho^(2i - j)) and
-    rho = c / a.  The binomial cells are exp((log j! - log i!) - log (j - i)!
-    + i ln a + (j - i) ln c), and H is their weighted sum over their own
-    sum, so the rounding of a + c and of log j! cancels.
-    log2(1 + rho^s) is np.logaddexp2(0, s log2 rho), which never overflows,
-    tabled once per row.  c = 0 is exact: one announcement of the moving
-    basis reveals the message, so J(j) = 1 for every j >= 1 (and J(0) = 0
-    in every row).
+    rho = c / a.  The binomial cells are :func:`_binomial_cells`, and H is
+    their weighted sum over their own sum, so the rounding of a + c and of
+    log j! cancels.  log2(1 + rho^s) is :func:`_log2_one_plus_exp2` at
+    s log2 rho, tabled once per row.  c = 0 is exact and never forms a
+    cell: one announcement of the moving basis reveals the message, so
+    J(j) = 1 for every j >= 1 (and J(0) = 0 in every row).
 
     Every count has the cells i = 0..max(js), those past j empty (an exact
     0), and each of its two sums is one ``np.add.reduce`` over them, so the
@@ -486,20 +496,15 @@ def _line_information(
     top = int(js[-1])
     i = np.arange(top + 1)
     log_factorials = _log_factorials(top)
-    # log (j - i)! at index j - i + top: +inf where i > j, so that cell is empty
-    log_remainders = np.concatenate((np.full(top, np.inf), log_factorials))
     log_a, log_c = np.log(a[live]), np.log(c[live])
     # log2(1 + rho^s) at index s + top, for every s = 2i - j of a cell
-    table = np.logaddexp2(0.0, np.arange(-top, 2 * top + 1.0) * np.log2(c[live] / a[live])[:, None])
+    table = np.arange(-top, 2 * top + 1.0) * np.log2(c[live] / a[live])[:, None]
+    _log2_one_plus_exp2(table, np.empty_like(table))
     first = 0
     while live.size and first < count:
         last = first + max(1, _BLOCK_CELLS // (live.size * (top + 1)))
         j = js[first:last, None]
-        k = j - i
-        p = log_factorials[j] - log_factorials[i] - log_remainders[k + top]
-        p = p + i * log_a[:, None, None]
-        p += k * log_c[:, None, None]
-        np.exp(p, out=p)
+        p = _binomial_cells(j, log_a[:, None, None], log_c[:, None, None], log_factorials)
         total = np.add.reduce(p, axis=-1)
         p *= np.take(table, 2 * i + (top - j), axis=1)
         block = 1.0 - np.add.reduce(p, axis=-1) / total
@@ -589,19 +594,9 @@ def mutual_information_k(dist: AnnouncementDistribution, k: int) -> float:
 
 
 def _binomial_pmf(n: int, p: float) -> np.ndarray:
-    """Binomial weights for k = 0..n via log factorials, normalised to sum to 1."""
-    if p == 0.0:
-        out = np.zeros(n + 1)
-        out[0] = 1.0
-        return out
-    if p == 1.0:
-        out = np.zeros(n + 1)
-        out[n] = 1.0
-        return out
-    k = np.arange(n + 1.0)
-    lf = _log_factorials(n)
-    log_pmf = lf[n] - lf[: n + 1] - lf[::-1] + k * math.log(p) + (n - k) * math.log1p(-p)
-    pmf = np.exp(log_pmf)
+    """Binomial weights for k = 0..n (:func:`_binomial_cells`), normalised to sum to 1."""
+    log_q = math.log1p(-p) if p < 1.0 else _LOG_ZERO
+    pmf = _binomial_cells(n, _log_weight(p), log_q, _log_factorials(n))
     return pmf / math.fsum(pmf.tolist())
 
 

@@ -442,17 +442,23 @@ def mi_by_length_stepwise(probs: np.ndarray, lengths: list[int]) -> np.ndarray:
 def _binomial_row(n: int, top: int, log_a: float, log_c: float) -> np.ndarray:
     """Bin(i; n, a) at cells i = 0..top by the package's cell formula, scaled to sum to 1.
 
-    Cells past n, or below the smallest normal double, are 0.
+    A cell is exp((log n! - log i!) - log (n - i)! + i log a + (n - i) log c),
+    summed in that order one cell at a time; cells past n, or below the
+    smallest normal double, are 0.
     """
     log_factorials = _log_factorials(top)
-    i = np.arange(top + 1)
-    row = (log_factorials[n] + n * log_c) + (i * (log_a - log_c) - log_factorials)
     cells = np.zeros(top + 1)
-    for cell in range(n + 1):
-        value = row[cell] - log_factorials[n - cell]
+    for i in range(n + 1):
+        value = log_factorials[n] - log_factorials[i] - log_factorials[n - i] + i * log_a
+        value += (n - i) * log_c
         if value >= _LOG_TINY:
-            cells[cell] = np.exp(value)
+            cells[i] = np.exp(value)
     return cells / np.add.reduce(cells)
+
+
+def _log2_one_plus_exp2(x):
+    """log2(1 + 2^x) as max(x, 0) + log2(1 + 2^-min(|x|, ``_CAPPED_BITS``)), in one expression."""
+    return np.maximum(x, 0.0) + np.log1p(np.exp2(-np.minimum(np.abs(x), _CAPPED_BITS))) / _LN2
 
 
 def plane_tables_by_row(row, lengths, weights):
@@ -492,8 +498,8 @@ def plane_expectation_by_tables(row, lengths, weights) -> float:
 
     R = W B, then for each block (low, high, u) of ``analysis._plane_blocks``
     Q = A[u:, low:high]^T R[u:, u:2 top + 1 - u], each by one ``np.matmul``,
-    and the block adds sum Q h, with h = max(x, 0) + log2(1 + 2^-min(|x|,
-    ``_CAPPED_BITS``)) at x = x1 + x3, in one ``np.add.reduce``; the blocks
+    and the block adds sum Q h, with h = :func:`_log2_one_plus_exp2` at
+    x = x1 + x3, in one ``np.add.reduce``; the blocks
     are added in order and the total is taken from the sum of the weights.
     """
     w, a, b, x1, x3 = plane_tables_by_row(row, lengths, weights)
@@ -504,8 +510,7 @@ def plane_expectation_by_tables(row, lengths, weights) -> float:
     for low, high, u in _plane_blocks(top):
         q = np.matmul(a[u:, low:high].T, r[u:, u : width - u])
         x = x1[low:high, None] + x3[u : width - u]
-        h = np.maximum(x, 0.0) + np.log1p(np.exp2(-np.minimum(np.abs(x), _CAPPED_BITS))) / _LN2
-        total += float(np.add.reduce(h * q, axis=None))
+        total += float(np.add.reduce(_log2_one_plus_exp2(x) * q, axis=None))
     return float(np.add.reduce(np.asarray(weights))) - total
 
 
@@ -524,8 +529,9 @@ def line_expected_mi_stepwise(probs, n_shots: int, p_announce: float, tail_tol):
     announcements is Bin(n_shots, p_announce m); the kept counts are those
     ``_kept_lengths`` keeps (every count when ``tail_tol`` is None).  At each
     kept count in turn, J(j) = 1 - H(j): H(j) is the sum of the binomial
-    cells exp((log j! - log i!) - log (j - i)! + i ln a + (j - i) ln c) times
-    log2(1 + (c/a)^(2i - j)), over the same cells' sum, each sum one
+    cells exp((log j! - log i!) - log (j - i)! + i ln a + (j - i) ln c), 0
+    below the smallest normal double, times :func:`_log2_one_plus_exp2` at
+    (2i - j) log2(c/a), over the same cells' sum, each sum one
     ``np.add.reduce`` over i = 0..max kept count, with exact zeros past j;
     J(j) = [j > 0] when c = 0.  The first count whose J comes within
     ``tail_tol`` of 1 is the last one evaluated: every later count uses 1,
@@ -551,10 +557,11 @@ def line_expected_mi_stepwise(probs, n_shots: int, p_announce: float, tail_tol):
                 continue
             i = np.arange(j + 1)
             log_p = log_factorials[j] - log_factorials[i] - log_factorials[j - i] + i * np.log(a)
+            log_p += (j - i) * np.log(c)
             p = np.zeros(width)
-            p[: j + 1] = np.exp(log_p + (j - i) * np.log(c))
+            p[: j + 1] = np.where(log_p >= _LOG_TINY, np.exp(log_p), 0.0)
             terms = np.zeros(width)
-            terms[: j + 1] = p[: j + 1] * np.logaddexp2(0.0, (2 * i - j) * np.log2(c / a))
+            terms[: j + 1] = p[: j + 1] * _log2_one_plus_exp2((2 * i - j) * np.log2(c / a))
             info.append(1.0 - np.add.reduce(terms) / np.add.reduce(p))
             if info[-1] >= 1.0 - stop:
                 past = 0.0

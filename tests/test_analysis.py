@@ -198,6 +198,52 @@ def test_binomial_weights_match_scipy():
         assert np.abs(ours - reference).max() <= 1e-13
 
 
+def assert_cells_near_the_mode_match_scipy(cells, n: int, p: float):
+    """Cells i within 8 sigma of the mode of Bin(n, p) match ``binom.pmf`` to a relative
+    bound that grows with n: 5e-13 up to n = 119, 5e-11 up to 2000 and 2e-10 up to 1e4.
+
+    Each log-binomial is a difference of numbers near n log n, so its
+    rounding error grows with n.
+    """
+    bound = next(b for most, b in ((119, 5e-13), (2000, 5e-11), (10_000, 2e-10)) if n <= most)
+    spread = 8.0 * math.sqrt(n * p * (1.0 - p))
+    i = np.arange(max(0, math.ceil(n * p - spread)), min(n, math.floor(n * p + spread)) + 1)
+    assert np.abs(cells[i] / binom.pmf(i, n, p) - 1.0).max() <= bound
+
+
+@pytest.mark.parametrize("n", [119, 2000, 10_000])
+@pytest.mark.parametrize("p", [0.025, 0.05, 0.3, 0.5])
+def test_length_weights_near_the_mode_match_scipy(n, p):
+    assert_cells_near_the_mode_match_scipy(analysis._binomial_pmf(n, p), n, p)
+
+
+@pytest.mark.parametrize("a", [0.3, 0.5, 0.9])
+def test_plane_table_rows_near_the_mode_match_scipy(a):
+    """Rows of the plane's tables at the longest length the plane admits, 1447."""
+    log_factorials = analysis._log_factorials(analysis._PLANE_TOP)
+    for low in (0, 100, 700, analysis._PLANE_TOP - 7):
+        rows = analysis._binomial_rows(low, low + 8, log_factorials, math.log(a), math.log1p(-a))
+        for n, row in enumerate(rows, start=low):
+            assert_cells_near_the_mode_match_scipy(row, n, a)
+
+
+def test_a_line_block_near_the_mode_matches_scipy():
+    """The last (rows, counts, cells) block of a line at N = 2000, pa = 0.5, each
+    count's cells over their own sum as the line takes them."""
+    js = np.array(analysis._kept_lengths(2000, 0.25, 1e-12)[1])[-20:]
+    a = np.array([0.75, 0.5005, 0.99])
+    cells = analysis._binomial_cells(
+        js[:, None],
+        np.log(a)[:, None, None],
+        np.log1p(-a)[:, None, None],
+        analysis._log_factorials(int(js[-1])),
+    )
+    cells /= np.add.reduce(cells, axis=-1)[..., None]
+    for row, share in enumerate(a.tolist()):
+        for column, j in enumerate(js.tolist()):
+            assert_cells_near_the_mode_match_scipy(cells[row, column], j, share)
+
+
 @pytest.mark.parametrize("n, p", [(2000, 0.5), (3000, 0.5)])
 def test_binomial_weights_are_normalised_at_large_n(n, p):
     from sealsim.analysis import _binomial_pmf

@@ -190,7 +190,7 @@ PINNED_SWEEPS = [
     ),
     pytest.param(
         ["--grid-step", "1e-4"],
-        "99ee8953dd83e63c1f9c5b6f08a6ccd3b54fafab49c03558210eaaeb8c144aef",
+        "90c6ef913d41843ce515d8da69b5cad10856e7261d4b7e97307965ac898f9e78",
         id="step1e-4",
     ),
 ]
@@ -276,6 +276,26 @@ def test_simulate_report_agrees_with_analytic_columns(argv, capsys):
             assert empirical == analytic
         else:
             assert abs(empirical - analytic) <= 5 * err, name
+
+
+@pytest.mark.parametrize(
+    "pa, undefined",
+    [
+        ("0", {"decode_correct|success", *(f"freq(sigma{b},c={c})" for b in (1, 3) for c in (0, 1))}),
+        ("1", {"mismatch_conditional"}),
+    ],
+    ids=["pa0", "pa1"],
+)
+def test_simulate_prints_nan_for_rows_with_no_events(pa, undefined, capsys):
+    """At --pa 0 no shot announces a bit, so the decode and announcement-frequency
+    rows have no events; at --pa 1 no shot announces a result, so the mismatch
+    row has none.  Those rows print nan with exit 0, and only those."""
+    argv = ["simulate", "--channel", "seal", "--x", "0.5", "--pa", pa, "--trials", "50"]
+    assert main(argv) == 0
+    table = _report_table(capsys.readouterr().out)
+    assert len(table) == 7
+    assert {name for name, (empirical, _, _) in table.items() if math.isnan(empirical)} == undefined
+    assert all(math.isnan(table[name][1]) for name in undefined)
 
 
 def test_simulate_requires_channel_parameter():
