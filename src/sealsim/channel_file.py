@@ -25,6 +25,7 @@ _CONTROL = re.compile(r"[\x00-\x1f\x7f]")
 # A JSON escape such as "\ud800" with no partner decodes to a lone surrogate,
 # which no output stream can encode.
 _SURROGATE = re.compile("[\ud800-\udfff]")
+_NUMBER = (int, float)
 
 
 class ChannelFormatError(ValueError):
@@ -38,19 +39,24 @@ class ChannelFormatError(ValueError):
         self.column = column
 
 
-def _entry(value, where: str) -> complex:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in value)
-    ):
-        # reprlib cuts a long or deeply nested value down to a few dozen characters
-        got = reprlib.repr(value)
-        raise ChannelFormatError(f"{where}: expected an [re, im] number pair, got {got}")
-    try:
-        return complex(value[0], value[1])
-    except OverflowError as exc:
-        raise ChannelFormatError(f"{where}: number out of range") from exc
+def _entry(value, n: int, i: int, j: int) -> complex:
+    """Cell (i, j) of operator n as a complex number."""
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        re_part, im_part = value
+        # bool is a subclass of int, but true and false are not numbers here
+        if (
+            isinstance(re_part, _NUMBER)
+            and isinstance(im_part, _NUMBER)
+            and not (isinstance(re_part, bool) or isinstance(im_part, bool))
+        ):
+            try:
+                return complex(re_part, im_part)
+            except OverflowError as exc:
+                raise ChannelFormatError(f"operators[{n}][{i}][{j}]: number out of range") from exc
+    # reprlib cuts a long or deeply nested value down to a few dozen characters
+    raise ChannelFormatError(
+        f"operators[{n}][{i}][{j}]: expected an [re, im] number pair, got {reprlib.repr(value)}"
+    )
 
 
 def parse_channel(text: str) -> KrausChannel:
@@ -82,21 +88,19 @@ def parse_channel(text: str) -> KrausChannel:
     if not isinstance(raw_ops, list) or not raw_ops:
         raise ChannelFormatError('"operators" must be a non-empty array')
 
-    ops = []
+    # every entry in row-major order, made into one (m, 2, 2) array at the end
+    entries = []
     for n, raw in enumerate(raw_ops):
-        where = f"operators[{n}]"
         if not isinstance(raw, list) or len(raw) != 2:
-            raise ChannelFormatError(f"{where}: expected 2 rows")
-        mat = np.empty((2, 2), dtype=complex)
+            raise ChannelFormatError(f"operators[{n}]: expected 2 rows")
         for i, row in enumerate(raw):
             if not isinstance(row, list) or len(row) != 2:
-                raise ChannelFormatError(f"{where}: row {i} must have 2 entries")
-            for j, cell in enumerate(row):
-                mat[i, j] = _entry(cell, f"{where}[{i}][{j}]")
-        ops.append(mat)
+                raise ChannelFormatError(f"operators[{n}]: row {i} must have 2 entries")
+            entries += (_entry(row[0], n, i, 0), _entry(row[1], n, i, 1))
+    stack = np.array(entries, dtype=complex).reshape(-1, 2, 2)
 
     try:
-        return KrausChannel(tuple(ops), label=label)
+        return KrausChannel(tuple(stack), label=label)
     except ValueError as exc:
         raise ChannelFormatError(str(exc)) from exc
 

@@ -17,11 +17,11 @@ import functools
 import os
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from sealsim import analysis, protocol
-from sealsim.channel_file import ChannelFormatError, load_channel
+from sealsim import analysis
 from sealsim.qubit import (
     KrausChannel,
     dephasing_channel,
@@ -32,6 +32,12 @@ from sealsim.qubit import (
 )
 from sealsim.textfile import write_atomic
 
+# protocol.py and channel_file.py are imported where a command first needs
+# them, so sweep and validate-channel start without the Monte Carlo engine,
+# and sweep without json.
+if TYPE_CHECKING:
+    from sealsim.protocol import ProtocolParams
+
 DEFAULT_N = 119
 DEFAULT_PA = 0.05
 DEFAULT_GRID_STEP = 0.05
@@ -40,6 +46,8 @@ DEFAULT_GRID_STEP = 0.05
 MAX_GRID_POINTS = 10_001
 
 _BUILTIN_CHANNELS = ("identity", "seal", "depolarizing", "dephasing")
+# The builtin channels that take --x; every other channel source refuses it.
+_PARAMETRIC_CHANNELS = ("seal", "depolarizing")
 
 
 @dataclass(frozen=True)
@@ -105,7 +113,7 @@ def cmd_sweep(config: SweepConfig) -> int:
 
 
 def _build_builtin(name: str, parameter: float | None, parser: argparse.ArgumentParser):
-    if name in ("seal", "depolarizing"):
+    if name in _PARAMETRIC_CHANNELS:
         if parameter is None:
             parser.error(f"--channel {name} requires --x")
         try:
@@ -123,7 +131,7 @@ def _report_line(name: str, empirical: float, err: float, analytic: float | None
 
 
 def cmd_simulate(
-    params: protocol.ProtocolParams,
+    params: ProtocolParams,
     channel: KrausChannel,
     trials: int,
     transcript_path: str | None,
@@ -136,6 +144,8 @@ def cmd_simulate(
             file=sys.stderr,
         )
         return 1
+
+    from sealsim import protocol
 
     # stream 0's key column comes from the pass that tallies trial 0; all 64
     # keys fit in a byte
@@ -198,6 +208,8 @@ def cmd_simulate(
 
 def _read_channel_file(path: str) -> KrausChannel | None:
     """The channel in ``path``, or None after saying on stderr why it cannot be read."""
+    from sealsim.channel_file import ChannelFormatError, load_channel
+
     try:
         return load_channel(path)
     except ChannelFormatError as exc:
@@ -332,14 +344,19 @@ def _run(argv) -> int:
         return cmd_sweep(config)
 
     if args.command == "simulate":
+        from sealsim.protocol import ProtocolParams
+
         try:
-            params = protocol.ProtocolParams(
+            params = ProtocolParams(
                 n_shots=args.n, p_announce=args.pa, message_bit=args.bit, seed=args.seed
             )
             if args.trials < 1:
                 raise ValueError("need at least one trial")
         except ValueError as exc:
             parser.error(str(exc))
+        if args.x is not None and args.channel not in _PARAMETRIC_CHANNELS:
+            source = "--channel-file" if args.channel is None else f"--channel {args.channel}"
+            parser.error(f"--x applies only to --channel seal or depolarizing, not {source}")
         if args.channel_file is not None:
             channel = _read_channel_file(args.channel_file)
             if channel is None:

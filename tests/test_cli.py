@@ -144,6 +144,23 @@ def test_argument_errors_show_the_subcommand_usage(tmp_path, monkeypatch, capsys
     assert "Traceback" not in stderr
 
 
+@pytest.mark.parametrize(
+    "source",
+    [["--channel", "identity"], ["--channel", "dephasing"], ["--channel-file", "channel.json"]],
+    ids=["identity", "dephasing", "channel-file"],
+)
+def test_simulate_refuses_x_for_a_channel_that_takes_none(tmp_path, monkeypatch, capsys, source):
+    """Only seal and depolarizing take a parameter; --x elsewhere is an argument error."""
+    monkeypatch.chdir(tmp_path)
+    save_channel(seal_channel(0.5), tmp_path / "channel.json")
+    with pytest.raises(SystemExit) as err:
+        main(["simulate", *source, "--x", "0.3", "--trials", "2"])
+    assert err.value.code == 2
+    out, stderr = capsys.readouterr()
+    assert out == ""
+    assert f"sealsim simulate: error: --x applies only to --channel seal or depolarizing, not {source[0]}" in stderr
+
+
 def test_sweep_grid_at_the_point_limit_is_accepted():
     grid = _default_grid(1e-4)
     assert len(grid) == MAX_GRID_POINTS
