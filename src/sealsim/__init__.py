@@ -11,7 +11,7 @@ Importing the package loads none of them.  Each name in ``__all__`` and each
 line that runs ``sweep`` never loads ``protocol``.
 """
 
-import importlib
+import sys
 
 # The submodule that defines each public name.
 _EXPORTS = {
@@ -90,15 +90,22 @@ __all__ = sorted(_HOME)
 __version__ = "0.1.0"
 
 
+def _submodule(name: str):
+    # the import statement's own machinery, not importlib.import_module, so
+    # that ``python -X importtime`` reports the submodule on its own row
+    __import__(f"{__name__}.{name}")
+    return sys.modules[f"{__name__}.{name}"]
+
+
 def __getattr__(name: str):
     """Import a submodule, or a public name's submodule, the first time it is used."""
     if name in _SUBMODULES:
         # the import binds the submodule on the package, so this runs once per name
-        return importlib.import_module(f"{__name__}.{name}")
+        return _submodule(name)
     home = _HOME.get(name)
     if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    value = getattr(_submodule(home), name)
     globals()[name] = value
     return value
 
