@@ -36,7 +36,7 @@ from sealsim.textfile import write_atomic
 # them, so sweep and validate-channel start without the Monte Carlo engine,
 # and sweep without json.
 if TYPE_CHECKING:
-    from sealsim.protocol import ProtocolParams
+    from sealsim import protocol
 
 DEFAULT_N = 119
 DEFAULT_PA = 0.05
@@ -131,7 +131,7 @@ def _report_line(name: str, empirical: float, err: float, analytic: float | None
 
 
 def cmd_simulate(
-    params: ProtocolParams,
+    params: protocol.ProtocolParams,
     channel: KrausChannel,
     trials: int,
     transcript_path: str | None,
@@ -344,10 +344,10 @@ def _run(argv) -> int:
         return cmd_sweep(config)
 
     if args.command == "simulate":
-        from sealsim.protocol import ProtocolParams
+        from sealsim import protocol
 
         try:
-            params = ProtocolParams(
+            params = protocol.ProtocolParams(
                 n_shots=args.n, p_announce=args.pa, message_bit=args.bit, seed=args.seed
             )
             if args.trials < 1:

@@ -158,7 +158,8 @@ def test_simulate_refuses_x_for_a_channel_that_takes_none(tmp_path, monkeypatch,
     assert err.value.code == 2
     out, stderr = capsys.readouterr()
     assert out == ""
-    assert f"sealsim simulate: error: --x applies only to --channel seal or depolarizing, not {source[0]}" in stderr
+    want = f"--x applies only to --channel seal or depolarizing, not {source[0]}"
+    assert f"sealsim simulate: error: {want}" in stderr
 
 
 def test_sweep_grid_at_the_point_limit_is_accepted():

@@ -28,7 +28,8 @@ WATCHED = ["json", *(f"sealsim.{name}" for name in SUBMODULES)]
 def _fresh(code: str) -> dict:
     """Run ``code`` in a fresh interpreter on this checkout's sources; it ends by
     printing one JSON object, which is returned."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
     )
@@ -44,17 +45,22 @@ watched = {WATCHED!r}
 loaded = lambda: sorted(name for name in watched if name in sys.modules)
 import sealsim.cli
 steps = {{"import": loaded()}}
+commands = {{
+    "sweep": ["sweep", "--out", {str(tmp_path / "curves.csv")!r}],
+    "validate-channel": ["validate-channel", {str(channel)!r}],
+    "simulate": ["simulate", "--channel", "identity", "--trials", "2"],
+}}
 with contextlib.redirect_stdout(io.StringIO()):
-    steps["sweep"] = [sealsim.cli.main(["sweep", "--out", {str(tmp_path / "curves.csv")!r}]), loaded()]
-    steps["validate-channel"] = [sealsim.cli.main(["validate-channel", {str(channel)!r}]), loaded()]
-    steps["simulate"] = [sealsim.cli.main(["simulate", "--channel", "identity", "--trials", "2"]), loaded()]
+    for name, argv in commands.items():
+        steps[name] = [sealsim.cli.main(argv), loaded()]
 import json  # only now, so the steps above see whether sealsim loaded it
 print(json.dumps(steps))
 """
     steps = _fresh(code)
-    assert steps["import"] == ["sealsim.analysis", "sealsim.cli", "sealsim.qubit", "sealsim.textfile"]
-    assert steps["sweep"] == [0, steps["import"]]
-    assert steps["validate-channel"] == [0, sorted([*steps["import"], "json", "sealsim.channel_file"])]
+    started = ["sealsim.analysis", "sealsim.cli", "sealsim.qubit", "sealsim.textfile"]
+    assert steps["import"] == started
+    assert steps["sweep"] == [0, started]
+    assert steps["validate-channel"] == [0, sorted([*started, "json", "sealsim.channel_file"])]
     assert steps["simulate"][0] == 0 and "sealsim.protocol" in steps["simulate"][1]
 
 
