@@ -50,7 +50,8 @@ in blocks of bounded size.  Its mismatch column takes the grid's Kraus
 operators as one stacked array (``qubit.damping_stack``), in blocks of
 bounded size, and forms only the four Born cells a mismatch reads
 (``qubit.born_cells``, entrywise 2x2 products over the whole block), the
-same evaluator :func:`mismatch_probability` runs on a single channel.
+floats that :func:`mismatch_probability` reads from a single channel's
+Born table; both add them in one sum (``_mismatch_per_shot``).
 Both grid functions return their columns as arrays, with no
 :class:`MIResult` or :class:`MismatchProbability` per point.
 
@@ -79,9 +80,9 @@ from sealsim.qubit import (
     MeasurementResult,
     ProtocolPureState,
     born_cells,
+    born_table,
     damping_stack,
     damping_strengths,
-    require_complete,
     validate_channel,
 )
 
@@ -781,19 +782,20 @@ _MISMATCH_EVENTS = (
     (ProtocolPureState.ZERO, MeasurementBasis.SIGMA3, MeasurementResult.MINUS),
     (ProtocolPureState.ONE, MeasurementBasis.SIGMA3, MeasurementResult.PLUS),
 )
-# The same events as (preparation, basis, result) indices of born_table.
+# The same events as (preparation, basis, result) indices of born_table, and
+# as one index into it.
 _MISMATCH_CELLS = tuple(
     tuple(list(type(member)).index(member) for member in event) for event in _MISMATCH_EVENTS
 )
+_MISMATCH_INDEX = tuple(np.array(_MISMATCH_CELLS).T)
 # Complex entries of one two-operator channel's operator products over the
 # four preparation states: a block of the mismatch grid takes
 # _BLOCK_CELLS // _MISMATCH_ROW_CELLS channels.
 _MISMATCH_ROW_CELLS = 32
 
 
-def _mismatch_per_shot(stacks: np.ndarray) -> np.ndarray:
-    """The per-shot mismatch of each complete (..., m, 2, 2) operator stack, events summed in order."""
-    probs = born_cells(stacks, _MISMATCH_CELLS)
+def _mismatch_per_shot(probs: np.ndarray) -> np.ndarray:
+    """The per-shot mismatch from Born cells of ``_MISMATCH_CELLS`` (last axis), in event order."""
     per_shot = np.zeros(probs.shape[:-1])
     for event in range(len(_MISMATCH_CELLS)):
         per_shot += 0.125 * probs[..., event]
@@ -811,10 +813,10 @@ def mismatch_probability(
     which removes one factor of 1/2.  Unlike the announcement distribution,
     this depends on the channel's action on each pure state separately, not
     just on its action on the maximally mixed state.  ``report`` is the
-    channel's :func:`validate_channel` report, when the caller has it.
+    channel's :func:`validate_channel` report, when the caller has it; its
+    Born table holds the cells read here, so no state is mapped again.
     """
-    require_complete(eve, report)
-    per_shot = float(_mismatch_per_shot(eve.stack[None])[0])
+    per_shot = float(_mismatch_per_shot(born_table(eve, report)[_MISMATCH_INDEX]))
     return MismatchProbability(per_shot, 2.0 * per_shot)
 
 
@@ -824,8 +826,8 @@ def seal_mismatch_probability_grid(x_grid) -> tuple[np.ndarray, np.ndarray]:
     Returns the float arrays ``(per_shot, matched_basis_conditional)``, one
     entry per strength, and builds no :class:`MismatchProbability`.  The
     strengths' Kraus operators are built as one stack per block of at most
-    ``_BLOCK_CELLS // _MISMATCH_ROW_CELLS`` strengths and go through the
-    single-channel evaluator together.  A strength whose channel keeps one
+    ``_BLOCK_CELLS // _MISMATCH_ROW_CELLS`` strengths, and their Born cells
+    go through the single-channel sum.  A strength whose channel keeps one
     operator has a zero second operator in the stack, which adds exact
     zeros, so each entry equals, bit for bit, the single-channel field.
     """
@@ -834,7 +836,7 @@ def seal_mismatch_probability_grid(x_grid) -> tuple[np.ndarray, np.ndarray]:
     block = max(1, _BLOCK_CELLS // _MISMATCH_ROW_CELLS)
     for first in range(0, len(xs), block):
         rows = slice(first, first + block)
-        per_shot[rows] = _mismatch_per_shot(damping_stack(xs[rows]))
+        per_shot[rows] = _mismatch_per_shot(born_cells(damping_stack(xs[rows]), _MISMATCH_CELLS))
     return per_shot, 2.0 * per_shot
 
 

@@ -2,7 +2,8 @@
 
 Layout: ``{"label": str, "operators": [M, ...]}`` where each M is a 2x2
 nested array of ``[re, im]`` pairs, row-major.  The label may not contain
-control characters (below U+0020, or U+007F) or lone surrogates.  Files
+control characters (below U+0020, or U+007F) or lone surrogates, and
+:func:`channel_to_json` refuses such a label before anything is written.  Files
 are UTF-8, as JSON requires; every malformed document, including one too
 deeply nested or with a number too large to read, raises
 :class:`ChannelFormatError`.
@@ -14,8 +15,6 @@ import json
 import re
 import reprlib
 from pathlib import Path
-
-import numpy as np
 
 from sealsim.qubit import KrausChannel
 
@@ -59,6 +58,22 @@ def _entry(value, n: int, i: int, j: int) -> complex:
     )
 
 
+def _check_label(label) -> None:
+    """Raise :class:`ChannelFormatError` unless ``label`` is a string a document may hold."""
+    if not isinstance(label, str):
+        raise ChannelFormatError('"label" must be a string')
+    control = _CONTROL.search(label)
+    if control:
+        raise ChannelFormatError(
+            f'"label" has control character U+{ord(control.group()):04X} at index {control.start()}'
+        )
+    surrogate = _SURROGATE.search(label)
+    if surrogate:
+        raise ChannelFormatError(
+            f'"label" has lone surrogate U+{ord(surrogate.group()):04X} at index {surrogate.start()}'
+        )
+
+
 def parse_channel(text: str) -> KrausChannel:
     try:
         doc = json.loads(text)
@@ -72,48 +87,41 @@ def parse_channel(text: str) -> KrausChannel:
     if not isinstance(doc, dict):
         raise ChannelFormatError("top level must be an object")
     label = doc.get("label", "")
-    if not isinstance(label, str):
-        raise ChannelFormatError('"label" must be a string')
-    control = _CONTROL.search(label)
-    if control:
-        raise ChannelFormatError(
-            f'"label" has control character U+{ord(control.group()):04X} at index {control.start()}'
-        )
-    surrogate = _SURROGATE.search(label)
-    if surrogate:
-        raise ChannelFormatError(
-            f'"label" has lone surrogate U+{ord(surrogate.group()):04X} at index {surrogate.start()}'
-        )
+    _check_label(label)
     raw_ops = doc.get("operators")
     if not isinstance(raw_ops, list) or not raw_ops:
         raise ChannelFormatError('"operators" must be a non-empty array')
 
-    # every entry in row-major order, made into one (m, 2, 2) array at the end
-    entries = []
+    # nested lists of complex entries, made into one (m, 2, 2) array by KrausChannel
+    ops = []
     for n, raw in enumerate(raw_ops):
         if not isinstance(raw, list) or len(raw) != 2:
             raise ChannelFormatError(f"operators[{n}]: expected 2 rows")
+        rows = []
         for i, row in enumerate(raw):
             if not isinstance(row, list) or len(row) != 2:
                 raise ChannelFormatError(f"operators[{n}]: row {i} must have 2 entries")
-            entries += (_entry(row[0], n, i, 0), _entry(row[1], n, i, 1))
-    stack = np.array(entries, dtype=complex).reshape(-1, 2, 2)
+            rows.append((_entry(row[0], n, i, 0), _entry(row[1], n, i, 1)))
+        ops.append(rows)
 
     try:
-        return KrausChannel(tuple(stack), label=label)
+        return KrausChannel(ops, label=label)
     except ValueError as exc:
         raise ChannelFormatError(str(exc)) from exc
 
 
 def load_channel(path: str | Path) -> KrausChannel:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
     except UnicodeDecodeError as exc:
         raise ChannelFormatError(f"not UTF-8: {exc.reason} at byte {exc.start}") from exc
     return parse_channel(text)
 
 
 def channel_to_json(ch: KrausChannel) -> str:
+    """The channel as a document; raises :class:`ChannelFormatError` for a label no load accepts."""
+    _check_label(ch.label)
     ops = [
         [[[op[i, j].real, op[i, j].imag] for j in range(2)] for i in range(2)]
         for op in ch.operators

@@ -5,17 +5,21 @@ Born-rule probabilities for the two measurement observables used by the
 sealed-message protocol, plus the builtin channel families (identity,
 seal damping, depolarizing, dephasing).
 
-A channel keeps its Kraus operators as one read-only (m, 2, 2) array, and
-the channel algebra works on stacks: completeness, the images of the four
-preparation states and the Born table of every (preparation, basis,
-result) cell each take a few array calls over that array.  The products
-of the operator sum and the Born trace are written out entry by entry as
-numpy ufunc calls over whole stacks (``_product``, ``_trace_product``),
-not as ``np.matmul``, which hands every 2x2 product to BLAS on its own.
-An entry is then computed the same way whatever the stack's shape, so a
-stack of channels, one channel and one state (``apply_channel``,
-``measurement_prob``) all give the same floats.  Completeness alone stays
-on ``np.matmul``; its deviation is only compared and printed.  The Born
+A channel keeps its Kraus operators as one read-only (m, 2, 2) array,
+built and checked in one pass, and the channel algebra works on stacks:
+completeness, the images of the four preparation states and the Born
+table of every (preparation, basis, result) cell each take a few array
+calls over that array.  ``validate_channel`` maps I/2 and the four
+preparation states in one operator sum, and its report carries the Born
+table that ``born_table`` returns and a channel's mismatch reads.  The
+products of the operator sum and the Born trace are written out entry by
+entry as numpy ufunc calls over whole stacks (``_product``,
+``_trace_product``), not as ``np.matmul``, which hands every 2x2 product
+to BLAS on its own.  An entry is then computed the same way whatever the
+stack's shape, so a stack of channels, one channel and one state
+(``apply_channel``, ``measurement_prob``) all give the same floats.
+Completeness alone stays on ``np.matmul``; its deviation is only compared
+and printed (inf when its products pass the double range).  The Born
 table builds no ``DensityMatrix``; the functions that return density
 matrices still validate each one.  The damping family's operators are
 written once, as a stack for any number of strengths (``damping_stack``),
@@ -93,6 +97,8 @@ _BASIS_MATRICES = {
 
 # The four preparation states stacked in ProtocolPureState order.
 _STATE_STACK = np.array([_STATE_MATRICES[s] for s in ProtocolPureState])
+# I/2, then the four preparation states: what validate_channel maps.
+_VALIDATED_STATES = np.concatenate([[0.5 * IDENTITY], _STATE_STACK])
 # I + m*sigma for each basis (MeasurementBasis order) and result
 # (MeasurementResult order: +1, then -1); Pr(m | basis) is half its trace
 # against the state.
@@ -179,9 +185,9 @@ class KrausChannel:
 
     Construction checks shape and finiteness and silently drops operators of
     negligible Frobenius norm; completeness (sum of E_i^dag E_i equal to the
-    identity) is the job of :func:`validate_channel`.  ``stack`` holds the
-    kept operators as one read-only (m, 2, 2) array, and ``operators`` are
-    views of its rows.
+    identity) is the job of :func:`validate_channel`.  ``operators`` (any
+    sequence of 2x2 arrays) are copied into one array and checked together:
+    ``stack`` holds the kept ones, read-only, and ``operators`` its rows.
     """
 
     operators: tuple[np.ndarray, ...]
@@ -189,14 +195,22 @@ class KrausChannel:
     stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        ops = []
-        for op in self.operators:
-            arr = _frozen_array(op, (2, 2))
-            if np.linalg.norm(arr) > ZERO_OPERATOR_TOL:
-                ops.append(arr)
-        if not ops:
+        try:
+            # no copy of a complex (m, 2, 2) array here: the boolean index below copies
+            stack = np.asarray(self.operators, dtype=complex)
+        except (TypeError, ValueError):  # operators of different shapes
+            stack = np.empty(0, dtype=complex)
+        if stack.shape[1:] != (2, 2):
+            for op in self.operators:  # the first operator that is not 2x2 raises
+                _frozen_array(op, (2, 2))
+            stack = stack.reshape(0, 2, 2)
+        if not np.isfinite(stack).all():
+            raise ValueError("entries must be finite")
+        with np.errstate(over="ignore"):  # a norm past the double range is inf, and kept
+            norms = np.sqrt((stack.real * stack.real + stack.imag * stack.imag).sum(axis=(1, 2)))
+        stack = stack[norms > ZERO_OPERATOR_TOL]
+        if not len(stack):
             raise ValueError("a channel needs at least one non-zero Kraus operator")
-        stack = np.array(ops)
         stack.setflags(write=False)
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "operators", tuple(stack))
@@ -207,15 +221,18 @@ class KrausChannel:
 class ChannelValidation:
     """Completeness report for a Kraus set.
 
-    ``deviation`` is the Frobenius norm of (sum E_i^dag E_i - I).  The Bloch
-    image of the maximally mixed state and the unitality flag are only
-    meaningful for complete sets; ``chaotic_image`` is None otherwise.
+    ``deviation`` is the Frobenius norm of (sum E_i^dag E_i - I), inf when
+    its products pass the double range.  The Bloch image of the maximally
+    mixed state, the unitality flag and ``born``, the read-only (4, 2, 2)
+    table that :func:`born_table` returns, are only meaningful for complete
+    sets; ``chaotic_image`` and ``born`` are None otherwise.
     """
 
     deviation: float
     passes: bool
     chaotic_image: BlochVector | None
     unital: bool
+    born: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def state_density(state: ProtocolPureState) -> DensityMatrix:
@@ -299,20 +316,28 @@ def _completeness_error(stacks: np.ndarray) -> np.ndarray:
 def validate_channel(ch: KrausChannel) -> ChannelValidation:
     """Report on completeness and on the image of the maximally mixed state.
 
-    Never raises for finite inputs.  The unitality flag is True when the
-    channel fixes the maximally mixed state (zero Bloch radius of the image
-    up to the completeness tolerance).
+    Never raises or warns for finite inputs.  The unitality flag is True
+    when the channel fixes the maximally mixed state (zero Bloch radius of
+    the image up to the completeness tolerance).  A complete channel maps
+    I/2 and the four preparation states in one operator sum, and the report
+    carries their Born table.
     """
-    deviation = float(np.linalg.norm(_completeness_error(ch.stack)))
-    passes = deviation <= COMPLETENESS_TOL
-    if not passes:
+    # an entry near the top of the double range overflows the products: inf - inf is nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        error = _completeness_error(ch.stack).ravel()
+        # np.linalg.norm's sum of squares, without its wrapper
+        deviation = math.sqrt(error.real.dot(error.real) + error.imag.dot(error.imag))
+    if not deviation <= COMPLETENESS_TOL:
+        deviation = math.inf if math.isnan(deviation) else deviation
         return ChannelValidation(deviation, False, None, False)
+    images = _operator_sum(ch.stack, _VALIDATED_STATES)
     # a channel within the gate may scale the trace by up to about 1e-10,
     # beyond DensityMatrix's tolerance, so the image is normalized
-    image = _operator_sum(ch.stack, 0.5 * IDENTITY)
-    image /= image[0, 0].real + image[1, 1].real
-    bloch = bloch_from_density(DensityMatrix(image))
-    return ChannelValidation(deviation, True, bloch, bloch.lam <= COMPLETENESS_TOL)
+    chaotic = images[0] / (images[0, 0, 0].real + images[0, 1, 1].real)
+    bloch = bloch_from_density(DensityMatrix(chaotic))
+    born = _born_probabilities(_BORN_OPERATORS, _normalized(images[1:])[:, None, None])
+    born.setflags(write=False)
+    return ChannelValidation(deviation, True, bloch, bloch.lam <= COMPLETENESS_TOL, born)
 
 
 def _incomplete(label: str, deviation: float) -> ValueError:
@@ -327,10 +352,9 @@ def require_complete(ch: KrausChannel, report: ChannelValidation | None = None) 
         raise _incomplete(ch.label, report.deviation)
 
 
-def _map_states(stacks: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """The operator sum of each state, re-hermitized and trace-normalized."""
-    out = _operator_sum(stacks, states)
-    out = 0.5 * (out + out.conj().swapaxes(-1, -2))
+def _normalized(images: np.ndarray) -> np.ndarray:
+    """Operator sums re-hermitized and trace-normalized."""
+    out = 0.5 * (images + images.conj().swapaxes(-1, -2))
     out /= (out[..., 0, 0].real + out[..., 1, 1].real)[..., None, None]
     return out
 
@@ -342,7 +366,7 @@ def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     entries at the scale of the channel's completeness deviation.
     """
     require_complete(ch)
-    return DensityMatrix(_map_states(ch.stack, rho.matrix))
+    return DensityMatrix(_normalized(_operator_sum(ch.stack, rho.matrix)))
 
 
 def preparation_images(ch: KrausChannel) -> dict[ProtocolPureState, DensityMatrix]:
@@ -352,7 +376,7 @@ def preparation_images(ch: KrausChannel) -> dict[ProtocolPureState, DensityMatri
     validated once for all four.
     """
     require_complete(ch)
-    images = _map_states(ch.stack, _STATE_STACK)
+    images = _normalized(_operator_sum(ch.stack, _STATE_STACK))
     return {s: DensityMatrix(image) for s, image in zip(ProtocolPureState, images)}
 
 
@@ -381,25 +405,20 @@ def _born_probabilities(operators: np.ndarray, images: np.ndarray) -> np.ndarray
     return np.where(probs > 1.0, 1.0, probs)
 
 
-def _born(stacks: np.ndarray) -> np.ndarray:
-    """The (..., 4, 2, 2) Born tables of complete (..., m, 2, 2) operator stacks."""
-    images = _map_states(stacks, _STATE_STACK)[..., None, None, :, :]
-    return _born_probabilities(_BORN_OPERATORS, images)
-
-
 def born_table(ch: KrausChannel, report: ChannelValidation | None = None) -> np.ndarray:
     """Pr(result | basis) on the channel's image of each preparation state.
 
     A read-only (4, 2, 2) array indexed by preparation (ProtocolPureState
     order), basis (MeasurementBasis order) and result (+1, then -1).  Each
     entry is the float that :func:`measurement_prob` gives on the matching
-    :func:`preparation_images` entry.  The channel is validated once, or
-    not at all when the caller passes its :func:`validate_channel` report.
+    :func:`preparation_images` entry.  The table is the ``born`` field of
+    the channel's :func:`validate_channel` report: the caller's, when it
+    passes one, or else one made here.
     """
+    if report is None:
+        report = validate_channel(ch)
     require_complete(ch, report)
-    table = _born(ch.stack)
-    table.setflags(write=False)
-    return table
+    return report.born
 
 
 def born_cells(stacks: np.ndarray, cells) -> np.ndarray:
@@ -412,7 +431,7 @@ def born_cells(stacks: np.ndarray, cells) -> np.ndarray:
     The stacks are not validated.
     """
     prep, basis, result = np.array(cells).T
-    images = _map_states(stacks, _STATE_STACK[prep])
+    images = _normalized(_operator_sum(stacks, _STATE_STACK[prep]))
     return _born_probabilities(_BORN_OPERATORS[basis, result], images)
 
 
