@@ -344,12 +344,15 @@ def _incomplete(label: str, deviation: float) -> ValueError:
     return ValueError(f"channel {label!r} fails completeness (deviation {deviation:.3e})")
 
 
-def require_complete(ch: KrausChannel, report: ChannelValidation | None = None) -> None:
-    """Raise unless ``ch`` is complete; ``report``, when given, is its :func:`validate_channel`."""
+def require_complete(
+    ch: KrausChannel, report: ChannelValidation | None = None
+) -> ChannelValidation:
+    """Raise unless ``ch`` is complete; return ``report``, or else its :func:`validate_channel`."""
     if report is None:
         report = validate_channel(ch)
     if not report.passes:
         raise _incomplete(ch.label, report.deviation)
+    return report
 
 
 def _normalized(images: np.ndarray) -> np.ndarray:
@@ -415,10 +418,7 @@ def born_table(ch: KrausChannel, report: ChannelValidation | None = None) -> np.
     the channel's :func:`validate_channel` report: the caller's, when it
     passes one, or else one made here.
     """
-    if report is None:
-        report = validate_channel(ch)
-    require_complete(ch, report)
-    return report.born
+    return require_complete(ch, report).born
 
 
 def born_cells(stacks: np.ndarray, cells) -> np.ndarray:

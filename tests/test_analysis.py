@@ -43,10 +43,12 @@ from sealsim.analysis import (
 )
 from sealsim.qubit import (
     KrausChannel,
+    born_cells,
     dephasing_channel,
     depolarizing_channel,
     identity_channel,
     seal_channel,
+    validate_channel,
 )
 
 N_DEFAULT = 119
@@ -450,12 +452,19 @@ def test_mismatch_validates_the_channel_once(monkeypatch):
 
 
 @settings(max_examples=40)
-@given(st.integers(min_value=0, max_value=2**31))
-def test_mismatch_bounds_random_channels(seed):
-    res = mismatch_probability(random_kraus_channel(np.random.default_rng(seed), 3))
+@given(st.integers(min_value=0, max_value=2**31), st.integers(1, 4))
+def test_mismatch_bounds_random_channels(seed, operators):
+    """Bounded, and the same float whether read from the channel's report
+    or from the Born cells the sweep's mismatch column forms."""
+    channel = random_kraus_channel(np.random.default_rng(seed), operators)
+    res = mismatch_probability(channel, validate_channel(channel))
     assert 0.0 <= res.per_shot <= 0.5
     assert 0.0 <= res.matched_basis_conditional <= 1.0
     assert abs(res.matched_basis_conditional - 2 * res.per_shot) <= 1e-15
+    cells = born_cells(channel.stack[None], analysis._MISMATCH_CELLS)
+    by_cells = analysis._mismatch_per_shot(cells)[0]
+    assert np.float64(res.per_shot).tobytes() == by_cells.tobytes()
+    assert mismatch_probability(channel) == res
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,12 @@
+import json
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_kraus_channel
 from sealsim.channel_file import (
@@ -9,7 +16,7 @@ from sealsim.channel_file import (
     parse_channel,
     save_channel,
 )
-from sealsim.qubit import seal_channel, validate_channel
+from sealsim.qubit import KrausChannel, seal_channel, validate_channel
 
 SEAL_036 = """
 {
@@ -90,6 +97,49 @@ def test_entries_keep_their_operator_and_cell():
     assert stack.shape == (2, 2, 2)
     assert stack[0].tolist() == [[1 + 2j, 3 + 4j], [5 + 6j, 7 + 8j]]
     assert stack[1].tolist() == [[1j, 0], [0, -1j]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.text(st.characters(exclude_categories=()), max_size=8),
+    st.integers(1, 4),
+    st.integers(0, 2**32),
+)
+def test_a_saved_channel_loads_back_or_is_refused_unwritten(label, operators, seed):
+    """Any label, lone surrogates and control characters included, is either
+    refused before a file is written, with the message a load would give,
+    or loads back with the same label and the same operator bytes."""
+    stack = random_kraus_channel(np.random.default_rng(seed), operators).stack
+    channel = KrausChannel(stack, label)
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "channel.json"
+        try:
+            save_channel(channel, path)
+        except ChannelFormatError as refused:
+            assert not path.exists()
+            identity = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+            with pytest.raises(ChannelFormatError) as loaded:
+                parse_channel(json.dumps({"label": label, "operators": [identity]}))
+            assert str(refused) == str(loaded.value)
+            return
+        back = load_channel(path)
+    assert back.label == label
+    assert back.stack.tobytes() == channel.stack.tobytes()
+
+
+@pytest.mark.parametrize(
+    "label, message",
+    [
+        ("a\nb", '"label" has control character U+000A at index 1'),
+        ("ok\x7f", '"label" has control character U+007F at index 2'),
+        ("\ud800", '"label" has lone surrogate U+D800 at index 0'),
+    ],
+)
+def test_save_channel_refuses_a_label_load_channel_refuses(tmp_path, label, message):
+    path = tmp_path / "channel.json"
+    with pytest.raises(ChannelFormatError, match=f"^{re.escape(message)}$"):
+        save_channel(KrausChannel((np.eye(2),), label), path)
+    assert not path.exists()
 
 
 def test_channel_to_json_is_plain_text():

@@ -688,6 +688,28 @@ def test_simulate_invalid_channel_file_exit_1(tmp_path, capsys):
     assert "completeness" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "validate-channel"])
+def test_an_entry_near_the_top_of_the_double_range_fails_with_an_inf_deviation(
+    tmp_path, capsys, command
+):
+    """1e308 is finite, but its completeness products overflow: the
+    deviation reads inf, with no numpy warning (the suite turns one into an
+    error), and the channel fails with exit 1."""
+    path = tmp_path / "big.json"
+    path.write_text('{"label": "big", "operators": [[[[1e308,0],[0,0]],[[0,0],[1,0]]]]}')
+    option = ["--channel-file"] if command == "simulate" else []
+    assert main([command, *option, str(path)]) == 1
+    captured = capsys.readouterr()
+    if command == "simulate":
+        assert captured.err == "error: channel 'big' fails completeness (deviation inf)\n"
+        assert captured.out == ""
+    else:
+        assert captured.out.endswith(
+            "\nlabel = big\noperators = 1\ncompleteness_deviation = inf\nverdict = FAIL\n"
+        )
+        assert captured.err == ""
+
+
 def test_simulate_unparseable_channel_file_exit_2(tmp_path, capsys):
     bad = tmp_path / "garbage.json"
     bad.write_text("{not json")
@@ -1087,11 +1109,18 @@ def _count_validations(monkeypatch) -> list:
 
 @pytest.mark.parametrize("channel", [seal_channel(0.5), random_kraus_channel(np.random.default_rng(8), 3)])
 def test_validate_channel_validates_the_channel_once(tmp_path, monkeypatch, capsys, channel):
+    """One validation, and one operator sum: the report's Born table serves
+    the mismatch."""
     path = tmp_path / "channel.json"
     save_channel(channel, path)
     calls = _count_validations(monkeypatch)
+    sums = []
+    operator_sum = qubit._operator_sum
+    monkeypatch.setattr(
+        qubit, "_operator_sum", lambda *args: sums.append(args) or operator_sum(*args)
+    )
     assert main(["validate-channel", str(path), "--pa", "0.5"]) == 0
-    assert len(calls) == 1
+    assert len(calls) == 1 and len(sums) == 1
     assert "expected_mi_bits = " in capsys.readouterr().out
 
 

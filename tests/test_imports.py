@@ -1,9 +1,10 @@
-"""The package imports only numpy and the standard library.
+"""The package imports only numpy and the standard library, in Python 3.10 syntax.
 
 scipy, hypothesis and pytest are test dependencies (the ``test`` extra in
 ``pyproject.toml``); an import of one of them under ``src/sealsim`` would
 make the installed package fail without that extra.  Every module is read
-with ``ast``, so an import inside a function is caught as well.
+with ``ast``, so an import inside a function is caught as well, and is
+parsed as Python 3.10, the oldest version ``pyproject.toml`` accepts.
 """
 
 import ast
@@ -33,6 +34,19 @@ def imported_roots(path: Path) -> list[tuple[int, str]]:
 def test_the_package_imports_only_numpy_and_the_standard_library(path):
     outside = [(line, root) for line, root in imported_roots(path) if root not in ALLOWED]
     assert outside == [], f"{path.name} imports {outside}"
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.rglob("*.py")), ids=lambda path: str(path.relative_to(PACKAGE))
+)
+def test_the_package_is_python_3_10_syntax(path):
+    """pyproject.toml declares requires-python >= 3.10, and tier-1 may run on a newer one."""
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_the_syntax_check_sees_newer_syntax():
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
 
 
 def test_the_check_sees_a_third_party_import(tmp_path):

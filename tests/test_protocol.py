@@ -234,6 +234,7 @@ def test_born_table_is_the_per_state_path(channel):
     thresholds = ShotSampler(channel)._result_thresholds
     assert thresholds.tobytes() == protocol._threshold(want[:, :, 0].ravel()).tobytes()
     assert qubit.born_table(channel).tobytes() == want.tobytes()
+    assert qubit.validate_channel(channel).born.tobytes() == want.tobytes()
     stacked = np.stack([channel.stack, channel.stack[::-1]])
     assert qubit.born_cells(stacked, BORN_CELLS)[0].tobytes() == want.tobytes()
     assert abs(mismatch_probability(channel).per_shot - mismatch_by_state(channel)) <= 1e-15

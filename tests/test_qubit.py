@@ -19,6 +19,7 @@ from sealsim.qubit import (
     SIGMA_1,
     SIGMA_2,
     SIGMA_3,
+    ZERO_OPERATOR_TOL,
     BlochVector,
     DensityMatrix,
     KrausChannel,
@@ -244,10 +245,16 @@ def test_validate_channel_reports():
     bad = validate_channel(KrausChannel((np.diag([1.0, 0.5]),), label="incomplete"))
     assert not bad.passes
     assert abs(bad.deviation - 0.75) <= 1e-15
-    assert bad.chaotic_image is None and not bad.unital
+    assert bad.chaotic_image is None and not bad.unital and bad.born is None
+
+    # finite entries whose products overflow: inf, where the norm of nan - nan was nan
+    for entry in (1e308, 1e160j, 1e100):
+        huge = validate_channel(KrausChannel((np.diag([entry, 1.0]),), label="huge"))
+        assert huge.deviation == math.inf and not huge.passes and huge.born is None
 
     seal = validate_channel(seal_channel(0.36))
     assert seal.passes and not seal.unital
+    assert seal.born.shape == (4, 2, 2) and not seal.born.flags.writeable
     assert abs(seal.chaotic_image.lam - 0.36) <= 1e-12
     assert np.abs(np.array(seal.chaotic_image.v) - (0.0, 0.0, 1.0)).max() <= 1e-12
 
@@ -292,12 +299,44 @@ def test_preparation_images_reject_incomplete_set_like_apply_channel():
 def test_kraus_channel_construction():
     ch = KrausChannel((IDENTITY, 1e-16 * IDENTITY))
     assert len(ch.operators) == 1
-    with pytest.raises(ValueError):
-        KrausChannel((np.zeros((2, 2)),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^a channel needs at least one non-zero Kraus operator$"):
+        KrausChannel((np.zeros((2, 2)), 1e-16 * IDENTITY))
+    with pytest.raises(ValueError, match=r"^expected a \(2, 2\) array, got shape \(3, 3\)$"):
         KrausChannel((np.eye(3),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^entries must be finite$"):
         KrausChannel((np.array([[np.inf, 0], [0, 1]]),))
+    with pytest.raises(ValueError, match=r"^entries must be finite$"):
+        KrausChannel((IDENTITY, np.array([[0, 0], [1j * np.nan, 0]])))
+
+
+def test_kraus_channel_reports_the_first_operator_that_is_not_2x2():
+    """Operators of mixed shapes cannot form one array; the message names
+    the first one that is not 2x2, and a non-finite operator before it
+    is reported first, as each operator is checked in order."""
+    message = r"^expected a \(2, 2\) array, got shape \(3, 3\)$"
+    three = np.eye(3)
+    for operators in [(IDENTITY, three), (three, IDENTITY), (IDENTITY, three, np.eye(4))]:
+        with pytest.raises(ValueError, match=message):
+            KrausChannel(operators)
+    with pytest.raises(ValueError, match=r"^expected a \(2, 2\) array, got shape \(2, 3\)$"):
+        KrausChannel((IDENTITY, np.ones((2, 3))))
+    with pytest.raises(ValueError, match=r"^entries must be finite$"):
+        KrausChannel((np.array([[np.nan, 0], [0, 1]]), np.eye(3)))
+
+
+@pytest.mark.parametrize("part", [1.0, 1j])
+def test_kraus_channel_drops_operators_at_or_below_the_zero_operator_tolerance(part):
+    """An operator is kept when its Frobenius norm exceeds ZERO_OPERATOR_TOL,
+    whether its entries are real or imaginary and however they are spread."""
+    spread = np.array([[1.0, 1.0], [1.0, 1.0]]) / 2.0  # Frobenius norm 1
+    for shape in (np.diag([1.0, 0.0]), spread):
+        below = (1.0 - 1e-9) * ZERO_OPERATOR_TOL * part * shape
+        above = (1.0 + 1e-9) * ZERO_OPERATOR_TOL * part * shape
+        assert KrausChannel((IDENTITY, below)).stack.shape == (1, 2, 2)
+        kept = KrausChannel((IDENTITY, above, below)).stack
+        assert kept.shape == (2, 2, 2) and np.array_equal(kept[1], above)
+        with pytest.raises(ValueError, match=r"^a channel needs at least one non-zero"):
+            KrausChannel((below, below))
 
 
 def test_kraus_channel_keeps_one_read_only_stack():
@@ -309,6 +348,10 @@ def test_kraus_channel_keeps_one_read_only_stack():
         ch.stack[0, 0, 0] = 2.0
     assert seal_channel(0.0).stack.shape == (1, 2, 2)  # zero operator dropped
     assert "stack" not in repr(ch)
+    source = np.array(ch.stack)  # a writable (m, 2, 2) array is copied, not kept
+    copied = KrausChannel(source)
+    source[0, 0, 0] = 5.0
+    assert copied.stack.tobytes() == ch.stack.tobytes() and not copied.stack.flags.writeable
 
 
 def test_depolarizing_channel():
