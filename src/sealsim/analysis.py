@@ -34,9 +34,9 @@ ratio is rho1^s1 rho3^s3 at every length, rho = p(c=1) / p(c=0) of each
 basis.  So the sum over the kept lengths is sum_k w_k - <Q, h>, where
 h(s) = log2(1 + rho1^s1 rho3^s3) and Q = A^T W B is the kept-length mixture
 of (s1, s3): W[m, j] = w_{m+j} Bin(m; m+j, mu) (mu the sigma1 mass), and A
-and B hold each basis' net-vote binomial given its count.  That is a few
-table builds, two matrix products and one pass of logarithms, with no
-walk over lengths; ``k_terms_used`` counts the kept lengths and
+and B hold each basis' net-vote binomial given its count.  That is one
+stacked build of the three tables, two matrix products and one pass of
+logarithms, with no walk over lengths; ``k_terms_used`` counts the kept lengths and
 ``truncation_mass`` is their omitted mass.  Q is formed in blocks of
 bounded size, each taking only the counts and votes that the diamond
 |s1| + |s3| <= k leaves it.  The tables of the longest kept length k hold
@@ -83,7 +83,7 @@ from sealsim.qubit import (
     born_table,
     damping_stack,
     damping_strengths,
-    validate_channel,
+    require_complete,
 )
 
 _DISTRIBUTION_TOL = 1e-12
@@ -144,7 +144,7 @@ class AnnouncementDistribution:
 class MIResult:
     """Expected mutual information plus truncation diagnostics.
 
-    ``mi_bits`` gets :func:`_checked_bits`' range check and clamp.
+    ``mi_bits`` gets :func:`_checked_bits`' range check, message and clamp, in floats.
     """
 
     mi_bits: float
@@ -152,11 +152,18 @@ class MIResult:
     truncation_mass: float
 
     def __post_init__(self):
-        object.__setattr__(self, "mi_bits", float(_checked_bits(self.mi_bits)))
+        mi = float(self.mi_bits)
+        if not -_MI_TOL <= mi <= 1.0 + _MI_TOL:
+            raise _out_of_range(mi)
+        object.__setattr__(self, "mi_bits", min(max(mi, 0.0), 1.0))
+
+
+def _out_of_range(mi: float) -> ValueError:
+    return ValueError(f"mutual information out of [0, 1]: {mi}")
 
 
 def _checked_bits(mi) -> np.ndarray:
-    """Mutual information, a value or a whole column, checked and clamped to [0, 1].
+    """A column of mutual information, checked and clamped to [0, 1] as :class:`MIResult` does.
 
     Raises ValueError for the first value more than ``_MI_TOL`` outside
     [0, 1] (or NaN), and clamps each of the others as
@@ -165,7 +172,7 @@ def _checked_bits(mi) -> np.ndarray:
     mi = np.asarray(mi, dtype=float)
     inside = (mi >= -_MI_TOL) & (mi <= 1.0 + _MI_TOL)
     if not inside.all():
-        raise ValueError(f"mutual information out of [0, 1]: {float(mi[~inside][0])}")
+        raise _out_of_range(float(mi[~inside][0]))
     return np.where(mi < 0.0, 0.0, np.where(mi > 1.0, 1.0, mi))
 
 
@@ -225,13 +232,7 @@ def bit_announcement_probs(
     Pr(sigma_i, c!=b | b) = (1 - lam*v_i)/4 for i in {1, 3}.  ``report`` is
     the channel's :func:`validate_channel` report, when the caller has it.
     """
-    if report is None:
-        report = validate_channel(eve)
-    if not report.passes:
-        raise ValueError(
-            f"channel {eve.label!r} fails completeness (deviation {report.deviation:.3e})"
-        )
-    bloch = report.chaotic_image
+    bloch = require_complete(eve, report).chaotic_image
     r1 = bloch.lam * bloch.v[0]
     r3 = bloch.lam * bloch.v[2]
     given_0 = (0.25 * (1 + r1), 0.25 * (1 - r1), 0.25 * (1 + r3), 0.25 * (1 - r3))
@@ -278,70 +279,69 @@ def _binomial_cells(n, log_a, log_c, log_factorials: np.ndarray) -> np.ndarray:
 
 
 def _binomial_rows(
-    low: int, high: int, log_factorials: np.ndarray, log_a: float, log_c: float
+    low: int, high: int, log_factorials: np.ndarray, log_a, log_c
 ) -> np.ndarray:
     """Bin(i; n, a) at cells i = 0..top of each count n = low..high-1, each row scaled to sum to 1.
 
-    The cells are :func:`_binomial_cells`, and each row is divided by its
-    own ``np.add.reduce``, so the rounding of a + c and of log n! cancels.
+    ``log_a`` and ``log_c`` are floats or (t, 1, 1) arrays of t stacked
+    binomials.  The cells are :func:`_binomial_cells`, and each row is
+    divided by its own sum, one ``np.add.reduce`` for the stack, so the
+    rounding of a + c and of log n! cancels.
     """
     cells = _binomial_cells(np.arange(low, high)[:, None], log_a, log_c, log_factorials)
-    cells /= np.add.reduce(cells, axis=1)[:, None]
+    cells /= np.add.reduce(cells, axis=-1)[..., None]
     return cells
 
 
-def _length_table(
-    out: np.ndarray, probs: np.ndarray, lengths: list[int], weights, log_factorials: np.ndarray
-) -> np.ndarray:
-    """W[m, j] = w_k Bin(m; k, mu) at k = m + j, with w_k = 0 for a length not kept.
+def _vote_cells(out: np.ndarray, low: int, rows: np.ndarray) -> None:
+    """Write rows Bin(i; n, a), i = 0..top, of counts n = low.. into the net-vote table ``out``.
 
-    mu is the sigma1 mass of ``probs``, and ``weights`` holds w_k in the
-    order of ``lengths``.  The lengths from the shortest kept one to the
-    longest, top, are :func:`_binomial_rows` rows over m = 0..top, each
-    times its w_k.  ``out`` is a buffer of (top+1)(top+2) cells, filled as
-    a (top+1, top+2) table whose last column is 0, and W is its view
-    without that column: cell (m, k - m) then sits at index k + m (top + 1),
-    so the rows go in as one strided copy, and a row's exact zeros past
-    m = k land on cells with m + j > top, which are 0 anyway.
+    ``out``, filled with 0 by the caller, is the flat (top+1)(2 top+1) cells
+    of Pr(s | n), the net vote s = 2i - n at column s + top.  Cell (n, s)
+    sits at index top + 2 top n + 2i, so the cells i = 0..top-1 go in as one
+    strided copy, and a row's exact zeros past i = n land on cells that are
+    0 anyway.  The one cell with i = top is (top, top).
     """
-    top, low = lengths[-1], lengths[0]
-    scale = np.zeros(top + 1 - low)
-    scale[np.asarray(lengths) - low] = weights
-    log_mu, log_nu = _log_weight(probs[0] + probs[1]), _log_weight(probs[2] + probs[3])
-    rows = _binomial_rows(low, top + 1, log_factorials, log_mu, log_nu)
-    rows *= scale[:, None]
-    out.fill(0.0)
-    out[low : low + (top + 1) ** 2].reshape(top + 1, top + 1)[:, : top + 1 - low] = rows.T
-    return out.reshape(top + 1, top + 2)[:, : top + 1]
+    top = rows.shape[1] - 1
+    high = low + len(rows)
+    out[top : top + 2 * top * (top + 1)].reshape(top + 1, 2 * top)[low:high, ::2] = rows[:, :top]
+    if high == top + 1:
+        out[-1] = rows[-1, top]
 
 
-def _net_vote_table(
-    out: np.ndarray, probs: np.ndarray, first: int, log_factorials: np.ndarray
-) -> np.ndarray:
-    """Pr(s | n) of the net vote s = 2i - n of n announcements in one basis, for n = 0..top.
+def _plane_tables(
+    spare: np.ndarray, votes: np.ndarray, probs: np.ndarray, lengths: list[int], weights
+) -> tuple[np.ndarray, np.ndarray]:
+    """The plane's W at the start of ``spare``, B in ``votes`` and A's rows after W.
 
-    The basis is the symbols ``probs[first]`` (c = 0) and ``probs[first +
-    1]`` (c = 1).  ``out`` is a buffer of (top+1)(2 top+1) cells, filled as
-    the table: row n holds :func:`_binomial_rows`' Bin(i; n, a), a the
-    c = 0 share, at column s + top, and an exact 0 at every other column
-    (s of the other parity, or |s| > n).  Cell (n, s) sits at index
-    top + 2 top n + 2i, so the cells i = 0..top-1 go in as strided copies,
-    in blocks of at most ``_PLANE_BLOCK_CELLS`` cells; a row's exact zeros
-    past i = n land left of the next row's votes, on cells that are 0
-    anyway.  The one cell with i = top is (top, top).
+    W[m, j] = w_k Bin(m; k, mu) at k = m + j, mu the sigma1 mass and w_k = 0
+    for a length not kept; B and A hold the sigma3 and sigma1 Bin(i; n, a),
+    a the c = 0 share, B as a net-vote table (:func:`_vote_cells`).  Each
+    block of counts, at most ``_PLANE_BLOCK_CELLS`` cells, takes its rows of
+    all three from one stacked :func:`_binomial_rows`.  W is a (top+1, top+2)
+    table without its last column: cell (m, k - m) sits at index
+    k + m (top + 1), so a block's lengths go in as one strided copy, and a
+    row's exact zeros past m = k land on cells with m + j > top.
     """
-    top = len(log_factorials) - 1
-    mass = probs[first] + probs[first + 1]
-    log_a, log_c = _log_weight(probs[first] / mass), _log_weight(probs[first + 1] / mass)
-    out.fill(0.0)
-    skewed = out[top : top + 2 * top * (top + 1)].reshape(top + 1, 2 * top)
-    step = max(1, _PLANE_BLOCK_CELLS // (top + 1))
+    top = lengths[-1]
+    log_factorials, scale = _log_factorials(top), np.zeros(top + 1)
+    scale[lengths] = weights
+    sigma1, sigma3 = probs[0] + probs[1], probs[2] + probs[3]
+    shares = ((sigma1, sigma3), probs[2:] / sigma3, probs[:2] / sigma1)
+    log_a, log_c = (np.array([[[_log_weight(pair[side])]] for pair in shares]) for side in (0, 1))
+    cells_w = (top + 1) * (top + 2)
+    by_length = spare[: (top + 1) ** 2].reshape(top + 1, top + 1)
+    spare[(top + 1) ** 2 : cells_w] = 0.0  # W's last row past m = top
+    rows_a = spare[cells_w : cells_w + (top + 1) ** 2].reshape(top + 1, top + 1)
+    votes.fill(0.0)
+    step = max(1, _PLANE_BLOCK_CELLS // (3 * (top + 1)))
     for low in range(0, top + 1, step):
         high = min(low + step, top + 1)
-        cells = _binomial_rows(low, high, log_factorials, log_a, log_c)
-        skewed[low:high, ::2] = cells[:, :top]
-    out[-1] = cells[-1, top]
-    return out.reshape(top + 1, 2 * top + 1)
+        w, b, rows_a[low:high] = _binomial_rows(low, high, log_factorials, log_a, log_c)
+        w *= scale[low:high, None]
+        by_length[:, low:high] = w.T
+        _vote_cells(votes, low, b)
+    return spare[:cells_w].reshape(top + 1, top + 2)[:, : top + 1], rows_a
 
 
 def _log_ratios(probs: np.ndarray, first: int, top: int) -> np.ndarray:
@@ -406,20 +406,23 @@ def _plane_expectation(probs: np.ndarray, lengths: list[int], weights: np.ndarra
     message negates s, so I_k = 1 - sum_s P_k(s) h(s) with
     h(s) = log2(1 + 2^x(s)), and the sum over the kept lengths is
     sum_k w_k - <Q, h>, where the kept-length mixture of (s1, s3) is
-    Q = A^T W B: W is :func:`_length_table`, and A and B are the sigma1 and
-    sigma3 :func:`_net_vote_table`.
+    Q = A^T W B: W is the kept-length table, and A and B are the sigma1 and
+    sigma3 net-vote tables (:func:`_plane_tables`).
 
-    R = W B is one product; A is then built where B was.  Q is formed in
-    the blocks of :func:`_plane_blocks`: a block whose smallest |s1| is u
+    W, B and A's rows come from one stacked builder (:func:`_plane_tables`);
+    R = W B is one product, and A is then written where B was.  Q is formed
+    in the blocks of :func:`_plane_blocks`: a block whose smallest |s1| is u
     takes only the counts m >= u and the votes |s3| <= top - u, since
     A[m, s1] = 0 for m < |s1| and R[m, s3] = 0 for |s3| > top - m.  Each
-    block's <Q, h> (h by :func:`_log2_one_plus_exp2`) is one ``np.add.reduce``,
-    and the blocks are added in order.
+    block's h (:func:`_log2_one_plus_exp2`) is formed first, in the buffer
+    its Q then takes, and its <Q, h> is one ``np.add.reduce``; the blocks
+    are added in order.
 
-    Every table and block buffer of the call is a view of one buffer.  The
-    heap then keeps that memory from one call to the next; with a separate
-    array each, the heap was trimmed after every call, and at
-    (N, p_announce) = (119, 0.5) each call took about 280 page faults.
+    Every table and block buffer of the call is a view of one buffer (W and
+    A's rows wait in the block buffers).  The heap then keeps that memory
+    from one call to the next; with a separate array each, the heap was
+    trimmed after every call, and at (N, p_announce) = (119, 0.5) each call
+    took about 280 page faults.
     """
     top = lengths[-1]
     _check_plane(top)
@@ -427,24 +430,24 @@ def _plane_expectation(probs: np.ndarray, lengths: list[int], weights: np.ndarra
     blocks = list(_plane_blocks(top))
     block = max(high - low for low, high, _ in blocks) * width
     table = (top + 1) * width
-    work = np.empty(2 * table + (top + 1) * (top + 2) + 3 * block)
+    work = np.empty(2 * table + max(2 * block, (top + 1) * (2 * top + 3)))
     r, votes = work[:table].reshape(top + 1, width), work[table : 2 * table]
-    w, buffers = work[2 * table : -3 * block], work[-3 * block :].reshape(3, block)
-    log_factorials = _log_factorials(top)
-    np.matmul(
-        _length_table(w, probs, lengths, weights, log_factorials),
-        _net_vote_table(votes, probs, 2, log_factorials),
-        out=r,
-    )
-    a = _net_vote_table(votes, probs, 0, log_factorials)
+    spare = work[2 * table :]
+    w, rows_a = _plane_tables(spare, votes, probs, lengths, weights)
+    np.matmul(w, votes.reshape(top + 1, width), out=r)
+    votes.fill(0.0)
+    _vote_cells(votes, 0, rows_a)
+    a = votes.reshape(top + 1, width)
     x1, x3 = _log_ratios(probs, 0, top), _log_ratios(probs, 2, top)
+    buffers = spare[: 2 * block].reshape(2, block)
     total = 0.0
     for low, high, u in blocks:
         shape = (high - low, width - 2 * u)
-        q, x, g = (v[: shape[0] * shape[1]].reshape(shape) for v in buffers)
-        np.matmul(a[u:, low:high].T, r[u:, u : width - u], out=q)
+        q, x = (v[: shape[0] * shape[1]].reshape(shape) for v in buffers)
         np.add(x1[low:high, None], x3[u : width - u], out=x)
-        q *= _log2_one_plus_exp2(x, g)
+        h = _log2_one_plus_exp2(x, q)
+        np.matmul(a[u:, low:high].T, r[u:, u : width - u], out=q)
+        q *= h
         total += float(np.add.reduce(q, axis=None))
     return float(np.add.reduce(weights)) - total
 

@@ -18,11 +18,12 @@ entry as numpy ufunc calls over whole stacks (``_product``,
 to BLAS on its own.  An entry is then computed the same way whatever the
 stack's shape, so a stack of channels, one channel and one state
 (``apply_channel``, ``measurement_prob``) all give the same floats.
-Completeness alone stays on ``np.matmul``; its deviation is only compared
-and printed (inf when its products pass the double range).  The Born
-table builds no ``DensityMatrix``; the functions that return density
-matrices still validate each one.  The damping family's operators are
-written once, as a stack for any number of strengths (``damping_stack``),
+A channel's completeness alone stays on ``np.matmul``; its deviation is
+only compared and printed (inf when its products pass the double range).
+``validate_channel`` builds no ``DensityMatrix``: it reads I/2's image
+straight from the matrix; the functions that return density matrices still
+validate each one.  The damping family's operators are written once, as a
+stack for any number of strengths (``damping_stack``, gated entrywise),
 and ``born_cells`` evaluates chosen Born cells of many stacks at once.
 
 All values are immutable after construction and every function is pure,
@@ -117,6 +118,11 @@ def _frozen_array(values, shape) -> np.ndarray:
     return arr
 
 
+def _frobenius(stacks: np.ndarray) -> np.ndarray:
+    """Frobenius norms of (..., 2, 2) stacks: ``np.linalg.norm``'s sum of squares, unwrapped."""
+    return np.sqrt((stacks.real * stacks.real + stacks.imag * stacks.imag).sum(axis=(-2, -1)))
+
+
 def _hermitian_eigenvalues(m: np.ndarray) -> tuple[float, float]:
     """Eigenvalues of a 2x2 Hermitian matrix from the closed-form quadratic."""
     tr = m[0, 0].real + m[1, 1].real
@@ -207,7 +213,7 @@ class KrausChannel:
         if not np.isfinite(stack).all():
             raise ValueError("entries must be finite")
         with np.errstate(over="ignore"):  # a norm past the double range is inf, and kept
-            norms = np.sqrt((stack.real * stack.real + stack.imag * stack.imag).sum(axis=(1, 2)))
+            norms = _frobenius(stack)
         stack = stack[norms > ZERO_OPERATOR_TOL]
         if not len(stack):
             raise ValueError("a channel needs at least one non-zero Kraus operator")
@@ -259,7 +265,11 @@ def density_from_bloch(b: BlochVector) -> DensityMatrix:
 
 def bloch_from_density(rho: DensityMatrix) -> BlochVector:
     """Invert the Pauli expansion: lam * v_j = Tr(sigma_j rho)."""
-    m = rho.matrix
+    return _bloch_coordinates(rho.matrix)
+
+
+def _bloch_coordinates(m: np.ndarray) -> BlochVector:
+    """:func:`bloch_from_density` of the 2x2 matrix ``m``, which is not checked."""
     r1 = (m[0, 1] + m[1, 0]).real
     r2 = (1.0j * (m[0, 1] - m[1, 0])).real
     r3 = (m[0, 0] - m[1, 1]).real
@@ -320,7 +330,8 @@ def validate_channel(ch: KrausChannel) -> ChannelValidation:
     when the channel fixes the maximally mixed state (zero Bloch radius of
     the image up to the completeness tolerance).  A complete channel maps
     I/2 and the four preparation states in one operator sum, and the report
-    carries their Born table.
+    carries their Born table.  The Bloch coordinates are read from the
+    normalized image of I/2, and no :class:`DensityMatrix` is built.
     """
     # an entry near the top of the double range overflows the products: inf - inf is nan
     with np.errstate(over="ignore", invalid="ignore"):
@@ -331,10 +342,10 @@ def validate_channel(ch: KrausChannel) -> ChannelValidation:
         deviation = math.inf if math.isnan(deviation) else deviation
         return ChannelValidation(deviation, False, None, False)
     images = _operator_sum(ch.stack, _VALIDATED_STATES)
-    # a channel within the gate may scale the trace by up to about 1e-10,
-    # beyond DensityMatrix's tolerance, so the image is normalized
+    # a channel within the gate may scale the trace by up to about 1e-10, so the
+    # image is normalized; a Kraus map keeps it Hermitian and positive semidefinite
     chaotic = images[0] / (images[0, 0, 0].real + images[0, 1, 1].real)
-    bloch = bloch_from_density(DensityMatrix(chaotic))
+    bloch = _bloch_coordinates(chaotic)
     born = _born_probabilities(_BORN_OPERATORS, _normalized(images[1:])[:, None, None])
     born.setflags(write=False)
     return ChannelValidation(deviation, True, bloch, bloch.lam <= COMPLETENESS_TOL, born)
@@ -457,16 +468,15 @@ def damping_stack(xs) -> np.ndarray:
     it adds exact zeros to every operator sum.  Raises for a strength
     outside [0, 1] (:func:`damping_strengths`) and, with
     :func:`born_table`'s message, for a stack that fails the completeness
-    gate.
+    gate, whose sum of E^dag E is entrywise (:func:`_product`).
     """
     xs = damping_strengths(xs)
     stack = np.zeros((len(xs), 2, 2, 2), dtype=complex)
     stack[:, 0, 0, 0] = 1.0
     stack[:, 0, 1, 1] = np.sqrt(1.0 - xs)
     stack[:, 1, 0, 1] = np.sqrt(xs)
-    dropped = np.linalg.norm(stack[:, 1], axis=(-2, -1)) <= ZERO_OPERATOR_TOL
-    stack[dropped, 1] = 0.0
-    deviation = np.linalg.norm(_completeness_error(stack), axis=(-2, -1))
+    stack[_frobenius(stack[:, 1]) <= ZERO_OPERATOR_TOL, 1] = 0.0
+    deviation = _frobenius(_product(stack.conj().swapaxes(-1, -2), stack).sum(axis=-3) - IDENTITY)
     failed = np.flatnonzero(~(deviation <= COMPLETENESS_TOL))
     if failed.size:
         first = failed[0]

@@ -96,8 +96,17 @@ def test_bit_announcement_probs_unital_channels():
 
 
 def test_bit_announcement_probs_rejects_incomplete():
-    with pytest.raises(ValueError):
-        bit_announcement_probs(KrausChannel((np.diag([1.0, 0.5]),)))
+    """With the born table's and the mismatch's message, word for word, with or
+    without the channel's report."""
+    half = KrausChannel((np.diag([1.0, 0.5]),), label="half")
+    report = validate_channel(half)
+    messages = set()
+    for call in (bit_announcement_probs, qubit.born_table, mismatch_probability):
+        for args in ((half,), (half, report)):
+            with pytest.raises(ValueError) as raised:
+                call(*args)
+            messages.add(str(raised.value))
+    assert messages == {"channel 'half' fails completeness (deviation 7.500e-01)"}
 
 
 def test_distribution_validation():
@@ -349,10 +358,22 @@ def test_truncation_mass_respects_tolerance():
 
 
 def test_mi_result_bounds():
-    with pytest.raises(ValueError):
-        MIResult(1.5, 3, 0.0)
-    with pytest.raises(ValueError):
-        MIResult(-0.5, 3, 0.0)
+    """MIResult checks and clamps its one float as _checked_bits does a column: NaN, or
+    a value more than _MI_TOL outside [0, 1], raises the same message; a value within
+    _MI_TOL of [0, 1] is clamped, and -0.0 is kept."""
+    tol = analysis._MI_TOL
+    for bad in (1.5, -0.5, math.nan, math.inf, 1.0 + 2 * tol, -2 * tol):
+        with pytest.raises(ValueError) as point:
+            MIResult(bad, 3, 0.0)
+        with pytest.raises(ValueError) as column:
+            analysis._checked_bits([0.5, bad])
+        assert str(point.value) == str(column.value) == f"mutual information out of [0, 1]: {bad}"
+    for value, want in ((1.0 + tol, 1.0), (1.0 + tol / 2, 1.0), (-tol, 0.0), (-tol / 2, 0.0),
+                        (-0.0, -0.0), (0.0, 0.0), (0.25, 0.25), (1.0, 1.0)):
+        got = MIResult(np.float64(value), 3, 0.0).mi_bits
+        assert type(got) is float and got == want
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+        assert got.hex() == float(analysis._checked_bits([value])[0]).hex()
 
 
 # ---------------------------------------------------------------------------
@@ -723,19 +744,47 @@ def collapse_stacks(draw, patterns):
 
 
 def kernel_plane_tables(row, lengths, weights):
-    """The package's (W, A, B, x1, x3) of a plane row, each built into a buffer of its own."""
+    """The package's (W, A, B, x1, x3) of a plane row, from its one stacked table build;
+    the buffers start as NaN, so a cell the build leaves unwritten shows."""
     top = lengths[-1]
-    log_factorials = analysis._log_factorials(top)
-    votes = (top + 1) * (2 * top + 1)
+    spare, b = np.full((top + 1) * (2 * top + 3), np.nan), np.full((top + 1) * (2 * top + 1), np.nan)
+    w, rows_a = analysis._plane_tables(spare, b, row, lengths, weights)
+    a = np.zeros_like(b)
+    analysis._vote_cells(a, 0, rows_a)
     return (
-        analysis._length_table(
-            np.empty((top + 1) * (top + 2)), row, lengths, weights, log_factorials
-        ),
-        analysis._net_vote_table(np.empty(votes), row, 0, log_factorials),
-        analysis._net_vote_table(np.empty(votes), row, 2, log_factorials),
+        w,
+        a.reshape(top + 1, 2 * top + 1),
+        b.reshape(top + 1, 2 * top + 1),
         analysis._log_ratios(row, 0, top),
         analysis._log_ratios(row, 2, top),
     )
+
+
+@pytest.mark.parametrize("n_shots", [119, 500])
+def test_the_plane_tables_are_three_binomial_rows_calls(n_shots):
+    """The one stacked builder call per block gives, by .tobytes(), the rows of
+    three _binomial_rows calls, one per table: the length rows times their
+    weights in W, B's net votes and A's rows.  At N = 119 the three tables
+    are one block, at N = 500 several."""
+    row = bit_announcement_probs(random_kraus_channel(np.random.default_rng(77), 3)).probs_given_b[0]
+    row = analysis._unit_rows(row)[0]
+    pmf, lengths, _ = analysis._kept_lengths(n_shots, 0.5, 1e-12)
+    top, weights = lengths[-1], pmf[lengths]
+    assert (3 * (top + 1) ** 2 > analysis._PLANE_BLOCK_CELLS) == (n_shots == 500)
+    w, a, b, _, _ = kernel_plane_tables(row, lengths, weights)
+    log_factorials = analysis._log_factorials(top)
+    n, i = np.tril_indices(top + 1)  # count n, cell i <= n
+    for table, first in ((a, 0), (b, 2)):
+        mass = row[first] + row[first + 1]
+        logs = (analysis._log_weight(row[first] / mass), analysis._log_weight(row[first + 1] / mass))
+        want = analysis._binomial_rows(0, top + 1, log_factorials, *logs)
+        assert table[n, 2 * i - n + top].tobytes() == want[n, i].tobytes()
+    assert lengths == list(range(lengths[0], top + 1))
+    logs = (analysis._log_weight(row[0] + row[1]), analysis._log_weight(row[2] + row[3]))
+    want = analysis._binomial_rows(lengths[0], top + 1, log_factorials, *logs) * weights[:, None]
+    k, m = np.tril_indices(top + 1)  # length k, cell m <= k
+    k, m = k[k >= lengths[0]], m[k >= lengths[0]]
+    assert w[m, k - m].tobytes() == want[k - lengths[0], m].tobytes()
 
 
 def assert_plane_is_its_tables(row, lengths, weights):
@@ -938,6 +987,23 @@ def test_plane_memory_at_n1000():
         tracemalloc.stop()
     assert 0.0 <= result.mi_bits <= 1.0
     assert peak <= 20 * 2**20
+
+
+def test_plane_memory_at_n119_pa05():
+    """At N = 119, pa = 0.5 (longest kept length 97, heavy's validate-channel) W and
+    A's rows wait in the block buffers, and Q takes two of those: the call peaks at
+    1,533,466 bytes with numpy 2.4, against 1,616,882 when W had a region of its
+    own, Q three buffers and each table a builder call."""
+    dist = bit_announcement_probs(random_kraus_channel(np.random.default_rng(77), 3))
+    assert analysis._kept_lengths(119, 0.5, 1e-12)[1][-1] == 97
+    tracemalloc.start()
+    try:
+        result = expected_mutual_information(dist, 119, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 <= result.mi_bits <= 1.0
+    assert peak <= 1_616_882
 
 
 def test_the_plane_refuses_tables_over_its_budget_before_building_them(monkeypatch):

@@ -14,6 +14,7 @@ from conftest import (
     random_kraus_channel,
 )
 from oracles import apply_coupling, coupling_unitary
+from sealsim import qubit
 from sealsim.qubit import (
     IDENTITY,
     SIGMA_1,
@@ -257,6 +258,35 @@ def test_validate_channel_reports():
     assert seal.born.shape == (4, 2, 2) and not seal.born.flags.writeable
     assert abs(seal.chaotic_image.lam - 0.36) <= 1e-12
     assert np.abs(np.array(seal.chaotic_image.v) - (0.0, 0.0, 1.0)).max() <= 1e-12
+
+
+@settings(max_examples=200)
+@given(
+    st.one_of(
+        st.sampled_from(
+            [
+                identity_channel(),
+                seal_channel(0.36),
+                seal_channel(1.0),
+                depolarizing_channel(0.6),
+                dephasing_channel(),
+            ]
+        ),
+        st.builds(
+            lambda seed, n_ops: random_kraus_channel(np.random.default_rng(seed), n_ops),
+            st.integers(min_value=0, max_value=2**32 - 1),
+            st.integers(min_value=1, max_value=4),
+        ),
+    )
+)
+def test_the_chaotic_image_is_bloch_from_density_of_the_normalized_image(channel):
+    """validate_channel reads (lam, v) from the normalized image of I/2 with no
+    DensityMatrix; field by field they are the floats bloch_from_density gives on a
+    DensityMatrix of that image, whose checks the image passes."""
+    image = qubit._operator_sum(channel.stack, maximally_mixed().matrix)
+    want = bloch_from_density(DensityMatrix(image / (image[0, 0].real + image[1, 1].real)))
+    got = validate_channel(channel).chaotic_image
+    assert [got.lam.hex(), *(c.hex() for c in got.v)] == [want.lam.hex(), *(c.hex() for c in want.v)]
 
 
 @pytest.mark.parametrize("scale", [1.0 + 3e-11, 1.0 - 3e-11])
