@@ -30,6 +30,7 @@ counts, with no truncation.
 import decimal
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import rel_entr
@@ -357,7 +358,7 @@ def mismatch_by_state(ch) -> float:
     return per_shot
 
 
-def lattice_mi_stepwise(lattice: np.ndarray) -> np.ndarray:
+def lattice_mi_stepwise(lattice: np.ndarray, mass=1.0) -> np.ndarray:
     """I(s : message) in bits per row of net-vote distributions given b = 0.
 
     Flipping the message negates every net vote, so p1(s) = p0(-s), and the
@@ -367,7 +368,10 @@ def lattice_mi_stepwise(lattice: np.ndarray) -> np.ndarray:
     result never exceeds 1.  (Writing 1 as sum_s p0(s) gives the
     Jensen-Shannon form sum_s p0(s) log2(2 p0(s) / (p0(s) + p0(-s))); using
     the exact 1 keeps the lattice's rounded mass out of the result.)  Cells
-    with p0(s) = 0 add an exact 0 to their row's sum.
+    with p0(s) = 0 add an exact 0 to their row's sum.  ``mass`` is each
+    row's exact total, a float or a (rows,) array: p0 is the lattice divided
+    by it, and H, whose ratio does not change, is the lattice's sum divided
+    by it (exact for a total of 1).
     """
     rows = len(lattice)
     if lattice.size == rows:
@@ -386,7 +390,7 @@ def lattice_mi_stepwise(lattice: np.ndarray) -> np.ndarray:
         np.divide(p, ratio, out=ratio, where=seen)
         np.log2(ratio, out=ratio, where=seen)
     ratio *= p
-    return 1.0 + np.add.reduce(ratio, axis=1)
+    return 1.0 + np.add.reduce(ratio, axis=1) / mass
 
 
 # Each symbol's offset on the plane, kept in the coordinates
@@ -407,6 +411,12 @@ def mi_by_length_stepwise(probs: np.ndarray, lengths: list[int]) -> np.ndarray:
     step with the single-announcement distribution (see ``PLANE_OFFSETS``);
     negating (s1, s3) reverses both lattice axes.  Memory is rows times the
     lattice at the largest length.
+
+    A row is read as its distribution scaled to sum to 1, as the package
+    reads it: a row whose rounded symbols sum to T != 1 walks a lattice of
+    mass T^k at length k, and its information is read with that exact mass
+    (T^k rounded once, from ``fractions``), not with 1.  A row of total 1
+    reads as it did without the scaling, bit for bit.
     """
     if lengths[0] < 0:
         raise ValueError("string length must be non-negative")
@@ -424,6 +434,7 @@ def mi_by_length_stepwise(probs: np.ndarray, lengths: list[int]) -> np.ndarray:
     moves = {offset: columns[col] for col, offset in enumerate(PLANE_OFFSETS) if taken[col]}
 
     rows = len(probs)
+    totals = [sum(map(Fraction, row)) for row in weights.tolist()]
     lattice = np.ones((rows, 1, 1))
     out = np.empty((rows, len(lengths)))
     k = 0
@@ -435,7 +446,8 @@ def mi_by_length_stepwise(probs: np.ndarray, lengths: list[int]) -> np.ndarray:
                 step[:, o1 : o1 + n1, o3 : o3 + n3] += weight * lattice
             lattice = step
             k += 1
-        out[:, column] = lattice_mi_stepwise(lattice)
+        mass = np.array([float(total**target) for total in totals])
+        out[:, column] = lattice_mi_stepwise(lattice, mass)
     return out
 
 
