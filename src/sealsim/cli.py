@@ -150,7 +150,7 @@ def cmd_simulate(
     # stream 0's key column comes from the pass that tallies trial 0; all 64
     # keys fit in a byte
     keys = None if transcript_path is None else np.empty(params.n_shots, dtype=np.uint8)
-    stats = protocol.monte_carlo(params, channel, trials, keys=keys)
+    stats = protocol.monte_carlo(params, channel, trials, keys=keys, report=report)
     dist = analysis.bit_announcement_probs(channel, report)
     predicted = dist.probs_given_b[params.message_bit]
     mismatch = analysis.mismatch_probability(channel, report)

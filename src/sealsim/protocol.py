@@ -22,11 +22,11 @@ words, with no ``Generator``: the first N words hold 2N uint32 halves, low
 half first, whose top two bits (halves [0, N)) are the preparations and top
 bit (halves [N, 2N)) the bases; words [N, 2N) and [2N, 3N) give the result
 and announcement variates, whose ``Generator`` doubles are
-``(word >> 11) * 2**-53``.  The stream seeds are derived for a chunk of
-streams at a time in uint32 array operations, and each stream's state is
-set on one reused ``PCG64`` that reads its words.  The contract is
-unchanged: the tests compare the source with the columns numpy's own
-``Generator`` draws.
+``(word >> 11) * 2**-53``.  Each stream's ``SeedSequence`` words are
+derived for a chunk of streams at a time in uint32 array operations and
+handed to numpy's ``PCG64``, which forms its state from them in C as it
+does from the ``SeedSequence`` itself.  The tests compare the source with
+the columns numpy's own ``Generator`` draws.
 
 No variate is turned into a double.  A shot's result is +1 when its
 variate falls below Pr(+1), and it is a bit-announcement when its other
@@ -63,18 +63,13 @@ entries from those tables by its key column; ``bob_decode``,
 the keys of the records they are given, so a hand-built record counts and
 prints like any other.
 
-A transcript is built as bytes with no Python work per line, and streamed
-in chunks of ``_BLOCK_CELLS`` lines, so its memory does not grow with N.
-A chunk's shot indices are fixed-width byte strings, NUL-padded on the
-left: the last four digits are rows of a table of 0 .. 9999, the ones
-before them the digits of ``index // 10**4``.  A table of 64 fixed-width
-byte strings holds each key's ``",<fields>\n"``, padded with NUL.  Each
-line is one (index, fields) record over a byte buffer, and the padding is
-deleted from the buffer.  A file is the comments and the header, then its
-chunks, written atomically, and ``transcript_lines`` is the header
-followed by their lines.  ``write_transcripts`` writes the full file, then
-the public one, so the public file is renamed only once the full one is
-in place.
+A transcript is built as bytes with no Python work per line (each line a
+record of fixed-width index digits and key fields over one byte buffer,
+its NUL padding deleted; :func:`_transcript_body`) and streamed, after its
+comments and header, in chunks of ``_BLOCK_CELLS`` lines, so its memory
+does not grow with N.  ``write_transcripts`` writes the full file, then the
+public one, so the public file is renamed only once the full one is in
+place.
 """
 
 from __future__ import annotations
@@ -88,6 +83,7 @@ from typing import NamedTuple
 import numpy as np
 
 from sealsim.qubit import (
+    ChannelValidation,
     KrausChannel,
     MeasurementBasis,
     MeasurementResult,
@@ -378,11 +374,11 @@ def _threshold(p):
 class ShotSampler:
     """Per-channel sampler: the eight Born Pr(+1) as integer thresholds on variates."""
 
-    def __init__(self, eve: KrausChannel):
+    def __init__(self, eve: KrausChannel, report: ChannelValidation | None = None):
         self.channel = eve
         # threshold of Pr(+1) indexed by cell = 2 * preparation index + basis
         # index, in _STATES and _BASES order
-        self._result_thresholds = _threshold(born_table(eve)[:, :, 0].ravel())
+        self._result_thresholds = _threshold(born_table(eve, report)[:, :, 0].ravel())
 
     def keys(self, columns, announce_threshold, message_bit) -> np.ndarray:
         """Shot keys (int64) from integer variate columns of one shape.
@@ -433,14 +429,12 @@ def public_transcript(shots) -> PublicTranscript:
 
 # The stream contract, computed from raw words.  Stream t of a root seed is
 # numpy's PCG64 seeded by SeedSequence(entropy=seed, spawn_key=(t,)), read
-# through a Generator.  The constants are SeedSequence's hash constants and
-# PCG64's multiplier, which numpy keeps fixed so that seeded streams stay
-# reproducible across releases; tests/oracles.py draws the same columns
-# through numpy's own classes, and the tests compare the two.
+# through a Generator.  The constants are SeedSequence's hash constants,
+# which numpy keeps fixed so that seeded streams stay reproducible across
+# releases; tests/oracles.py draws the same columns through numpy's own
+# classes, and the tests compare the two.
 _M32 = 0xFFFFFFFF
-_M128 = (1 << 128) - 1
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # Streams whose seed words are derived by one set of array calls.  Numpy
 # calls cost about the same at any size up to here, so this is what keeps
 # the derivation cheap per stream; it does not depend on the trial count,
@@ -454,10 +448,7 @@ def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
     Call i of a SeedSequence hash xors its value with entry i and multiplies
     it by entry i + 1.
     """
-    consts = [init]
-    for _ in range(calls):
-        consts.append(consts[-1] * mult & _M32)
-    return np.array(consts, dtype=np.uint32)
+    return np.array([init * pow(mult, i, 1 << 32) & _M32 for i in range(calls + 1)], np.uint32)
 
 
 # hashmix calls 0-15 mix the seed into the pool and calls 16-19 and 20-23
@@ -505,7 +496,7 @@ def _mix_key_word(pool: np.ndarray, words: np.ndarray, first_call: int) -> np.nd
 
 
 def _stream_seeds(pool: np.ndarray, streams: np.ndarray) -> np.ndarray:
-    """``generate_state(4, np.uint64)`` of each stream's SeedSequence, one row each.
+    """``generate_state(4, np.uint64)`` of each stream's SeedSequence, one C-contiguous row each.
 
     The spawn key is the stream index's uint32 words, little-endian: one
     below 2**32 and two from there on.
@@ -517,7 +508,7 @@ def _stream_seeds(pool: np.ndarray, streams: np.ndarray) -> np.ndarray:
         mixed = np.where(high[:, None] != 0, two_words, mixed)
     state = (mixed[:, _POOL_CYCLE] ^ _HASH_B[:-1]) * _HASH_B[1:]
     state = (state ^ state >> 16).astype(np.uint64)
-    return state[:, 0::2] | state[:, 1::2] << 32
+    return np.ascontiguousarray(state[:, 0::2] | state[:, 1::2] << 32)
 
 
 def _halves(words: np.ndarray) -> np.ndarray:
@@ -550,53 +541,63 @@ def _run_columns(words: np.ndarray, n: int):
     )
 
 
+_U64 = np.dtype(np.uint64)
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """A stream's 4 seed words, the seed sequence its ``PCG64`` is built from.
+
+    ``PCG64`` forms its state in C from ``generate_state(4, np.uint64)``,
+    read through the array's data pointer, so only a contiguous row of 4
+    native uint64 is accepted, and only that request is answered.
+    """
+
+    __slots__ = ("_words",)
+
+    def __init__(self, words: np.ndarray):
+        if words.shape != (4,) or words.strides != (8,) or words.dtype is not _U64:
+            raise ValueError("seed words must be one C-contiguous row of 4 uint64")
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64 and np.dtype(dtype) != _U64:
+            raise ValueError(f"a stream has 4 uint64 seed words, not {n_words} {np.dtype(dtype)}")
+        return self._words
+
+
 class _Streams:
     """The raw PCG64 words of the streams of one root seed.
 
     The seed is mixed into the SeedSequence pool once.  The spawn-key steps
     and the seed words are array operations over chunks of streams, and each
-    stream's PCG64 state is set on one reused bit generator, which reads its
-    words with ``random_raw``.
+    stream's ``PCG64`` is built from its seed words (:class:`_SeedWords`)
+    and reads its words with ``random_raw``.
     """
 
     def __init__(self, seed: int):
         self._pool = _seed_pool(seed)
-        self._bitgen = np.random.PCG64(0)
-        self._inner = {"state": 0, "inc": 0}
-        self._state = {
-            "bit_generator": "PCG64",
-            "state": self._inner,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
 
     def states(self, start: int, stop: int):
-        """Yield the PCG64 (state, increment) of streams [start, stop) in order.
-
-        PCG64 seeds itself by stepping from state 0 with increment
-        ``(initseq << 1) | 1``, adding ``initstate`` and stepping again.
-        """
+        """Yield the seed words of streams [start, stop) in order, as :class:`_SeedWords`."""
         for first in range(start, stop, _SEED_CHUNK):
             streams = np.arange(first, min(first + _SEED_CHUNK, stop), dtype=np.uint64)
-            for init_hi, init_lo, seq_hi, seq_lo in _stream_seeds(self._pool, streams).tolist():
-                inc = (seq_hi << 65 | seq_lo << 1 | 1) & _M128
-                yield ((inc + (init_hi << 64 | init_lo)) * _PCG64_MULT + inc) & _M128, inc
+            yield from map(_SeedWords, _stream_seeds(self._pool, streams))
 
-    def words(self, state: tuple[int, int], first: int, count: int) -> np.ndarray:
-        """Raw words [first, first + count) of the stream with PCG64 ``state``."""
-        self._inner["state"], self._inner["inc"] = state
-        self._bitgen.state = self._state
+    @staticmethod
+    def words(state: _SeedWords, first: int, count: int) -> np.ndarray:
+        """Raw words [first, first + count) of the stream seeded by ``state``."""
+        bitgen = np.random.PCG64(state)
         if first:
-            self._bitgen.advance(first)
-        return self._bitgen.random_raw(count)
+            bitgen.advance(first)
+        return bitgen.random_raw(count)
 
-    def _read_halves(self, state: tuple[int, int], first: int, count: int) -> np.ndarray:
+    def _read_halves(self, state: _SeedWords, first: int, count: int) -> np.ndarray:
         """uint32 halves [first, first + count) of the stream with ``state``."""
         word = first // 2
         halves = _halves(self.words(state, word, (first + count + 1) // 2 - word))
         return halves[first % 2 : first % 2 + count]
 
-    def chunk_columns(self, state: tuple[int, int], n: int, first: int):
+    def chunk_columns(self, state: _SeedWords, n: int, first: int):
         """The integer columns of the ``_BLOCK_CELLS`` shots of an n-shot run from ``first``.
 
         The last chunk of a run may be shorter.  Each column is read from its
@@ -613,7 +614,7 @@ class _Streams:
 
 def _run_counts(
     params: ProtocolParams,
-    eve: KrausChannel,
+    sampler: ShotSampler,
     trials: int,
     parity: int = 0,
     first_stream: int = 0,
@@ -631,7 +632,6 @@ def _run_counts(
     """
     n = params.n_shots
     announce = _threshold(params.p_announce)
-    sampler = ShotSampler(eve)
     streams = _Streams(params.seed)
     states = streams.states(first_stream, first_stream + trials)
     if n > _BLOCK_CELLS:
@@ -653,8 +653,8 @@ def _run_counts(
     words = np.empty((rows, 3 * n), dtype=np.uint64)
     for start in range(0, trials, rows):
         t = np.arange(start, min(start + rows, trials))
-        for row, state in zip(range(len(t)), states):
-            words[row] = streams.words(state, 0, 3 * n)
+        for row, state in zip(words[: len(t)], states):
+            row[:] = np.random.PCG64(state).random_raw(3 * n)
         bits = params.message_bit ^ (t & parity)
         block = sampler.keys(_run_columns(words[: len(t)], n), announce, bits[:, None])
         if keys is not None and start == 0:
@@ -680,7 +680,7 @@ def run_keys(
     if not 0 <= stream < 2**64:
         raise ValueError(f"stream must be a non-negative integer below 2**64, got {stream}")
     keys = np.empty(params.n_shots, dtype=np.uint8)
-    ((_, counts),) = _run_counts(params, eve, 1, first_stream=stream, keys=keys)
+    ((_, counts),) = _run_counts(params, ShotSampler(eve), 1, first_stream=stream, keys=keys)
     tally = _tally(counts)
     outcome = RunOutcome(
         _decoded_bit(tally.decoded[0]),
@@ -764,13 +764,19 @@ class SimStats:
 
 
 def monte_carlo(
-    params: ProtocolParams, eve: KrausChannel, trials: int, *, keys: np.ndarray | None = None
+    params: ProtocolParams,
+    eve: KrausChannel,
+    trials: int,
+    *,
+    keys: np.ndarray | None = None,
+    report: ChannelValidation | None = None,
 ) -> SimStats:
     """Run ``trials`` independent runs and aggregate order-independent counts.
 
     ``keys``, when given, is an array of ``params.n_shots`` integers that
     receives trial 0's key column, the one :func:`run_keys` gives for stream
-    0, from the same pass that tallies it.
+    0, from the same pass that tallies it.  ``report``, the caller's
+    :func:`~sealsim.qubit.validate_channel` report, spares validating again.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -778,7 +784,7 @@ def monte_carlo(
         raise ValueError(f"keys must have shape ({params.n_shots},), got {keys.shape}")
     ba_counts = np.zeros(4, dtype=np.int64)
     matched_ra = mismatches = successes = correct = 0
-    for _, counts in _run_counts(params, eve, trials, keys=keys):
+    for _, counts in _run_counts(params, ShotSampler(eve, report), trials, keys=keys):
         tally = _tally(counts)
         ba_counts += tally.bit_announcements.sum(axis=0)
         matched_ra += int(tally.matched_result_announcements.sum())
@@ -813,7 +819,7 @@ def information_density(
     with np.errstate(divide="ignore"):
         log_probs = np.log2(np.asarray(probs_given_b, dtype=float))
     values = np.empty(trials)
-    for t, run_counts in _run_counts(params, eve, trials, parity=1):
+    for t, run_counts in _run_counts(params, ShotSampler(eve), trials, parity=1):
         bits = params.message_bit ^ (t & 1)
         counts = run_counts[:, None, :4]
         # log-likelihood of each run's string under either message; a symbol

@@ -1124,22 +1124,22 @@ def test_validate_channel_validates_the_channel_once(tmp_path, monkeypatch, caps
     assert "expected_mi_bits = " in capsys.readouterr().out
 
 
-def test_simulate_validates_the_channel_for_the_report_and_the_sampler(monkeypatch, capsys):
+def test_simulate_validates_the_channel_once(monkeypatch, capsys):
+    """The report's validation serves the shot sampler and the analytic rows."""
     calls = _count_validations(monkeypatch)
     assert main(["simulate", "--channel", "seal", "--x", "0.5", "--trials", "3"]) == 0
-    assert len(calls) == 2  # the report's, and the shot sampler's own
+    assert len(calls) == 1
     assert "mismatch_conditional" in capsys.readouterr().out
 
 
-def test_simulate_transcript_validates_the_channel_for_the_report_and_one_sampler(
-    tmp_path, monkeypatch, capsys
-):
-    """The transcript's keys come from the Monte Carlo's own sampler."""
+def test_simulate_transcript_validates_the_channel_once(tmp_path, monkeypatch, capsys):
+    """The transcript's keys come from the Monte Carlo's own sampler, built
+    from the report's Born table."""
     calls = _count_validations(monkeypatch)
     transcript = tmp_path / "run.csv"
     argv = ["simulate", "--channel", "seal", "--x", "0.5", "--trials", "3"]
     assert main([*argv, "--transcript", str(transcript)]) == 0
-    assert len(calls) == 2  # the report's, and the shot sampler's own
+    assert len(calls) == 1
     assert "mismatch_conditional" in capsys.readouterr().out
     assert transcript.exists()
 

@@ -1184,6 +1184,54 @@ def test_stream_states_across_the_two_word_boundary():
         assert np.array_equal(streams.words(state, 0, 15), reference.random_raw(15))
 
 
+@pytest.mark.parametrize("first", [0, 7, 2**32 - protocol._SEED_CHUNK])
+def test_stream_seeds_across_the_chunk_edge(first):
+    """Streams on either side of a chunk of seed words, from any first
+    stream, are numpy's own.  From 2**32 - _SEED_CHUNK the chunk edge is
+    also where the spawn key grows from one word to two."""
+    seed = 2**64 - 1
+    chunk = protocol._SEED_CHUNK
+    streams = list(protocol._Streams(seed).states(first, first + chunk + 2))
+    for offset in (0, chunk - 1, chunk, chunk + 1):
+        stream = first + offset
+        reference = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
+        assert np.random.PCG64(streams[offset]).state == reference.state
+        words = protocol._Streams.words(streams[offset], 0, 4)
+        assert np.array_equal(words, reference.random_raw(4))
+
+
+def _seed_rows(count):
+    pool = protocol._seed_pool(2**32 + 7)
+    return protocol._stream_seeds(pool, np.arange(count, dtype=np.uint64))
+
+
+def test_seed_words_answer_only_pcg64s_request():
+    row = _seed_rows(1)[0]
+    words = protocol._SeedWords(row)
+    assert words.generate_state(4, np.uint64) is row
+    assert words.generate_state(4, "u8") is row
+    for n_words, dtype in [(4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64)]:
+        with pytest.raises(ValueError):
+            words.generate_state(n_words, dtype)
+    with pytest.raises(ValueError):
+        words.generate_state(4)
+
+
+def test_a_non_contiguous_row_cannot_reach_pcg64():
+    """PCG64 reads its seed words through the array's data pointer, so a
+    row must be contiguous: the seed rows are, and any other row is refused."""
+    seeds = _seed_rows(protocol._SEED_CHUNK)
+    assert seeds.flags.c_contiguous and seeds.dtype == np.uint64
+    column_major = np.asfortranarray(seeds)
+    rows = (column_major[3], seeds[3, ::-1], seeds[3, :3], seeds[3:5].ravel(), seeds[3].view("u4"))
+    for row in rows:
+        with pytest.raises(ValueError):
+            protocol._SeedWords(row)
+    assert np.random.PCG64(protocol._SeedWords(np.ascontiguousarray(column_major[3]))).state == (
+        np.random.PCG64(protocol._SeedWords(seeds[3])).state
+    )
+
+
 @pytest.mark.parametrize("n, stream", [(1001, 0), (1001, 2**32 + 5), (2, 7)])
 def test_chunk_columns_are_slices_of_the_run(monkeypatch, n, stream):
     """Each chunk reads its shots from their own offsets in the stream."""
