@@ -63,13 +63,18 @@ entries from those tables by its key column; ``bob_decode``,
 the keys of the records they are given, so a hand-built record counts and
 prints like any other.
 
-A transcript is built as bytes with no Python work per line (each line a
-record of fixed-width index digits and key fields over one byte buffer,
-its NUL padding deleted; :func:`_transcript_body`) and streamed, after its
-comments and header, in chunks of ``_BLOCK_CELLS`` lines, so its memory
-does not grow with N.  ``write_transcripts`` writes the full file, then the
-public one, so the public file is renamed only once the full one is in
-place.
+A transcript is built as bytes with no Python work per line, and streamed
+in chunks of ``_BLOCK_CELLS`` lines, so its memory does not grow with N.
+A chunk's shot indices are fixed-width byte strings, NUL-padded on the
+left: the last four digits are rows of a table of 0 .. 9999, the ones
+before them the digits of ``index // 10**4``.  A table of 64 fixed-width
+byte strings holds each key's ``",<fields>\n"``, padded with NUL.  Each
+line is one (index, fields) record over a byte buffer, and the padding is
+deleted from the buffer.  A file is the comments and the header, then its
+chunks, written atomically, and ``transcript_lines`` is the header
+followed by their lines.  ``write_transcripts`` writes the full file, then
+the public one, so the public file is renamed only once the full one is
+in place.
 """
 
 from __future__ import annotations
@@ -448,7 +453,10 @@ def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
     Call i of a SeedSequence hash xors its value with entry i and multiplies
     it by entry i + 1.
     """
-    return np.array([init * pow(mult, i, 1 << 32) & _M32 for i in range(calls + 1)], np.uint32)
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _M32)
+    return np.array(consts, dtype=np.uint32)
 
 
 # hashmix calls 0-15 mix the seed into the pool and calls 16-19 and 20-23
