@@ -58,7 +58,10 @@ Both grid functions return their columns as arrays, with no
 Every binomial cell (the length weights, a line's cells given its count,
 the plane's tables) is :func:`_binomial_cells`, normalised by its caller,
 and every log2(1 + 2^x) (a line's table of log2(1 + rho^s), the plane's
-h) is :func:`_log2_one_plus_exp2`.
+h) is :func:`_log2_one_plus_exp2`.  The weights over 0..N, of the string
+lengths or of a line's counts, are one table of N + 1 cells: an N past
+``_LENGTH_CELLS - 1`` (16777215) raises ValueError before any table is
+built.  A row with no moving axis builds no table, at any N.
 
 All logarithms are base 2, so information is in bits and the one-bit
 message bounds every result by 1.  0 * log 0 is 0 throughout.
@@ -100,6 +103,10 @@ _PLANE_BLOCK_CELLS = 1 << 16
 # length top has tables of (top + 1)(2 top + 1) cells, so top <= _PLANE_TOP.
 _PLANE_CELLS = 1 << 22
 _PLANE_TOP = (math.isqrt(8 * _PLANE_CELLS + 1) - 3) // 4
+# Cells of a binomial table over 0..N (the string lengths' weights, or a
+# line's counts), 128 MiB of doubles: N <= _LENGTH_CELLS - 1, which admits
+# N = 10**7 and refuses 10**8.
+_LENGTH_CELLS = 1 << 24
 # The log of a zero weight: a finite stand-in for -inf past anything a
 # table adds to it, so a cell that shows the symbol is an exact 0 and no
 # cell forms inf - inf or 0 * inf.
@@ -597,8 +604,21 @@ def mutual_information_k(dist: AnnouncementDistribution, k: int) -> float:
     return _mi_at_length(_unit_rows(dist.probs_given_b[0]), k)
 
 
+def _check_lengths(n: int) -> None:
+    """Raise ValueError when a binomial table over 0..n is past ``_LENGTH_CELLS``."""
+    if n + 1 > _LENGTH_CELLS:
+        raise ValueError(
+            f"N = {n} needs a binomial table of {n + 1} cells, over the limit of "
+            f"{_LENGTH_CELLS} (N = {_LENGTH_CELLS - 1}); lower N"
+        )
+
+
 def _binomial_pmf(n: int, p: float) -> np.ndarray:
-    """Binomial weights for k = 0..n (:func:`_binomial_cells`), normalised to sum to 1."""
+    """Binomial weights for k = 0..n (:func:`_binomial_cells`), normalised to sum to 1.
+
+    An n past the length table's cap raises ValueError before anything is allocated.
+    """
+    _check_lengths(n)
     log_q = math.log1p(-p) if p < 1.0 else _LOG_ZERO
     pmf = _binomial_cells(n, _log_weight(p), log_q, _log_factorials(n))
     return pmf / math.fsum(pmf.tolist())
@@ -622,9 +642,11 @@ def _kept_lengths(
     """Binomial weights, the ascending kept string lengths and the omitted mass.
 
     Keeps the most likely string lengths until the omitted mass drops below
-    ``tail_tol``; depends on nothing but its three arguments.
+    ``tail_tol``; depends on nothing but its three arguments.  An N past the
+    length table's cap raises ValueError before anything is allocated.
     """
     check_expectation(n_shots, p_announce, tail_tol)
+    _check_lengths(n_shots)
     pmf = _binomial_pmf(n_shots, p_announce)
     order = np.argsort(-pmf, kind="stable")
     mass = np.cumsum(pmf[order])

@@ -5,7 +5,8 @@ Subcommands: ``sweep`` writes curve data for the damping family to CSV,
 to the analytic predictions, ``validate-channel`` checks a channel document.
 
 Exit codes are part of the interface: 0 success, 1 channel failed
-validation, 2 bad arguments or unparseable channel file, 3 output I/O
+validation, 2 bad arguments, an unparseable channel file or an N or string
+length past the analysis' table limits, 3 output I/O
 failure (an output file that cannot be written, or standard output closed
 by its reader, as by ``| head``).
 """
@@ -89,9 +90,13 @@ _fmt = "{:.12g}".format
 
 
 def cmd_sweep(config: SweepConfig) -> int:
-    mi, _, truncation = analysis.seal_expected_mutual_information_grid(
-        config.x_grid, config.n_shots, config.p_announce, config.tail_tol
-    )
+    try:
+        mi, _, truncation = analysis.seal_expected_mutual_information_grid(
+            config.x_grid, config.n_shots, config.p_announce, config.tail_tol
+        )
+    except ValueError as exc:  # the length table limit (--n and --pa are checked before)
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     per_shot, conditional = analysis.seal_mismatch_probability_grid(config.x_grid)
     columns = zip(
         config.x_grid, mi.tolist(), conditional.tolist(), per_shot.tolist(), truncation.tolist()
@@ -245,7 +250,7 @@ def cmd_validate_channel(path: str, n_shots: int, p_announce: float) -> int:
             mi = analysis.expected_mutual_information(
                 analysis.bit_announcement_probs(channel, report), n_shots, p_announce
             )
-        except ValueError as exc:  # the plane's table budget (--n and --pa are checked before)
+        except ValueError as exc:  # a table limit (--n and --pa are checked before)
             print(f"error: {path}: {exc}", file=sys.stderr)
             return 2
         mismatch = analysis.mismatch_probability(channel, report)

@@ -22,9 +22,11 @@ words, with no ``Generator``: the first N words hold 2N uint32 halves, low
 half first, whose top two bits (halves [0, N)) are the preparations and top
 bit (halves [N, 2N)) the bases; words [N, 2N) and [2N, 3N) give the result
 and announcement variates, whose ``Generator`` doubles are
-``(word >> 11) * 2**-53``.  Each stream's ``SeedSequence`` words are
-derived for a chunk of streams at a time in uint32 array operations and
-handed to numpy's ``PCG64``, which forms its state from them in C as it
+``(word >> 11) * 2**-53``.  The preparations and bases are read as bytes,
+from the top byte of each little-endian half.  Each stream's
+``SeedSequence`` words are derived for a chunk of streams at a time in
+uint32 array operations; the chunk's array is checked once, and each row
+is handed to numpy's ``PCG64``, which forms its state from them in C as it
 does from the ``SeedSequence`` itself.  The tests compare the source with
 the columns numpy's own ``Generator`` draws.
 
@@ -35,18 +37,22 @@ variate falls below ``p_announce``; both compare the 53-bit integer
 every double p in [0, 1] is true exactly when ``(word >> 11) * 2**-53 < p``
 is.
 
-The engine is columnar.  A shot becomes one of 64 small integer keys, one
+The engine is columnar.  A shot becomes one of 64 keys, a byte each, one
 for each value a ``ShotRecord`` can take: preparation, basis, whether the
-result was -1, announcement kind and announced value.  One tally turns a
-block of runs -- one row of keys per run -- into per-run counts of
-bit-announcements, votes, usable result-announcements and mismatches, with
-a histogram per row and a table of what each key contributes.  One engine
-reads and keys every run: it fills a reused block of about
-``_BLOCK_CELLS`` keys with consecutive runs, each from its own stream, and
-tallies it.  A run longer than the block is keyed and tallied in chunks of
-shots, each read from its offset in the stream, and its counts are summed
-before it is decoded, so memory grows with neither the trial count nor N.
-Blocking only batches the tally, so counts do not depend on the block size.
+result was -1, announcement kind and announced value.  Only the two
+variate compares read 64-bit words; the rest of the key is built in
+bytes.  One tally turns a block of runs -- one row of keys per run --
+into per-run counts of bit-announcements, votes, usable
+result-announcements and mismatches, with a histogram per row and a table
+of what each key contributes.  One engine reads and keys every run: it
+fills a reused block of about ``_BLOCK_CELLS`` shots with consecutive
+runs, each from its own stream, and tallies it.  A run longer
+than the block is keyed and tallied in chunks of shots, each read from its
+offset in the stream, and its counts are summed before it is decoded, so
+memory grows with neither the trial count nor N.  Blocking only batches
+the tally, so counts do not depend on the block size; ``monte_carlo``
+adds each block's count columns once and counts its decodes from the
+tally's one decode rule.
 
 A run's shots leave the engine as one key column, a byte a shot, written
 chunk by chunk when the caller asks for it.  ``run_keys`` returns a run's keys and its
@@ -386,22 +392,29 @@ class ShotSampler:
         self._result_thresholds = _threshold(born_table(eve, report)[:, :, 0].ravel())
 
     def keys(self, columns, announce_threshold, message_bit) -> np.ndarray:
-        """Shot keys (int64) from integer variate columns of one shape.
+        """Shot keys (uint8) from integer variate columns of one shape.
 
         ``columns`` are the preparation and basis indices and the 53-bit
         result and announcement variates, as :func:`_run_columns` gives
         them.  A shot's result is -1 when its result variate reaches its
         cell's threshold, and it is a bit-announcement when its
         announcement variate falls below ``announce_threshold``, the
-        threshold of ``p_announce``.  ``message_bit`` may be an array that
-        broadcasts against the columns.
+        threshold of ``p_announce``.  ``message_bit`` may be a uint8 array
+        that broadcasts against the columns.  Only the two variate compares
+        read uint64; the key is built in place over the bytes of the result
+        compare, with no int64 temporary.
         """
         preps, bases, results, announces = columns
-        cell = preps * 2 + bases
-        minus = results >= self._result_thresholds.take(cell)
-        is_bit = announces < announce_threshold
+        cell = preps * 2
+        cell += bases
+        key = (results >= self._result_thresholds.take(cell)).view(np.uint8)
+        key += cell << 1
+        key <<= 2
         # the twist bit is the message bit on a bit-announcement and 0 otherwise
-        return cell * 8 + minus * 4 + is_bit * (2 + message_bit)
+        twist = (announces < announce_threshold).view(np.uint8)
+        twist *= 2 + message_bit
+        key += twist
+        return key
 
 
 def _decoded_bit(decoded) -> int | None:
@@ -519,9 +532,13 @@ def _stream_seeds(pool: np.ndarray, streams: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(state[:, 0::2] | state[:, 1::2] << 32)
 
 
-def _halves(words: np.ndarray) -> np.ndarray:
-    """The uint32 halves of uint64 words along the last axis, low half first."""
-    return words.astype("<u8", copy=False).view("<u4")
+def _top_bytes(words: np.ndarray) -> np.ndarray:
+    """The top byte of each uint32 half of uint64 words along the last axis, low half first.
+
+    The halves are little-endian, so a half's top byte is its byte 3; the
+    result is a strided view of the words' bytes.
+    """
+    return words.astype("<u8", copy=False).view(np.uint8)[..., 3::4]
 
 
 def _variates(words: np.ndarray) -> np.ndarray:
@@ -532,18 +549,18 @@ def _variates(words: np.ndarray) -> np.ndarray:
 def _run_columns(words: np.ndarray, n: int):
     """The four integer variate columns of whole n-shot runs, one run per row.
 
-    ``words`` is a C-contiguous block of each run's first 3n raw words,
-    which is viewed as uint32 halves in place.  The first n words hold 2n
-    uint32 halves: the preparation is the top two bits of halves [0, n) and
-    the basis the top bit of halves [n, 2n), which is what
-    ``Generator.integers`` gives for 4 and 2 outcomes.  The 53-bit result
-    and announcement variates (:func:`_variates`) come from words [n, 2n)
-    and [2n, 3n).
+    ``words`` is a block of each run's first 3n raw words.  The first n
+    words hold 2n uint32 halves: the preparation is the top two bits of
+    halves [0, n) and the basis the top bit of halves [n, 2n), which is
+    what ``Generator.integers`` gives for 4 and 2 outcomes; both are read
+    as uint8 from the halves' top bytes (:func:`_top_bytes`).  The 53-bit
+    result and announcement variates (:func:`_variates`) come from words
+    [n, 2n) and [2n, 3n).
     """
-    halves = _halves(words)
+    top = _top_bytes(words[:, :n])
     return (
-        halves[:, :n] >> 30,
-        halves[:, n : 2 * n] >> 31,
+        top[:, :n] >> 6,
+        top[:, n:] >> 7,
         _variates(words[:, n : 2 * n]),
         _variates(words[:, 2 * n :]),
     )
@@ -552,12 +569,21 @@ def _run_columns(words: np.ndarray, n: int):
 _U64 = np.dtype(np.uint64)
 
 
+def _check_seed_chunk(seeds: np.ndarray) -> None:
+    """Raise ValueError unless ``seeds`` is a C-contiguous (streams, 4) array of native uint64."""
+    shape, contiguous = seeds.shape, seeds.flags.c_contiguous
+    if len(shape) != 2 or shape[1] != 4 or not contiguous or seeds.dtype is not _U64:
+        raise ValueError("seed words must be C-contiguous rows of 4 uint64")
+
+
 class _SeedWords(np.random.bit_generator.ISeedSequence):
     """A stream's 4 seed words, the seed sequence its ``PCG64`` is built from.
 
     ``PCG64`` forms its state in C from ``generate_state(4, np.uint64)``,
     read through the array's data pointer, so only a contiguous row of 4
     native uint64 is accepted, and only that request is answered.
+    ``_Streams.states`` checks a chunk of rows at once
+    (:func:`_check_seed_chunk`) and wraps each row without this check.
     """
 
     __slots__ = ("_words",)
@@ -586,10 +612,20 @@ class _Streams:
         self._pool = _seed_pool(seed)
 
     def states(self, start: int, stop: int):
-        """Yield the seed words of streams [start, stop) in order, as :class:`_SeedWords`."""
+        """Yield the seed words of streams [start, stop) in order, as :class:`_SeedWords`.
+
+        Each chunk's array of seed words is checked once, as ``_SeedWords``
+        checks a row, and its rows are then wrapped with no check of their own.
+        """
+        new = object.__new__
         for first in range(start, stop, _SEED_CHUNK):
             streams = np.arange(first, min(first + _SEED_CHUNK, stop), dtype=np.uint64)
-            yield from map(_SeedWords, _stream_seeds(self._pool, streams))
+            seeds = _stream_seeds(self._pool, streams)
+            _check_seed_chunk(seeds)
+            for row in seeds:
+                words = new(_SeedWords)
+                words._words = row
+                yield words
 
     @staticmethod
     def words(state: _SeedWords, first: int, count: int) -> np.ndarray:
@@ -599,11 +635,11 @@ class _Streams:
             bitgen.advance(first)
         return bitgen.random_raw(count)
 
-    def _read_halves(self, state: _SeedWords, first: int, count: int) -> np.ndarray:
-        """uint32 halves [first, first + count) of the stream with ``state``."""
+    def _read_top_bytes(self, state: _SeedWords, first: int, count: int) -> np.ndarray:
+        """Top bytes of uint32 halves [first, first + count) of the stream with ``state``."""
         word = first // 2
-        halves = _halves(self.words(state, word, (first + count + 1) // 2 - word))
-        return halves[first % 2 : first % 2 + count]
+        top = _top_bytes(self.words(state, word, (first + count + 1) // 2 - word))
+        return top[first % 2 : first % 2 + count]
 
     def chunk_columns(self, state: _SeedWords, n: int, first: int):
         """The integer columns of the ``_BLOCK_CELLS`` shots of an n-shot run from ``first``.
@@ -613,8 +649,8 @@ class _Streams:
         """
         count = min(_BLOCK_CELLS, n - first)
         return (
-            self._read_halves(state, first, count) >> 30,
-            self._read_halves(state, n + first, count) >> 31,
+            self._read_top_bytes(state, first, count) >> 6,
+            self._read_top_bytes(state, n + first, count) >> 7,
             _variates(self.words(state, n + first, count)),
             _variates(self.words(state, 2 * n + first, count)),
         )
@@ -663,7 +699,7 @@ def _run_counts(
         t = np.arange(start, min(start + rows, trials))
         for row, state in zip(words[: len(t)], states):
             row[:] = np.random.PCG64(state).random_raw(3 * n)
-        bits = params.message_bit ^ (t & parity)
+        bits = (params.message_bit ^ (t & parity)).astype(np.uint8)
         block = sampler.keys(_run_columns(words[: len(t)], n), announce, bits[:, None])
         if keys is not None and start == 0:
             keys[:] = block[0]
@@ -790,23 +826,20 @@ def monte_carlo(
         raise ValueError("need at least one trial")
     if keys is not None and keys.shape != (params.n_shots,):
         raise ValueError(f"keys must have shape ({params.n_shots},), got {keys.shape}")
-    ba_counts = np.zeros(4, dtype=np.int64)
-    matched_ra = mismatches = successes = correct = 0
+    totals = np.zeros(8, dtype=np.int64)
+    # decoded values -1, 0 and 1 over every run: ties, zeros and ones
+    decodes = np.zeros(3, dtype=np.int64)
     for _, counts in _run_counts(params, ShotSampler(eve, report), trials, keys=keys):
-        tally = _tally(counts)
-        ba_counts += tally.bit_announcements.sum(axis=0)
-        matched_ra += int(tally.matched_result_announcements.sum())
-        mismatches += int(tally.mismatches.sum())
-        successes += int(np.count_nonzero(tally.decoded >= 0))
-        correct += int(np.count_nonzero(tally.decoded == params.message_bit))
+        totals += counts.sum(axis=0)
+        decodes += np.bincount(_tally(counts).decoded + 1, minlength=3)
     return SimStats(
         trials=trials,
         shots=trials * params.n_shots,
-        bit_announcement_counts=tuple(int(c) for c in ba_counts),
-        matched_result_announcements=matched_ra,
-        mismatch_count=mismatches,
-        decode_success_count=successes,
-        decode_correct_count=correct,
+        bit_announcement_counts=tuple(totals[:4].tolist()),
+        matched_result_announcements=int(totals[_MATCHED_RA]),
+        mismatch_count=int(totals[_MISMATCH]),
+        decode_success_count=int(decodes[1:].sum()),
+        decode_correct_count=int(decodes[1 + params.message_bit]),
     )
 
 
