@@ -643,10 +643,10 @@ def _kept_lengths(
 
     Keeps the most likely string lengths until the omitted mass drops below
     ``tail_tol``; depends on nothing but its three arguments.  An N past the
-    length table's cap raises ValueError before anything is allocated.
+    length table's cap raises ValueError (:func:`_binomial_pmf`) before
+    anything is allocated.
     """
     check_expectation(n_shots, p_announce, tail_tol)
-    _check_lengths(n_shots)
     pmf = _binomial_pmf(n_shots, p_announce)
     order = np.argsort(-pmf, kind="stable")
     mass = np.cumsum(pmf[order])

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -1190,3 +1191,67 @@ def test_mismatch_grid_memory_does_not_grow_with_the_grid():
     and input (about 130 bytes a point); stacked all at once, its operator
     products alone would take over 10 MB."""
     assert _mismatch_grid_peak_bytes(10_001) <= _mismatch_grid_peak_bytes(101) + 2 * 2**20
+
+
+def _forbid_tables(monkeypatch):
+    """Fail on any log-factorial table or binomial-cell build: each is O(N)."""
+    for name in ("_log_factorials", "_binomial_cells"):
+
+        def forbidden(*args, _name=name):
+            raise AssertionError(f"{_name} was called")
+
+        monkeypatch.setattr(analysis, name, forbidden)
+
+
+LIMIT = f"over the limit of {analysis._LENGTH_CELLS} (N = {analysis._LENGTH_CELLS - 1})"
+
+
+@pytest.mark.parametrize("n_shots", [10**8, 10**12])
+def test_a_length_table_past_its_limit_is_refused_before_any_allocation(monkeypatch, n_shots):
+    """Past the cap on the binomial table over 0..N, every evaluator that
+    builds one raises ValueError naming the limit, having built no table and
+    allocated nothing of size N."""
+    _forbid_tables(monkeypatch)
+    plane = bit_announcement_probs(random_kraus_channel(np.random.default_rng(123), 3))
+    line = bit_announcement_probs(seal_channel(0.5))
+    calls = [
+        lambda: analysis._binomial_pmf(n_shots, 0.5),
+        lambda: analysis._kept_lengths(n_shots, 0.5, 1e-12),
+        lambda: seal_expected_mutual_information(0.5, n_shots, 0.5),
+        lambda: seal_expected_mutual_information_grid([0.0, 0.5, 1.0], n_shots, 0.05),
+        lambda: expected_mutual_information(plane, n_shots, 0.5),
+        lambda: mutual_information_k(line, n_shots),
+    ]
+    tracemalloc.start()
+    try:
+        for call in calls:
+            with pytest.raises(ValueError, match=f"N = {n_shots} .*{re.escape(LIMIT)}"):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
+def test_the_length_cap_leaves_unital_rows_and_the_decode_baseline_alone(monkeypatch):
+    """A row with no moving axis builds no table, and simulate's decode
+    baseline is a closed form: neither meets the cap at any N."""
+    _forbid_tables(monkeypatch)
+    unital = bit_announcement_probs(dephasing_channel())
+    for n_shots in (10**8, 10**12):
+        analysis.check_expectation(n_shots, 0.5)
+        assert expected_mutual_information(unital, n_shots, 0.5) == MIResult(0.0, 0, 0.0)
+        assert decode_success_probability(n_shots, 1e-15) == 1.0 - (1.0 - 0.5e-15) ** n_shots
+
+
+def test_the_length_cap_admits_its_own_n_and_refuses_the_next(monkeypatch):
+    """The cap counts the N + 1 cells of the table: N = _LENGTH_CELLS - 1 is
+    built, one more is not; the baseline's N = 10**7 is inside the real cap."""
+    analysis._check_lengths(10**7)
+    with pytest.raises(ValueError, match="over the limit"):
+        analysis._check_lengths(10**8)
+    monkeypatch.setattr(analysis, "_LENGTH_CELLS", N_DEFAULT + 1)
+    assert seal_expected_mutual_information(0.5, N_DEFAULT, PA_DEFAULT).mi_bits > 0.0
+    assert len(analysis._binomial_pmf(N_DEFAULT, PA_DEFAULT)) == N_DEFAULT + 1
+    with pytest.raises(ValueError, match=f"N = {N_DEFAULT + 1} needs a binomial table"):
+        seal_expected_mutual_information(0.5, N_DEFAULT + 1, PA_DEFAULT)

@@ -819,6 +819,71 @@ def test_validate_channel_past_the_plane_limit_exits_2(tmp_path, capsys):
     assert elapsed < 5.0
 
 
+LENGTH_LIMIT = (
+    f"over the limit of {analysis._LENGTH_CELLS} (N = {analysis._LENGTH_CELLS - 1}); lower N"
+)
+
+
+def _run_without_tables(monkeypatch, argv):
+    """``main(argv)``'s exit code and its tracemalloc peak, failing on any
+    log-factorial table: each is an array over 0..N."""
+
+    def no_table(n):
+        raise AssertionError(f"a table over 0..{n} was built")
+
+    monkeypatch.setattr(analysis, "_log_factorials", no_table)
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, peak
+
+
+@pytest.mark.parametrize("n", ["100000000", "1000000000000"])
+def test_sweep_past_the_length_limit_exits_2(tmp_path, capsys, monkeypatch, n):
+    """An N whose binomial table over 0..N is past its cap is refused with
+    exit 2 and one line naming the limit, before anything of size N is
+    allocated, and no CSV is written."""
+    out = tmp_path / "curves.csv"
+    code, peak = _run_without_tables(monkeypatch, ["sweep", "--n", n, "--pa", "0.5", "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: N = {n} needs a binomial table of {int(n) + 1} cells, {LENGTH_LIMIT}\n"
+    assert not out.exists()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "channel, code",
+    [
+        (seal_channel(0.5), 2),
+        (random_kraus_channel(np.random.default_rng(123), 3), 2),
+        (qubit.dephasing_channel(), 0),
+    ],
+    ids=["line", "plane", "unital"],
+)
+def test_validate_channel_past_the_length_limit(tmp_path, capsys, monkeypatch, channel, code):
+    """At N = 10**8 a line or a plane file exits 2 naming the length limit
+    (the plane's own limit is never reached), with no report and no table
+    built; a unital file builds no table and reports 0 bits."""
+    path = tmp_path / "channel.json"
+    save_channel(channel, path)
+    got, peak = _run_without_tables(monkeypatch, ["validate-channel", str(path), "--n", "100000000"])
+    assert got == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: N = 100000000 needs a binomial table")
+        assert captured.err.endswith(f"{LENGTH_LIMIT}\n") and captured.err.count("\n") == 1
+    else:
+        assert captured.err == ""
+        assert "expected_mi_bits = 0 (n_shots=100000000, p_announce=0.05)" in captured.out
+    assert peak < 2**20
+
+
 # The sha256 of the validate-channel report for a file named channel.json in
 # the working directory; RANDOM_3OP is the seeded random 3-operator channel
 # of the transcript pins.
@@ -985,21 +1050,22 @@ def test_a_reader_that_closes_the_pipe_gives_exit_3(tmp_path, command):
     src = str(Path(sealsim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     argv = [arg.format(path=path) for arg in command]
-    proc = subprocess.Popen(
+    # leaving the block closes both pipes, so no file object is left to the collector
+    with subprocess.Popen(
         [sys.executable, "-m", "sealsim", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
         cwd=tmp_path,
-    )
-    try:
-        first = proc.stdout.readline()
-        proc.stdout.close()
-        stderr = proc.stderr.read().decode()
-        assert proc.wait(timeout=120) == 3, stderr
-    finally:
-        proc.kill()
-        proc.wait()
+    ) as proc:
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            stderr = proc.stderr.read().decode()
+            assert proc.wait(timeout=120) == 3, stderr
+        finally:
+            proc.kill()
+            proc.wait()
     assert first == f"# sealsim {command[0]}\n".encode()
     assert stderr.splitlines() == ["error: cannot write standard output: broken pipe"]
 

@@ -1232,6 +1232,97 @@ def test_a_non_contiguous_row_cannot_reach_pcg64():
     )
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        lambda seeds: np.asfortranarray(seeds),
+        lambda seeds: seeds.astype(seeds.dtype.newbyteorder()),
+        lambda seeds: np.concatenate((seeds, seeds), axis=1)[:, :4],
+        lambda seeds: seeds[::-1],
+        lambda seeds: np.ascontiguousarray(seeds[:, :3]),
+        lambda seeds: seeds.astype(np.int64),
+    ],
+    ids=["fortran", "byteswapped", "strided-rows", "reversed", "three-columns", "int64"],
+)
+def test_a_bad_seed_chunk_is_refused_before_any_pcg64(monkeypatch, bad):
+    """Each chunk of seed words is checked once, as a whole, before any of
+    its rows reaches PCG64, whose seeding reads the row's data pointer."""
+    stream_seeds = protocol._stream_seeds
+    built = []
+
+    class SpyPCG64(np.random.PCG64):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(protocol, "_stream_seeds", lambda *args: bad(stream_seeds(*args)))
+    monkeypatch.setattr(np.random, "PCG64", SpyPCG64)
+    with pytest.raises(ValueError, match="C-contiguous rows of 4 uint64"):
+        next(protocol._Streams(7).states(0, 3))
+    with pytest.raises(ValueError, match="C-contiguous rows of 4 uint64"):
+        monte_carlo(PARAMS, identity_channel(), 3)
+    assert built == []
+
+
+def _reference_keys(sampler, columns, announce_threshold, message_bit):
+    """Shot keys as int64 arithmetic on the indices: ``cell*8 + minus*4 + is_bit*(2 + bit)``."""
+    preps, bases, results, announces = columns
+    cell = preps.astype(np.int64) * 2 + bases
+    minus = results >= sampler._result_thresholds[cell]
+    is_bit = announces < announce_threshold
+    return cell * 8 + minus * 4 + is_bit * (2 + np.asarray(message_bit, dtype=np.int64))
+
+
+@pytest.mark.parametrize("result_thresholds", ["zero", "full", "mixed"])
+@pytest.mark.parametrize("pa", [0.0, 0.5, 1.0])
+def test_byte_keys_are_the_int64_formula(result_thresholds, pa):
+    """Every cell, with result thresholds at 0 and 2**53 (and between), and
+    variates at both ends and in the middle, keys as the int64 formula
+    does, for a scalar message bit and for a per-run column of bits."""
+    sampler = ShotSampler(seal_channel(0.37))
+    sampler._result_thresholds = {
+        "zero": np.zeros(8, dtype=np.uint64),
+        "full": np.full(8, 2**53, dtype=np.uint64),
+        "mixed": np.array([0, 2**53, 1, 2**53 - 1, 2**52, 3, 2**53, 0], dtype=np.uint64),
+    }[result_thresholds]
+    variates = np.array([0, 1, 2**52, 2**53 - 2, 2**53 - 1], dtype=np.uint64)
+    grid = np.meshgrid(np.arange(4), np.arange(2), variates, variates, indexing="ij")
+    preps, bases, results, announces = (axis.ravel() for axis in grid)
+    # two runs of the same shots: as a block of _run_columns gives them
+    columns = (
+        np.tile(preps.astype(np.uint8), (2, 1)),
+        np.tile(bases.astype(np.uint8), (2, 1)),
+        np.tile(results, (2, 1)),
+        np.tile(announces, (2, 1)),
+    )
+    announce = protocol._threshold(pa)
+    for bit in (0, 1, np.array([[0], [1]], dtype=np.uint8)):
+        got = sampler.keys(columns, announce, bit)
+        assert got.dtype == np.uint8 and got.shape == columns[0].shape
+        assert np.array_equal(got, _reference_keys(sampler, columns, announce, bit))
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_run_keys_and_monte_carlo_keys_agree_at_the_block_edge(extra):
+    """At N = _BLOCK_CELLS a run is one row of a block; one shot more and it
+    is keyed in chunks.  Either way run_keys and monte_carlo's keys= give
+    the same byte column for stream 0: the int64 formula's keys of the
+    Generator's own draws."""
+    n = protocol._BLOCK_CELLS + extra
+    params = ProtocolParams(n_shots=n, p_announce=0.5, message_bit=1, seed=2**40 + 3)
+    channel = random_kraus_channel(np.random.default_rng(n), 3)
+    keys, _ = run_keys(params, channel)
+    written = np.zeros(n, dtype=np.uint8)
+    monte_carlo(params, channel, 2, keys=written)
+    assert keys.dtype == np.uint8 and np.array_equal(written, keys)
+    preps, bases, *doubles = _draw(params, 0)
+    # the doubles are 53-bit integers over 2**53, so scaling back is exact
+    variates = [(d * 2.0**53).astype(np.uint64) for d in doubles]
+    announce = protocol._threshold(params.p_announce)
+    want = _reference_keys(ShotSampler(channel), (preps, bases, *variates), announce, 1)
+    assert np.array_equal(keys, want)
+
+
 @pytest.mark.parametrize("n, stream", [(1001, 0), (1001, 2**32 + 5), (2, 7)])
 def test_chunk_columns_are_slices_of_the_run(monkeypatch, n, stream):
     """Each chunk reads its shots from their own offsets in the stream."""
