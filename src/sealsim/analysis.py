@@ -589,6 +589,7 @@ def _mi_at_length(probs: np.ndarray, k: int) -> float:
         raise ValueError("string length must be non-negative")
     axes = int((probs[0, ::2] != probs[0, 1::2]).sum())
     if axes == 1:
+        _check_lengths(k, string=True)
         return float(_line_expectation(probs, k, 1.0, None)[0][0])
     if axes == 2:
         return _plane_expectation(probs[0], [k], np.ones(1))
@@ -604,12 +605,17 @@ def mutual_information_k(dist: AnnouncementDistribution, k: int) -> float:
     return _mi_at_length(_unit_rows(dist.probs_given_b[0]), k)
 
 
-def _check_lengths(n: int) -> None:
-    """Raise ValueError when a binomial table over 0..n is past ``_LENGTH_CELLS``."""
+def _check_lengths(n: int, string: bool = False) -> None:
+    """Raise ValueError when a binomial table over 0..n is past ``_LENGTH_CELLS``.
+
+    n is N, or with ``string`` the string length k of MI at one length, and
+    the message names it so.
+    """
     if n + 1 > _LENGTH_CELLS:
+        name = "string length " if string else "N = "
         raise ValueError(
-            f"N = {n} needs a binomial table of {n + 1} cells, over the limit of "
-            f"{_LENGTH_CELLS} (N = {_LENGTH_CELLS - 1}); lower N"
+            f"{name}{n} needs a binomial table of {n + 1} cells, over the limit of "
+            f"{_LENGTH_CELLS} ({name}{_LENGTH_CELLS - 1}); lower {'k' if string else 'N'}"
         )
 
 

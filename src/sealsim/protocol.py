@@ -43,16 +43,17 @@ result was -1, announcement kind and announced value.  Only the two
 variate compares read 64-bit words; the rest of the key is built in
 bytes.  One tally turns a block of runs -- one row of keys per run --
 into per-run counts of bit-announcements, votes, usable
-result-announcements and mismatches, with a histogram per row and a table
-of what each key contributes.  One engine reads and keys every run: it
-fills a reused block of about ``_BLOCK_CELLS`` shots with consecutive
-runs, each from its own stream, and tallies it.  A run longer
-than the block is keyed and tallied in chunks of shots, each read from its
-offset in the stream, and its counts are summed before it is decoded, so
-memory grows with neither the trial count nor N.  Blocking only batches
-the tally, so counts do not depend on the block size; ``monte_carlo``
-adds each block's count columns once and counts its decodes from the
-tally's one decode rule.
+result-announcements and mismatches, in two steps: a histogram of the 64
+keys per row, then its product with a table of what each key contributes.
+One engine reads and keys every run: it fills a reused block of about
+``_BLOCK_CELLS`` shots with consecutive runs, each from its own stream,
+and tallies it.  A run longer than the block is read by one generator per
+column, each positioned once at its column's offset in the stream, and
+keyed in chunks of shots; its chunks' histograms are summed and the sum
+is tallied once, so memory grows with neither the trial count nor N.
+Blocking only batches the tally, so counts do not depend on the block
+size; ``monte_carlo`` adds each block's count columns once and counts its
+decodes from the tally's one decode rule.
 
 A run's shots leave the engine as one key column, a byte a shot, written
 chunk by chunk when the caller asks for it.  ``run_keys`` returns a run's keys and its
@@ -71,16 +72,17 @@ prints like any other.
 
 A transcript is built as bytes with no Python work per line, and streamed
 in chunks of ``_BLOCK_CELLS`` lines, so its memory does not grow with N.
-A chunk's shot indices are fixed-width byte strings, NUL-padded on the
-left: the last four digits are rows of a table of 0 .. 9999, the ones
-before them the digits of ``index // 10**4``.  A table of 64 fixed-width
-byte strings holds each key's ``",<fields>\n"``, padded with NUL.  Each
-line is one (index, fields) record over a byte buffer, and the padding is
-deleted from the buffer.  A file is the comments and the header, then its
-chunks, written atomically, and ``transcript_lines`` is the header
-followed by their lines.  ``write_transcripts`` writes the full file, then
-the public one, so the public file is renamed only once the full one is
-in place.
+Each line is one fixed-width record over a byte buffer: its shot index,
+NUL-padded on the left to the width of the file's largest index, then
+its key's ``",<fields>\n"``, padded with NUL.  A file builds its 64
+records, one per key, once; a chunk takes each line's record into the
+buffer, writes the index digits into its digit fields -- the last four
+as 4-byte items from a table of 0 .. 9999, the ones before them one item
+per run of 10**4 indices -- and deletes the padding.  A file is the
+comments and the header, then its chunks, written atomically, and
+``transcript_lines`` is the header followed by their lines.
+``write_transcripts`` writes the full file, then the public one, so the
+public file is renamed only once the full one is in place.
 """
 
 from __future__ import annotations
@@ -335,19 +337,27 @@ class _Tally(NamedTuple):
     decoded: np.ndarray  # the majority bit, or -1 when the votes tie or there are none
 
 
-def _counts(keys: np.ndarray) -> np.ndarray:
-    """The tally columns of a (runs, shots) block of shot keys, one row per run.
+def _key_histograms(keys: np.ndarray) -> np.ndarray:
+    """How often each of the 64 keys occurs in each row of a (runs, shots) block, one row per run.
 
-    Each row's histogram of keys times the per-key contributions gives
-    that run's counts, so the whole block costs a handful of array calls.
-    Every column adds up, so the counts of a run's chunks of shots sum to
-    the counts of the run.
+    Row r's keys are counted in bins [64 r, 64 r + 64) of one ``bincount``.
+    Histograms add up, so those of a run's chunks of shots sum to the
+    run's histogram.
     """
     runs = keys.shape[0]
-    offsets = np.arange(0, runs * _KEYS, _KEYS)[:, None]
-    hist = np.bincount((keys + offsets).ravel(), minlength=runs * _KEYS)
+    if runs > 1:
+        keys = keys + np.arange(0, runs * _KEYS, _KEYS)[:, None]
+    return np.bincount(keys.ravel(), minlength=runs * _KEYS).reshape(runs, _KEYS)
+
+
+def _tally_columns(hist: np.ndarray) -> np.ndarray:
+    """The tally columns of runs' key histograms, one row per run.
+
+    A run's histogram times the per-key contributions gives its counts, so
+    a whole block of runs costs one matrix product.
+    """
     # a float product runs in BLAS and is exact: every count is below 2**53
-    return (hist.reshape(runs, _KEYS) @ _TALLY_TABLE).astype(np.int64)
+    return (hist @ _TALLY_TABLE).astype(np.int64)
 
 
 def _tally(counts: np.ndarray) -> _Tally:
@@ -363,7 +373,7 @@ def _record_keys(shots) -> np.ndarray:
 
 
 def _tally_records(shots) -> _Tally:
-    return _tally(_counts(_record_keys(shots).reshape(1, -1)))
+    return _tally(_tally_columns(_key_histograms(_record_keys(shots).reshape(1, -1))))
 
 
 # The Generator's doubles are 53-bit integers over 2**53.
@@ -628,32 +638,83 @@ class _Streams:
                 yield words
 
     @staticmethod
-    def words(state: _SeedWords, first: int, count: int) -> np.ndarray:
-        """Raw words [first, first + count) of the stream seeded by ``state``."""
+    def generator(state: _SeedWords, first: int) -> np.random.PCG64:
+        """The ``PCG64`` of the stream seeded by ``state``, positioned at raw word ``first``."""
         bitgen = np.random.PCG64(state)
         if first:
             bitgen.advance(first)
-        return bitgen.random_raw(count)
+        return bitgen
 
-    def _read_top_bytes(self, state: _SeedWords, first: int, count: int) -> np.ndarray:
-        """Top bytes of uint32 halves [first, first + count) of the stream with ``state``."""
-        word = first // 2
-        top = _top_bytes(self.words(state, word, (first + count + 1) // 2 - word))
-        return top[first % 2 : first % 2 + count]
 
-    def chunk_columns(self, state: _SeedWords, n: int, first: int):
-        """The integer columns of the ``_BLOCK_CELLS`` shots of an n-shot run from ``first``.
+_NO_BYTES = np.zeros(0, dtype=np.uint8)
 
-        The last chunk of a run may be shorter.  Each column is read from its
-        own offset in the stream, as laid out in :func:`_run_columns`.
-        """
-        count = min(_BLOCK_CELLS, n - first)
+
+class _Halves:
+    """The top bytes of a stream's uint32 halves from half ``first`` on, read in order.
+
+    One ``PCG64`` is positioned at the word holding half ``first`` and
+    read word by word; a half left over at the end of a read (an odd
+    ``first``, or a read that ends in the middle of a word) is carried, as
+    a byte of its own, to the next read.
+    """
+
+    __slots__ = ("_bitgen", "_carry")
+
+    def __init__(self, state: _SeedWords, first: int):
+        self._bitgen = _Streams.generator(state, first // 2)
+        self._carry = _NO_BYTES
+        if first % 2:
+            self._carry = _top_bytes(self._bitgen.random_raw(1))[1:].copy()
+
+    def read(self, count: int) -> np.ndarray:
+        """The top bytes of the next ``count`` halves."""
+        carry = self._carry
+        need = count - len(carry)
+        top = _top_bytes(self._bitgen.random_raw(-(-need // 2)))
+        # a copy, so the chunk's words are not kept alive for the next read
+        self._carry = top[need:].copy() if len(top) > need else _NO_BYTES
+        return np.concatenate((carry, top[:need])) if len(carry) else top[:need]
+
+
+class _RunReader:
+    """The integer columns of one n-shot run, read in consecutive chunks of shots.
+
+    Each column, laid out as in :func:`_run_columns`, has its own
+    ``PCG64``, positioned once at the column's first word, so a run of
+    any length builds and advances four generators.
+    """
+
+    __slots__ = ("_preps", "_bases", "_results", "_announces")
+
+    def __init__(self, state: _SeedWords, n: int):
+        self._preps, self._bases = _Halves(state, 0), _Halves(state, n)
+        self._results = _Streams.generator(state, n)
+        self._announces = _Streams.generator(state, 2 * n)
+
+    def read(self, count: int):
+        """The four columns of the run's next ``count`` shots."""
         return (
-            self._read_top_bytes(state, first, count) >> 6,
-            self._read_top_bytes(state, n + first, count) >> 7,
-            _variates(self.words(state, n + first, count)),
-            _variates(self.words(state, 2 * n + first, count)),
+            self._preps.read(count) >> 6,
+            self._bases.read(count) >> 7,
+            _variates(self._results.random_raw(count)),
+            _variates(self._announces.random_raw(count)),
         )
+
+
+def _chunk_histogram(
+    reader: _RunReader, sampler: ShotSampler, announce, bit: int, n: int, first: int, out
+) -> np.ndarray:
+    """The (1, 64) key histogram of an n-shot run's chunk from shot ``first``.
+
+    The chunk is the next ``_BLOCK_CELLS`` shots of ``reader``, or the rest
+    of the run.  When ``out`` is given, the chunk's keys are written into
+    it from ``first``.  Every array of the chunk is freed when this
+    returns, before the next chunk is read.
+    """
+    chunk = sampler.keys(reader.read(min(_BLOCK_CELLS, n - first)), announce, bit)
+    if out is not None:
+        out[first : first + len(chunk)] = chunk
+    return _key_histograms(chunk[None])
 
 
 def _run_counts(
@@ -669,29 +730,25 @@ def _run_counts(
     Trial t runs stream ``first_stream + t`` and sends message bit
     ``params.message_bit ^ (t & parity)``.  Runs of up to ``_BLOCK_CELLS``
     shots come in blocks of whole runs, read into one reused array.  A
-    longer run is keyed and tallied in chunks of ``_BLOCK_CELLS`` shots and
-    its chunks' counts are summed, so memory grows with neither the trial
-    count nor N.  When ``keys`` is given, trial 0's keys are written into
-    it as they are computed.
+    longer run is read by a :class:`_RunReader` and keyed in chunks of
+    ``_BLOCK_CELLS`` shots; its chunks' key histograms are summed and
+    tallied once, so memory grows with neither the trial count nor N.
+    When ``keys`` is given, trial 0's keys are written into it as they are
+    computed.
     """
     n = params.n_shots
     announce = _threshold(params.p_announce)
-    streams = _Streams(params.seed)
-    states = streams.states(first_stream, first_stream + trials)
+    states = _Streams(params.seed).states(first_stream, first_stream + trials)
     if n > _BLOCK_CELLS:
-
-        def chunk_counts(state, first, bit, out):
-            chunk = sampler.keys(streams.chunk_columns(state, n, first), announce, bit)
-            if out is not None:
-                out[first : first + len(chunk)] = chunk
-            return _counts(chunk[None])
-
         for t, state in enumerate(states):
             bit = params.message_bit ^ (t & parity)
             out = keys if t == 0 else None
-            yield np.array([t]), sum(
-                chunk_counts(state, first, bit, out) for first in range(0, n, _BLOCK_CELLS)
+            reader = _RunReader(state, n)
+            hist = sum(
+                _chunk_histogram(reader, sampler, announce, bit, n, first, out)
+                for first in range(0, n, _BLOCK_CELLS)
             )
+            yield np.array([t]), _tally_columns(hist)
         return
     rows = min(_BLOCK_CELLS // n, trials)
     words = np.empty((rows, 3 * n), dtype=np.uint64)
@@ -703,7 +760,7 @@ def _run_counts(
         block = sampler.keys(_run_columns(words[: len(t)], n), announce, bits[:, None])
         if keys is not None and start == 0:
             keys[:] = block[0]
-        yield t, _counts(block)
+        yield t, _tally_columns(_key_histograms(block))
 
 
 def run_keys(
@@ -872,60 +929,79 @@ def information_density(
     return values
 
 
-def _digit_table(places: int) -> np.ndarray:
-    """The digits of 0 .. 10**places - 1, NUL-padded on the left.
+def _digit_tables(places: int) -> tuple[np.ndarray, np.ndarray]:
+    """The digits of 0 .. 10**places - 1 as ``places``-byte items: NUL-padded and zero-padded.
 
-    A (10**places, places) array of ASCII bytes: byte j of row i is the
-    digit of place ``places - 1 - j``, or NUL where i has no digit there.
+    Byte j of item i is the digit of place ``places - 1 - j``; where i has
+    no digit there, it is NUL in the first table and "0" in the second.
     """
     rows = np.arange(10**places)[:, None]
     scale = 10 ** np.arange(places - 1, -1, -1)
-    return np.where((rows >= scale) | (scale == 1), _DIGITS[rows // scale % 10], 0).astype(np.uint8)
+    digits = _DIGITS[rows // scale % 10]
+    first = np.where((rows >= scale) | (scale == 1), digits, 0).astype(np.uint8)
+    return first.view(f"V{places}")[:, 0], digits.view(f"V{places}")[:, 0]
 
 
-# An index's last _LOW_PLACES digits are its row of _LOW_DIGITS, zero-padded;
-# an index below 10**_LOW_PLACES is its row of _FIRST_DIGITS, NUL-padded.
+# An index's last _LOW_PLACES digits are its item of _LOW_DIGITS, zero-padded;
+# an index below 10**_LOW_PLACES is its item of _FIRST_DIGITS, NUL-padded.
 _LOW_PLACES = 4
-_FIRST_DIGITS = _digit_table(_LOW_PLACES)
-_LOW_DIGITS = np.maximum(_FIRST_DIGITS, _DIGITS[0])
+_FIRST_DIGITS, _LOW_DIGITS = _digit_tables(_LOW_PLACES)
 
 
-def _index_digits(start: int, stop: int) -> np.ndarray:
-    """The digits of start .. stop-1, NUL-padded on the left, as fixed-width byte strings.
+def _line_records(lines: int, public: bool) -> np.ndarray:
+    """The 64 line records of a file of ``lines`` lines, one per key, with NUL digit fields.
 
-    An index's last ``_LOW_PLACES`` digits are copied from a table, and the
-    digits before them are those of ``index // 10**_LOW_PLACES``, which is
-    the same over each run of ``10**_LOW_PLACES`` indices: a range costs a
-    few slice copies per run it meets, wherever it starts.
+    A record is its line's shot index, NUL-padded on the left to the width
+    of the file's largest index, followed by its key's item of
+    ``_LINE_TABLES``.  The index is two fields: ``low``, its last
+    ``_LOW_PLACES`` digits, and, past 10**_LOW_PLACES lines, ``high``, the
+    digits before them.  ``high`` is a bytes field, which numpy fills from
+    one bytes item in its fast copy loop (a void item takes its generic
+    one, about four times slower).
     """
-    width = max(len(str(max(stop - 1, 0))), _LOW_PLACES)
-    low = width - _LOW_PLACES
-    block = np.zeros((stop - start, width), dtype=np.uint8)
+    width = max(len(str(lines - 1)), _LOW_PLACES)
+    high = width - _LOW_PLACES
+    table = _LINE_TABLES[public]
+    fields = {"low": (_LOW_DIGITS.dtype, high), "fields": (table.dtype, width)}
+    if high:
+        fields["high"] = (f"S{high}", 0)
+    records = np.zeros(_KEYS, dtype=np.dtype(fields))
+    records["fields"] = table
+    return records
+
+
+def _write_indices(lines: np.ndarray, start: int) -> None:
+    """Write shot indices start, start + 1, ... into the digit fields of ``lines``.
+
+    The last ``_LOW_PLACES`` digits are 4-byte items copied from a table,
+    and the digits before them, those of ``index // 10**_LOW_PLACES``, are
+    one item for each run of ``10**_LOW_PLACES`` indices that the lines meet.
+    """
     run = 10**_LOW_PLACES
+    stop = start + len(lines)
     for high in range(start // run, -(-stop // run)):
         first, last = max(start, high * run), min(stop, (high + 1) * run)
-        rows = block[first - start : last - start]
+        rows = lines[first - start : last - start]
         if high:
-            rows[:, low:] = _LOW_DIGITS[first - high * run : last - high * run]
-            prefix = np.frombuffer(str(high).encode(), dtype=np.uint8)
-            rows[:, low - len(prefix) : low] = prefix
+            rows["low"] = _LOW_DIGITS[first - high * run : last - high * run]
+            rows["high"] = str(high).encode().rjust(lines.dtype["high"].itemsize, b"\0")
         else:
-            rows[:, low:] = _FIRST_DIGITS[first:last]
-    return block.view(f"V{width}")[:, 0]
+            rows["low"] = _FIRST_DIGITS[first:last]
 
 
-def _transcript_body(keys: np.ndarray, index: np.ndarray, public: bool) -> bytearray:
-    """The CSV lines of ``keys``, each ending in a newline, as one buffer.
+def _transcript_body(keys: np.ndarray, start: int, records: np.ndarray) -> bytearray:
+    """The CSV lines of shots ``start``, ``start + 1``, ... with ``keys``, as one buffer.
 
-    A line is its shot's item of ``index`` (:func:`_index_digits`) followed
-    by its key's item of ``_LINE_TABLES``.  Both are written, NUL-padded,
-    into one record per line over the buffer, and the padding is deleted.
+    Each line's record of ``records`` (:func:`_line_records`) is taken
+    straight into the buffer, its shot index is written into its digit
+    fields (:func:`_write_indices`), and the NUL padding is deleted.
     """
-    table = _LINE_TABLES[public]
-    buffer = bytearray(len(index) * (index.itemsize + table.itemsize))
-    lines = np.frombuffer(buffer, dtype=[("index", index.dtype), ("fields", table.dtype)])
-    lines["index"] = index
-    lines["fields"] = table.take(keys)
+    buffer = bytearray(len(keys) * records.itemsize)
+    lines = np.frombuffer(buffer, dtype=records.dtype)
+    # every key is below 64, so "clip" clips nothing; unlike "raise", it
+    # takes into ``lines`` with no buffer between
+    records.take(keys, out=lines, mode="clip")
+    _write_indices(lines, start)
     return buffer.translate(None, b"\0")
 
 
@@ -933,12 +1009,12 @@ def _transcript_chunks(keys: np.ndarray, public: bool, comments):
     """Yield a transcript file's bytes in order.
 
     First the ``#`` comment lines and the header, then the body in chunks of
-    ``_BLOCK_CELLS`` lines, each with the shot-index digits of its rows.
+    ``_BLOCK_CELLS`` lines, from line records built once for the file.
     """
     yield ("".join(f"# {c}\n" for c in comments) + _HEADERS[public] + "\n").encode()
+    records = _line_records(len(keys), public)
     for start in range(0, len(keys), _BLOCK_CELLS):
-        stop = min(start + _BLOCK_CELLS, len(keys))
-        yield _transcript_body(keys[start:stop], _index_digits(start, stop), public)
+        yield _transcript_body(keys[start : start + _BLOCK_CELLS], start, records)
 
 
 def transcript_lines(shots, public: bool = False) -> list[str]:

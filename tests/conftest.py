@@ -3,6 +3,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
+from sealsim import protocol
 from sealsim.qubit import BlochVector, KrausChannel, density_from_bloch
 
 # The largest damping strength whose second Kraus operator, sqrt(x)|0><1|,
@@ -51,3 +52,8 @@ def rotated_channel(inner: KrausChannel, theta: float) -> KrausChannel:
     rot = np.array([[c, -s], [s, c]], dtype=complex)
     ops = tuple(rot @ op for op in inner.operators)
     return KrausChannel(ops, label=f"{inner.label}+rot({theta:g})")
+
+
+def public_line_records(records) -> bool:
+    """Whether a transcript body's line records are the public file's."""
+    return records.dtype["fields"] == protocol._LINE_TABLES[True].dtype

@@ -1210,7 +1210,8 @@ LIMIT = f"over the limit of {analysis._LENGTH_CELLS} (N = {analysis._LENGTH_CELL
 def test_a_length_table_past_its_limit_is_refused_before_any_allocation(monkeypatch, n_shots):
     """Past the cap on the binomial table over 0..N, every evaluator that
     builds one raises ValueError naming the limit, having built no table and
-    allocated nothing of size N."""
+    allocated nothing of size N; MI at one string length k, whose line
+    builds the table over 0..k, names k as that string length."""
     _forbid_tables(monkeypatch)
     plane = bit_announcement_probs(random_kraus_channel(np.random.default_rng(123), 3))
     line = bit_announcement_probs(seal_channel(0.5))
@@ -1220,12 +1221,23 @@ def test_a_length_table_past_its_limit_is_refused_before_any_allocation(monkeypa
         lambda: seal_expected_mutual_information(0.5, n_shots, 0.5),
         lambda: seal_expected_mutual_information_grid([0.0, 0.5, 1.0], n_shots, 0.05),
         lambda: expected_mutual_information(plane, n_shots, 0.5),
-        lambda: mutual_information_k(line, n_shots),
     ]
+    # MI at one length names its argument as the string length it is
+    at_length = [
+        lambda: mutual_information_k(line, n_shots),
+        lambda: seal_mutual_information_k(0.5, n_shots),
+    ]
+    string_limit = (
+        f"string length {n_shots} needs a binomial table of {n_shots + 1} cells, over the limit "
+        f"of {analysis._LENGTH_CELLS} (string length {analysis._LENGTH_CELLS - 1}); lower k"
+    )
     tracemalloc.start()
     try:
         for call in calls:
             with pytest.raises(ValueError, match=f"N = {n_shots} .*{re.escape(LIMIT)}"):
+                call()
+        for call in at_length:
+            with pytest.raises(ValueError, match=f"^{re.escape(string_limit)}$"):
                 call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_kraus_channel
+from conftest import public_line_records, random_kraus_channel
 import sealsim
 from sealsim import analysis, protocol, qubit
 from sealsim.channel_file import save_channel
@@ -589,10 +589,10 @@ def test_simulate_transcript_public_build_failure_keeps_the_full_file(
         write_atomic(path, data)
         written.append(os.fspath(path))
 
-    def fail_public(keys, index, public):
-        if public:
+    def fail_public(keys, start, records):
+        if public_line_records(records):
             raise RuntimeError("public body failed")
-        return transcript_body(keys, index, public)
+        return transcript_body(keys, start, records)
 
     monkeypatch.setattr(protocol, "write_atomic", recorded_write)
     monkeypatch.setattr(protocol, "_transcript_body", fail_public)
@@ -617,12 +617,12 @@ def test_simulate_transcript_full_build_failure_renames_neither_file(tmp_path, m
     transcript_body = protocol._transcript_body
     built = []
 
-    def fail_third_full(keys, index, is_public):
-        if not is_public:
+    def fail_third_full(keys, start, records):
+        if not public_line_records(records):
             if len(built) == 2:
                 raise RuntimeError("full body failed")
             built.append(len(keys))
-        return transcript_body(keys, index, is_public)
+        return transcript_body(keys, start, records)
 
     monkeypatch.setattr(protocol, "_transcript_body", fail_third_full)
     threads = threading.active_count()

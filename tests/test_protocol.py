@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_kraus_channel, rotated_channel
+from conftest import public_line_records, random_kraus_channel, rotated_channel
 from oracles import (
     _draw,
     born_table_by_matmul,
@@ -664,12 +664,12 @@ def test_write_transcripts_stops_the_public_file_once_the_full_one_fails(tmp_pat
     transcript_body = protocol._transcript_body
     public_chunks = []
 
-    def fail_second_full(keys, index, public):
-        if public:
+    def fail_second_full(keys, start, records):
+        if public_line_records(records):
             public_chunks.append(len(keys))
-        elif bytes(index[0]).lstrip(b"\0") != b"0":
+        elif start != 0:
             raise RuntimeError("full body failed")
-        return transcript_body(keys, index, public)
+        return transcript_body(keys, start, records)
 
     for name in ("run.csv", "run.csv.public"):
         (tmp_path / name).write_bytes(b"old " + name.encode())
@@ -719,9 +719,14 @@ def test_transcripts_in_small_chunks_are_the_records_export(tmp_path, monkeypatc
     ],
 )
 def test_index_digits_are_the_decimal_indices(start, stop):
-    """A range's digits are each index's decimal digits, NUL-padded on the
-    left, also where it crosses a digit step or a run of 10**4 indices."""
-    digits = protocol._index_digits(start, stop)
+    """The digit fields of a range's line records, in a file of ``stop``
+    lines, hold each index's decimal digits, NUL-padded on the left, also
+    where the range crosses a digit step or a run of 10**4 indices."""
+    records = protocol._line_records(stop, public=False)
+    lines = np.zeros(stop - start, dtype=records.dtype)
+    protocol._write_indices(lines, start)
+    width = records.dtype.fields["fields"][1]
+    digits = lines.view(np.uint8).reshape(len(lines), records.itemsize)[:, :width]
     assert [bytes(d).lstrip(b"\0") for d in digits] == [b"%d" % i for i in range(start, stop)]
 
 
@@ -932,6 +937,22 @@ def test_export_transcript_bytes_are_comments_then_oracle_lines(tmp_path, n):
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
+def test_transcripts_with_wide_indices_are_comments_then_oracle_lines(tmp_path, monkeypatch):
+    """Chunks of 7919 lines straddle runs of 10**4 indices, and one chunk
+    the 99999/100000 step, in a file of 6-digit indices: both files, written
+    from a byte key column, are the literal formatter's lines."""
+    n = 123457
+    monkeypatch.setattr(protocol, "_BLOCK_CELLS", 7919)
+    shots = _mixed_run(n)
+    comments = ("sealsim transcript (stream 0)", f"n_shots = {n}")
+    keys = protocol._record_keys(shots).astype(np.uint8)
+    protocol.write_transcripts(keys, tmp_path / "run.csv", comments=comments)
+    for name, public in (("run.csv", False), ("run.csv.public", True)):
+        lines = [f"# {c}" for c in comments]
+        lines.extend(transcript_lines_by_record(shots, public=public))
+        assert (tmp_path / name).read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo
 # ---------------------------------------------------------------------------
@@ -1131,7 +1152,7 @@ def _source_columns(params, stream):
     """One run's integer columns as the package's raw-word source reads them."""
     streams = protocol._Streams(params.seed)
     (state,) = streams.states(stream, stream + 1)
-    words = streams.words(state, 0, 3 * params.n_shots)[None]
+    words = streams.generator(state, 0).random_raw(3 * params.n_shots)[None]
     return [column[0] for column in protocol._run_columns(words, params.n_shots)]
 
 
@@ -1181,7 +1202,8 @@ def test_stream_states_across_the_two_word_boundary():
     first = 2**32 - 2
     for stream, state in enumerate(streams.states(first, first + 4), start=first):
         reference = np.random.PCG64(np.random.SeedSequence(entropy=params.seed, spawn_key=(stream,)))
-        assert np.array_equal(streams.words(state, 0, 15), reference.random_raw(15))
+        words = streams.generator(state, 0).random_raw(15)
+        assert np.array_equal(words, reference.random_raw(15))
 
 
 @pytest.mark.parametrize("first", [0, 7, 2**32 - protocol._SEED_CHUNK])
@@ -1196,7 +1218,7 @@ def test_stream_seeds_across_the_chunk_edge(first):
         stream = first + offset
         reference = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
         assert np.random.PCG64(streams[offset]).state == reference.state
-        words = protocol._Streams.words(streams[offset], 0, 4)
+        words = protocol._Streams.generator(streams[offset], 0).random_raw(4)
         assert np.array_equal(words, reference.random_raw(4))
 
 
@@ -1323,14 +1345,43 @@ def test_run_keys_and_monte_carlo_keys_agree_at_the_block_edge(extra):
     assert np.array_equal(keys, want)
 
 
+@pytest.mark.parametrize(
+    "block, n",
+    [
+        (protocol._BLOCK_CELLS, 2 * protocol._BLOCK_CELLS + 1),
+        (protocol._BLOCK_CELLS, 3 * protocol._BLOCK_CELLS - 1),
+        (7, 1001),
+        (50, 1001),
+    ],
+)
+def test_odd_runs_read_in_chunks_are_the_generator_keys(monkeypatch, block, n):
+    """At odd N a run's basis halves start in the middle of a word, and
+    with an odd block every other chunk also ends in the middle of one; the
+    reader carries the half over, and run_keys and monte_carlo's keys= are
+    the keys of the Generator's own draws."""
+    monkeypatch.setattr(protocol, "_BLOCK_CELLS", block)
+    params = ProtocolParams(n_shots=n, p_announce=0.5, message_bit=1, seed=2**40 + 3)
+    channel = random_kraus_channel(np.random.default_rng(n), 3)
+    assert n > protocol._BLOCK_CELLS
+    for stream in (0, 2**32 + 5):
+        keys, _ = run_keys(params, channel, stream)
+        assert np.array_equal(keys, _generator_keys(params, channel, stream))
+    written = np.zeros(n, dtype=np.uint8)
+    monte_carlo(params, channel, 2, keys=written)
+    assert np.array_equal(written, _generator_keys(params, channel, 0))
+
+
 @pytest.mark.parametrize("n, stream", [(1001, 0), (1001, 2**32 + 5), (2, 7)])
 def test_chunk_columns_are_slices_of_the_run(monkeypatch, n, stream):
-    """Each chunk reads its shots from their own offsets in the stream."""
+    """A run's reader, read in chunks of _BLOCK_CELLS shots, gives each
+    column's shots from their own offsets in the stream; at odd N the basis
+    halves start mid-word and every chunk carries a half to the next."""
     monkeypatch.setattr(protocol, "_BLOCK_CELLS", 7)
     params = ProtocolParams(n_shots=n, p_announce=0.5, message_bit=0, seed=2**64 - 1)
-    streams = protocol._Streams(params.seed)
-    (state,) = streams.states(stream, stream + 1)
-    chunks = [streams.chunk_columns(state, n, first) for first in range(0, n, 7)]
+    (state,) = protocol._Streams(params.seed).states(stream, stream + 1)
+    reader = protocol._RunReader(state, n)
+    block = protocol._BLOCK_CELLS
+    chunks = [reader.read(min(block, n - first)) for first in range(0, n, block)]
     _assert_same_columns([np.concatenate(c) for c in zip(*chunks)], _draw(params, stream))
 
 
