@@ -681,7 +681,7 @@ class _RunReader:
 
     Each column, laid out as in :func:`_run_columns`, has its own
     ``PCG64``, positioned once at the column's first word, so a run of
-    any length builds and advances four generators.
+    any length builds four generators and advances each at most once.
     """
 
     __slots__ = ("_preps", "_bases", "_results", "_announces")
@@ -699,22 +699,6 @@ class _RunReader:
             _variates(self._results.random_raw(count)),
             _variates(self._announces.random_raw(count)),
         )
-
-
-def _chunk_histogram(
-    reader: _RunReader, sampler: ShotSampler, announce, bit: int, n: int, first: int, out
-) -> np.ndarray:
-    """The (1, 64) key histogram of an n-shot run's chunk from shot ``first``.
-
-    The chunk is the next ``_BLOCK_CELLS`` shots of ``reader``, or the rest
-    of the run.  When ``out`` is given, the chunk's keys are written into
-    it from ``first``.  Every array of the chunk is freed when this
-    returns, before the next chunk is read.
-    """
-    chunk = sampler.keys(reader.read(min(_BLOCK_CELLS, n - first)), announce, bit)
-    if out is not None:
-        out[first : first + len(chunk)] = chunk
-    return _key_histograms(chunk[None])
 
 
 def _run_counts(
@@ -740,14 +724,19 @@ def _run_counts(
     announce = _threshold(params.p_announce)
     states = _Streams(params.seed).states(first_stream, first_stream + trials)
     if n > _BLOCK_CELLS:
+
+        def chunk_histogram(reader, first, bit, out):
+            # a chunk's arrays are freed on return, before the next chunk is read
+            chunk = sampler.keys(reader.read(min(_BLOCK_CELLS, n - first)), announce, bit)
+            if out is not None:
+                out[first : first + len(chunk)] = chunk
+            return _key_histograms(chunk[None])
+
         for t, state in enumerate(states):
             bit = params.message_bit ^ (t & parity)
             out = keys if t == 0 else None
             reader = _RunReader(state, n)
-            hist = sum(
-                _chunk_histogram(reader, sampler, announce, bit, n, first, out)
-                for first in range(0, n, _BLOCK_CELLS)
-            )
+            hist = sum(chunk_histogram(reader, first, bit, out) for first in range(0, n, _BLOCK_CELLS))
             yield np.array([t]), _tally_columns(hist)
         return
     rows = min(_BLOCK_CELLS // n, trials)
@@ -1042,7 +1031,11 @@ def write_transcripts(keys: np.ndarray, path: str | Path, comments=()) -> None:
     of those keys, streamed in the same chunks, so memory beside ``keys``
     does not grow with their length.  The full file is written first: if it
     cannot be written, the public file is not built, and an existing public
-    file keeps its old bytes.
+    file keeps its old bytes.  A key outside [0, 64) raises ValueError
+    before either file is opened.
     """
+    # the line records are taken by key with mode="clip", which would not refuse one
+    if len(keys) and not (0 <= keys.min() and keys.max() < _KEYS):
+        raise ValueError(f"shot keys must lie in [0, {_KEYS})")
     write_atomic(path, _transcript_chunks(keys, False, comments))
     write_atomic(f"{path}.public", _transcript_chunks(keys, True, comments))

@@ -657,6 +657,16 @@ def test_write_transcripts_takes_a_path_and_an_empty_key_column(tmp_path):
     )
 
 
+@pytest.mark.parametrize("bad", [64, 255, -1])
+def test_write_transcripts_refuses_a_key_outside_0_63(tmp_path, bad):
+    """A key no record has is refused before either file is opened; the
+    line records are taken with a mode that would clip it silently."""
+    keys = np.array([0, 63, bad, 5], dtype=np.int64)
+    with pytest.raises(ValueError, match=r"shot keys must lie in \[0, 64\)"):
+        protocol.write_transcripts(keys, tmp_path / "run.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_write_transcripts_stops_the_public_file_once_the_full_one_fails(tmp_path, monkeypatch):
     """The full file is written first: when its second chunk fails, no
     public chunk is built, and neither old file is replaced."""
